@@ -28,9 +28,7 @@
 //! Flags: `--tenants N` (default 4), `--services N` per tenant (default
 //! 2, capped at the 3 service kinds), `--requests N` per (tenant,
 //! service) per run (default 12), `--seed S`, `--mode open|closed|both`
-//! (default both), `--shards N` (default 1), `--no-switchless`,
-//! `--replay` (the macro-op replay cache — byte-invisible in every
-//! export, host wall-clock only), plus the
+//! (default both), `--shards N` (default 1), `--no-switchless`, plus the
 //! standard `--metrics-out`, `--bench-out`, `--profile-out` and
 //! `--trace-out` exports (the traced run is the closed-loop one; shard
 //! `k > 0` traces land at `<path>.shard<k>`), and `--tenants-out <path>`
@@ -99,7 +97,6 @@ struct Plan {
     switchless: bool,
     chaos: Option<String>,
     reference: bool,
-    replay: bool,
 }
 
 fn build(plan: &Plan, trace: bool) -> Cluster {
@@ -111,7 +108,6 @@ fn build(plan: &Plan, trace: bool) -> Cluster {
     cfg.host.switchless = plan.switchless;
     cfg.host.hw.trace_events = trace;
     cfg.host.hw.reference_path = plan.reference;
-    cfg.host.replay_cache = plan.replay;
     Cluster::build(cfg).expect("cluster build")
 }
 
@@ -487,10 +483,6 @@ fn main() {
         switchless: !std::env::args().any(|a| a == "--no-switchless"),
         chaos: flag_str("--chaos"),
         reference: std::env::args().any(|a| a == "--reference"),
-        // The macro-op replay cache is byte-invisible in every export
-        // (the replay differential oracle); the flag only changes host
-        // wall-clock, exactly like --reference in the other direction.
-        replay: std::env::args().any(|a| a == "--replay"),
     };
     // `--reference` means the naive forms of every optimized hot path: the
     // simulator's memory pipeline (via `HwConfig::reference_path`) and the

@@ -29,28 +29,18 @@
 //! on smaller machines the gate is skipped with a note, since threads
 //! cannot beat one core with CPU-bound work.
 //!
-//! With `--replay` a fourth scenario runs: `replay`, the same closed-loop
-//! load with the macro-op replay cache ([`ne_host::replay`]) off and on,
-//! both on the optimized simulation path. The two runs must produce
-//! byte-identical cycle totals and metrics exports — the replay
-//! differential oracle — and the cache-on run must log real hits, so the
-//! reported speedup is the cache's wall-clock win on unchanged
-//! simulation output. `--min-replay-speedup <x>` gates on it.
-//!
 //! Flags: `--requests <n>` / `--messages <n>` scale the scenarios,
 //! `--repeat <n>` takes the best of n timings per path (default 1),
 //! `--full` is a bigger preset, `--min-speedup <x>` exits nonzero if
 //! any scenario's speedup lands below `x` (for local verification;
 //! wall-clock on shared CI runners is too noisy to gate on),
-//! `--shards <n>` / `--min-shard-speedup <x>` and
-//! `--replay` / `--min-replay-speedup <x>` as above, and
+//! `--shards <n>` / `--min-shard-speedup <x>` as above, and
 //! `--bench-out <path>` writes an `ne-bench/v1` document whose leaves
 //! are the deterministic cycle totals plus the (noisy) wall times and
 //! the optimized/reference ratio — compare against
 //! `results/baselines/BENCH_wallclock.json` (or
-//! `BENCH_wallclock_shards.json` / `BENCH_wallclock_replay.json` for
-//! `--shards` / `--replay` runs) with `ne-bench-compare --advisory` and
-//! a generous threshold.
+//! `BENCH_wallclock_shards.json` for `--shards` runs) with
+//! `ne-bench-compare --advisory` and a generous threshold.
 //!
 //! `--timeline-out <path>` runs the closed-loop scenario once more on
 //! each path with an `ne-obs` sampler attached and writes the
@@ -126,34 +116,15 @@ fn measure(label: &'static str, repeat: usize, run: impl Fn(bool) -> (u64, Strin
 /// The `ne-load` closed-loop shape: every (tenant, service) client keeps
 /// exactly one request in flight until its quota is served.
 fn closed_loop(requests: usize, reference: bool) -> (u64, String) {
-    let (_, cycles, metrics, _, _) = closed_loop_inner(requests, reference, false, None);
+    let (cycles, metrics, _) = closed_loop_inner(requests, reference, None);
     (cycles, metrics)
-}
-
-/// The closed-loop scenario with the macro-op replay cache toggled; both
-/// legs run the optimized simulation path. Returns the serving-loop wall
-/// time and the cache counters so the harness can prove the cache
-/// actually engaged. Unlike the externally timed scenarios, the replay
-/// legs are timed from the first measured submit to the final drain:
-/// server construction and the provisioning warmup are identical setup
-/// work on both legs (and the warmup legitimately pre-warms the cache,
-/// just as production provisioning would), so including them would only
-/// dilute the quantity under test — the cache's effect on steady-state
-/// serving.
-fn closed_loop_replay(
-    requests: usize,
-    replay: bool,
-) -> (f64, u64, String, Option<ne_host::ReplayCacheStats>) {
-    let (serve_ms, cycles, metrics, _, stats) = closed_loop_inner(requests, false, replay, None);
-    (serve_ms, cycles, metrics, stats)
 }
 
 /// The closed-loop scenario with an `ne-obs` sampler riding along; the
 /// sampler only reads, so the simulated run is byte-identical to the
 /// unobserved one. Returns the `ne-obs/v1` export.
 fn closed_loop_timeline(requests: usize, reference: bool) -> String {
-    let (_, _, _, timeline, _) =
-        closed_loop_inner(requests, reference, false, Some(SamplerConfig::default()));
+    let (_, _, timeline) = closed_loop_inner(requests, reference, Some(SamplerConfig::default()));
     ne_obs::to_jsonl(
         &timeline.expect("sampled run yields a timeline"),
         "ne-wallclock-closed-loop",
@@ -163,15 +134,8 @@ fn closed_loop_timeline(requests: usize, reference: bool) -> String {
 fn closed_loop_inner(
     requests: usize,
     reference: bool,
-    replay: bool,
     obs: Option<SamplerConfig>,
-) -> (
-    f64,
-    u64,
-    String,
-    Option<ne_obs::Timeline>,
-    Option<ne_host::ReplayCacheStats>,
-) {
+) -> (u64, String, Option<ne_obs::Timeline>) {
     let specs: Vec<TenantSpec> = (0..TENANTS)
         .map(|i| {
             TenantSpec::new(
@@ -184,7 +148,6 @@ fn closed_loop_inner(
     let mut cfg = HostConfig::new(specs);
     cfg.seed = SEED;
     cfg.hw.reference_path = reference;
-    cfg.replay_cache = replay;
     let mut server = HostServer::build(cfg).expect("host build");
     let mut factories: Vec<Vec<RequestFactory>> = (0..TENANTS)
         .map(|t| {
@@ -210,7 +173,6 @@ fn closed_loop_inner(
     server.reset_measurement();
     let mut sampler = obs.map(|cfg| Sampler::new(&server, (0..TENANTS).collect(), cfg));
     let mut remaining = vec![vec![requests; ServiceKind::ALL.len()]; TENANTS];
-    let serve_start = Instant::now();
     for (t, tenant_factories) in factories.iter_mut().enumerate() {
         for (s, factory) in tenant_factories.iter_mut().enumerate() {
             remaining[t][s] -= 1;
@@ -239,71 +201,12 @@ fn closed_loop_inner(
         }
     }
     server.drain().expect("drain");
-    let serve_ms = serve_start.elapsed().as_secs_f64() * 1e3;
     let m = server.app.machine.metrics();
     (
-        serve_ms,
         m.total_cycles,
         m.to_json(),
         sampler.map(|s| s.finish(&server)),
-        server.replay_stats(),
     )
-}
-
-/// Times the closed loop's serving phase with the macro-op replay cache
-/// off vs on, best of `repeat` each, enforcing the replay differential
-/// oracle inline: total cycles and the full metrics export must be
-/// byte-identical with the cache on or off (and across repeats), and the
-/// cache-on runs must produce real hits. The cache-off numbers land in
-/// the "Reference" column, so the speedup column reads as the cache's
-/// wall-clock win on steady-state serving (see [`closed_loop_replay`]
-/// for why setup is excluded from this row's timer).
-fn measure_replay(requests: usize, repeat: usize) -> Measurement {
-    let mut best = [f64::INFINITY; 2];
-    let mut outputs: Vec<(bool, u64, String)> = Vec::new();
-    for (slot, replay) in [(1usize, false), (0, true)] {
-        for rep in 0..repeat {
-            let (ms, cycles, metrics, stats) = closed_loop_replay(requests, replay);
-            best[slot] = best[slot].min(ms);
-            if replay {
-                let stats = stats.expect("cache-on run reports stats");
-                assert!(
-                    stats.hits > 0,
-                    "replay scenario produced no cache hits: {stats:?}"
-                );
-                if rep == 0 {
-                    println!(
-                        "replay cache: {} hits, {} misses, {} rejects, {} captures \
-                         ({:.1}% hit rate)",
-                        stats.hits,
-                        stats.misses,
-                        stats.rejects,
-                        stats.captures,
-                        100.0 * stats.hits as f64
-                            / (stats.hits + stats.misses + stats.rejects).max(1) as f64,
-                    );
-                }
-            }
-            outputs.push((replay, cycles, metrics));
-        }
-    }
-    let (_, cycles0, metrics0) = &outputs[0];
-    for (replay, cycles, metrics) in &outputs[1..] {
-        assert_eq!(
-            cycles0, cycles,
-            "replay: cycle totals diverged (cache={replay})"
-        );
-        assert_eq!(
-            metrics0, metrics,
-            "replay: metrics exports diverged (cache={replay})"
-        );
-    }
-    Measurement {
-        label: "replay",
-        wall_ms_opt: best[0],
-        wall_ms_ref: best[1],
-        total_cycles: *cycles0,
-    }
 }
 
 /// One cluster closed-loop run at `shards` shards: merged total cycles,
@@ -399,11 +302,6 @@ fn main() {
         s.parse::<f64>()
             .unwrap_or_else(|e| panic!("--min-shard-speedup {s}: {e}"))
     });
-    let replay = std::env::args().any(|a| a == "--replay");
-    let min_replay_speedup = flag_str("--min-replay-speedup").map(|s| {
-        s.parse::<f64>()
-            .unwrap_or_else(|e| panic!("--min-replay-speedup {s}: {e}"))
-    });
     banner(&format!(
         "Wall-clock: optimized vs reference paths \
          ({requests} req/client closed loop, {messages} echo messages, best of {repeat}{})",
@@ -419,9 +317,6 @@ fn main() {
     ];
     if shards > 1 {
         runs.push(measure_shards(requests, shards, repeat));
-    }
-    if replay {
-        runs.push(measure_replay(requests, repeat));
     }
     let mut t = Table::new(&[
         "Scenario",
@@ -482,22 +377,11 @@ fn main() {
             path.display()
         );
     }
-    if replay {
-        println!(
-            "replay row: \"Optimized\" is the cache-on serving loop, \"Reference\"\n\
-             the cache-off serving loop (setup excluded on both legs); cycle\n\
-             totals and metrics exports were byte-identical with the cache on\n\
-             or off (the replay differential oracle)."
-        );
-    }
     if let Some(min) = min_speedup {
-        // shard-scale and replay have their own gates
-        // (--min-shard-speedup / --min-replay-speedup), so they are
-        // excluded from the optimized-vs-reference one.
-        for m in runs
-            .iter()
-            .filter(|m| m.label != "shard-scale" && m.label != "replay")
-        {
+        // shard-scale has its own gate (--min-shard-speedup) with a CPU
+        // precondition, so it is excluded from the optimized-vs-reference
+        // one.
+        for m in runs.iter().filter(|m| m.label != "shard-scale") {
             if m.speedup() < min {
                 eprintln!(
                     "FAIL: {} speedup {:.2}x below required {min:.2}x",
@@ -508,20 +392,6 @@ fn main() {
             }
         }
         println!("\nok: every scenario at or above {min:.2}x");
-    }
-    if let Some(min) = min_replay_speedup {
-        let m = runs
-            .iter()
-            .find(|m| m.label == "replay")
-            .unwrap_or_else(|| panic!("--min-replay-speedup needs --replay"));
-        if m.speedup() < min {
-            eprintln!(
-                "FAIL: replay speedup {:.2}x below required {min:.2}x",
-                m.speedup()
-            );
-            std::process::exit(1);
-        }
-        println!("\nok: replay cache at or above {min:.2}x");
     }
     if let Some(min) = min_shard_speedup {
         let m = runs

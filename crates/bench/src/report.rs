@@ -277,14 +277,12 @@ impl MetricsReport {
     /// Writes the requested exports — `--metrics-out`, `--bench-out`,
     /// `--profile-out` — and prints where each went. Call this last.
     ///
-    /// # Panics
-    ///
-    /// Panics if a requested file cannot be written — an export that
+    /// A requested file that cannot be written ends the process with a
+    /// one-line error on stderr and exit status 2: an export that
     /// silently vanishes is worse than an abort.
     pub fn finish(&self) {
         let write = |what: &str, path: &Path, payload: &str| {
-            std::fs::write(path, payload)
-                .unwrap_or_else(|e| panic!("cannot write {what} to {}: {e}", path.display()));
+            write_export(what, path, payload).unwrap_or_else(|e| cli_error(&e));
             println!(
                 "\n{what}: wrote {} run(s) to {}",
                 self.runs.len(),
@@ -373,22 +371,15 @@ pub fn profile_table(m: &MachineMetrics) -> Table {
 /// stacks beside it at `<path>.folded`), if the flag was given. Pass the
 /// bundle of the run the binary traced, or `None` when the experiment
 /// has no traceable machine — the flag is then acknowledged with a note
-/// instead of being silently ignored.
-///
-/// # Panics
-///
-/// Panics if a requested file cannot be written.
+/// instead of being silently ignored. A requested file that cannot be
+/// written ends the process with an error on stderr and exit status 2.
 pub fn write_trace(bundle: Option<&TraceBundle>) {
     let Some(path) = trace_out_path() else {
         return;
     };
     match bundle {
         Some(b) => {
-            std::fs::write(&path, &b.chrome_json)
-                .unwrap_or_else(|e| panic!("cannot write trace to {}: {e}", path.display()));
-            let folded = PathBuf::from(format!("{}.folded", path.display()));
-            std::fs::write(&folded, &b.folded)
-                .unwrap_or_else(|e| panic!("cannot write stacks to {}: {e}", folded.display()));
+            write_bundle(&path, b).unwrap_or_else(|e| cli_error(&e));
             println!(
                 "\ntrace: {} span(s) to {} (+ {}.folded); \
                  truncated {}, unfinished {}, ring dropped {}",
@@ -408,11 +399,8 @@ pub fn write_trace(bundle: Option<&TraceBundle>) {
 /// was given. Shard 0 lands at the flag's path exactly where the
 /// unsharded path would write (so a one-shard run is byte-identical);
 /// shard `k > 0` lands beside it at `<path>.shard<k>` with its folded
-/// stacks at `<path>.shard<k>.folded`.
-///
-/// # Panics
-///
-/// Panics if a requested file cannot be written.
+/// stacks at `<path>.shard<k>.folded`. A requested file that cannot be
+/// written ends the process with an error on stderr and exit status 2.
 pub fn write_shard_traces(bundles: &[TraceBundle]) {
     let Some(path) = trace_out_path() else {
         return;
@@ -420,11 +408,7 @@ pub fn write_shard_traces(bundles: &[TraceBundle]) {
     write_trace(bundles.first());
     for (k, b) in bundles.iter().enumerate().skip(1) {
         let shard_path = PathBuf::from(format!("{}.shard{k}", path.display()));
-        std::fs::write(&shard_path, &b.chrome_json)
-            .unwrap_or_else(|e| panic!("cannot write trace to {}: {e}", shard_path.display()));
-        let folded = PathBuf::from(format!("{}.folded", shard_path.display()));
-        std::fs::write(&folded, &b.folded)
-            .unwrap_or_else(|e| panic!("cannot write stacks to {}: {e}", folded.display()));
+        write_bundle(&shard_path, b).unwrap_or_else(|e| cli_error(&e));
         println!(
             "trace: shard {k}: {} span(s) to {} (+ .folded)",
             b.spans,
@@ -447,20 +431,46 @@ pub fn timeline_out_path() -> Option<PathBuf> {
     flag_path("--timeline-out")
 }
 
-/// Parses a string-valued flag (`--flag v` or `--flag=v`) from the
-/// process arguments.
-pub fn flag_str(flag: &str) -> Option<String> {
+/// Prints `msg` as a one-line error on stderr and exits with status 2:
+/// the one failure path for bad CLI input (a valueless or malformed flag,
+/// an unwritable output path), so none of them panics.
+fn cli_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// Finds a string-valued flag (`--flag v` or `--flag=v`) in `args`.
+///
+/// # Errors
+///
+/// The flag is present without a value: it is the last argument, or
+/// its value is empty (`--flag=`). Reading either as "absent" would
+/// silently drop an export or run the default seed.
+fn scan_flag(args: impl IntoIterator<Item = String>, flag: &str) -> Result<Option<String>, String> {
     let prefix = format!("{flag}=");
-    let mut args = std::env::args();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(p) = a.strip_prefix(&prefix) {
-            return Some(p.to_string());
-        }
+        let value = if a == flag {
+            args.next()
+        } else if let Some(v) = a.strip_prefix(&prefix) {
+            Some(v.to_string())
+        } else {
+            continue;
+        };
+        return match value {
+            Some(v) if !v.is_empty() => Ok(Some(v)),
+            _ => Err(format!("{flag} expects a value")),
+        };
     }
-    None
+    Ok(None)
+}
+
+/// Parses a string-valued flag (`--flag v` or `--flag=v`) from the
+/// process arguments. A flag given without a value (the last argument,
+/// or `--flag=`) ends the process with an error on stderr and exit
+/// status 2.
+pub fn flag_str(flag: &str) -> Option<String> {
+    scan_flag(std::env::args(), flag).unwrap_or_else(|e| cli_error(&e))
 }
 
 fn flag_path(flag: &str) -> Option<PathBuf> {
@@ -471,15 +481,14 @@ fn flag_path(flag: &str) -> Option<PathBuf> {
 /// arguments. Used by the experiment binaries for `--seed` and the
 /// load-generator knobs, so every binary parses them identically.
 ///
-/// # Panics
-///
-/// Panics with a clear message when the value is present but not an
-/// unsigned integer — a silently ignored seed would make a "seeded" run
-/// unreproducible.
+/// A value that is not an unsigned integer ends the process with an
+/// error on stderr and exit status 2 — a silently ignored seed would
+/// make a "seeded" run unreproducible.
 pub fn flag_u64(flag: &str) -> Option<u64> {
     flag_str(flag).map(|v| {
-        v.parse::<u64>()
-            .unwrap_or_else(|_| panic!("{flag} expects an unsigned integer, got '{v}'"))
+        v.parse::<u64>().unwrap_or_else(|_| {
+            cli_error(&format!("{flag} expects an unsigned integer, got '{v}'"))
+        })
     })
 }
 
@@ -508,6 +517,20 @@ pub fn trace_out_path() -> Option<PathBuf> {
 /// representative run they export.
 pub fn want_trace() -> bool {
     trace_out_path().is_some()
+}
+
+/// Writes one export file, naming `what` and the path on failure.
+fn write_export(what: &str, path: &Path, payload: &str) -> Result<(), String> {
+    std::fs::write(path, payload)
+        .map_err(|e| format!("cannot write {what} to {}: {e}", path.display()))
+}
+
+/// Writes a trace bundle: Chrome Trace JSON at `path`, folded stacks at
+/// `<path>.folded`.
+fn write_bundle(path: &Path, b: &TraceBundle) -> Result<(), String> {
+    write_export("trace", path, &b.chrome_json)?;
+    let folded = PathBuf::from(format!("{}.folded", path.display()));
+    write_export("stacks", &folded, &b.folded)
 }
 
 fn json_escape(s: &str) -> String {
@@ -687,6 +710,43 @@ mod tests {
         let mut m = snapshot();
         m.total_cycles += 1;
         MetricsReport::new("unit").push_run("bad", m);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn scan_flag_reads_both_value_forms() {
+        let flag = "--metrics-out";
+        let spaced = args(&["bin", "--metrics-out", "m.json", "--full"]);
+        assert_eq!(scan_flag(spaced, flag), Ok(Some("m.json".to_string())));
+        let joined = args(&["bin", "--full", "--metrics-out=m.json"]);
+        assert_eq!(scan_flag(joined, flag), Ok(Some("m.json".to_string())));
+        assert_eq!(scan_flag(args(&["bin", "--full"]), flag), Ok(None));
+    }
+
+    #[test]
+    fn scan_flag_refuses_a_trailing_flag() {
+        let err = scan_flag(args(&["bin", "--full", "--metrics-out"]), "--metrics-out");
+        assert_eq!(err, Err("--metrics-out expects a value".to_string()));
+    }
+
+    #[test]
+    fn scan_flag_refuses_an_empty_joined_value() {
+        let err = scan_flag(args(&["bin", "--seed=", "--full"]), "--seed");
+        assert_eq!(err, Err("--seed expects a value".to_string()));
+    }
+
+    #[test]
+    fn write_export_reports_an_unwritable_path() {
+        // A directory cannot be written as a file.
+        let dir = std::env::temp_dir();
+        let err = write_export("metrics", &dir, "{}").unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot write metrics to {}: ", dir.display())),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::drive;
 use crate::ring::{shard_seed, ShardRing};
-use ne_host::replay::ReplayCacheStats;
 use ne_host::scheduler::SchedulerStats;
 use ne_host::server::{HostConfig, HostServer, TenantReport};
 use ne_host::tenant::Completion;
@@ -483,30 +482,6 @@ impl Cluster {
             total.crashes += cs.crashes;
             total.stalls += cs.stalls;
             total.migrations += cs.migrations;
-        }
-        Some(total)
-    }
-
-    /// Macro-op replay-cache counters summed across shards (each shard
-    /// owns an independent cache, like everything else machine-local);
-    /// `None` when the cache is off ([`HostConfig::replay_cache`]).
-    pub fn replay_stats(&self) -> Option<ReplayCacheStats> {
-        let per_shard: Vec<ReplayCacheStats> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.server.replay_stats())
-            .collect();
-        if per_shard.is_empty() {
-            return None;
-        }
-        let mut total = ReplayCacheStats::default();
-        for rs in per_shard {
-            total.hits += rs.hits;
-            total.misses += rs.misses;
-            total.captures += rs.captures;
-            total.rejects += rs.rejects;
-            total.evictions += rs.evictions;
-            total.stale_flushes += rs.stale_flushes;
         }
         Some(total)
     }

@@ -304,50 +304,6 @@ fn observed_runs_leave_the_simulation_untouched() {
     );
 }
 
-/// One closed-loop run with the macro-op replay cache toggled.
-fn replay_export(shards: usize, replay: bool) -> (u64, String, Option<ne_host::ReplayCacheStats>) {
-    let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), shards);
-    cfg.host.seed = SEED;
-    cfg.host.replay_cache = replay;
-    let mut cluster = Cluster::build(cfg).expect("cluster build");
-    let accepted = cluster
-        .run_closed_loop(REQUESTS, None)
-        .expect("closed loop");
-    cluster
-        .merged_metrics()
-        .expect("merge")
-        .check()
-        .unwrap_or_else(|e| panic!("identities broken at {shards} shards replay={replay}: {e}"));
-    (accepted, cluster.tenants_export(), cluster.replay_stats())
-}
-
-#[test]
-fn replay_cache_is_invisible_at_every_shard_count() {
-    // Each shard owns an independent cache; flipping the flag must leave
-    // the per-tenant export (reply digests included) byte-identical at
-    // every shard count, and the caches must actually engage so the
-    // check is not vacuous.
-    for shards in [1usize, 2, 4] {
-        let (a_off, e_off, r_off) = replay_export(shards, false);
-        let (a_on, e_on, r_on) = replay_export(shards, true);
-        assert!(r_off.is_none(), "cache-off cluster reported stats");
-        assert_eq!(a_off, a_on, "accepted count changed at {shards} shards");
-        assert_eq!(
-            e_off, e_on,
-            "per-tenant export changed with replay on at {shards} shards"
-        );
-        let stats = r_on.expect("cache-on cluster reports stats");
-        assert!(
-            stats.hits > 0,
-            "no replay hits at {shards} shards: {stats:?}"
-        );
-    }
-    // And cache-on runs stay shard-count invariant among themselves.
-    let (_, e1, _) = replay_export(1, true);
-    let (_, e4, _) = replay_export(4, true);
-    assert_eq!(e1, e4, "cache-on export changed between 1 and 4 shards");
-}
-
 #[test]
 fn replies_check_against_fresh_global_factories() {
     let mut cluster = build_cluster(3);

@@ -58,10 +58,8 @@ pub struct QueryResult {
     pub affected: usize,
 }
 
-/// An in-memory SQL database. `Clone` yields an independent deep copy —
-/// hosts use a throwaway clone to probe a statement's result without
-/// committing its effects.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// An in-memory SQL database.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Database {
     tables: HashMap<String, Table>,
 }

@@ -37,7 +37,6 @@ pub mod admission;
 pub mod error;
 pub mod migrate;
 pub mod recovery;
-pub mod replay;
 pub mod scheduler;
 pub mod server;
 pub mod service;
@@ -50,8 +49,7 @@ pub use recovery::{
     MigratePhase, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryPolicy, RecoveryState,
     ShedReason,
 };
-pub use replay::{ReplayCache, ReplayCacheStats, ReplayKey};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use server::{HostConfig, HostReport, HostServer, TenantReport};
-pub use service::{ComputeMode, HostCompute, RequestFactory, ServiceKind};
+pub use service::{RequestFactory, ServiceKind};
 pub use tenant::{Completion, Request, TenantSpec};

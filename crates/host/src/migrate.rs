@@ -467,22 +467,17 @@ impl HostServer {
             )
             .map(|_| ());
         if result.is_ok() {
-            for (s, &kind) in spec.services.iter().enumerate() {
-                match install_service(
+            for &kind in &spec.services {
+                result = install_service(
                     &mut self.app,
                     &spec.name,
                     &gate_name,
                     identity,
                     kind,
                     self.seed,
-                ) {
-                    Ok(twin) => {
-                        self.computes.insert((local, s), twin);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+                );
+                if result.is_err() {
+                    break;
                 }
             }
         }

@@ -43,12 +43,9 @@ use crate::recovery::{
     backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryPolicy,
     RecoveryState, ShedReason,
 };
-use crate::replay::{ReplayCache, ReplayCacheStats, ReplayKey};
 use crate::scheduler::{Scheduler, SchedulerStats};
-use crate::service::{
-    install_service, service_enclave_name, ComputeMode, HostCompute, ServiceKind,
-};
-use crate::tenant::{Completion, Request, TenantSpec, TenantState};
+use crate::service::{install_service, service_enclave_name, ServiceKind};
+use crate::tenant::{Completion, TenantSpec, TenantState};
 use ne_core::edl::Edl;
 use ne_core::lifecycle::{attest_chain, AttestError};
 use ne_core::loader::EnclaveImage;
@@ -89,13 +86,6 @@ pub struct HostConfig {
     pub switchless_capacity: usize,
     /// Retry/respawn/circuit-breaker policy for faulted dispatches.
     pub recovery: RecoveryPolicy,
-    /// Enable the macro-op replay cache ([`crate::replay`]): memoize each
-    /// request shape's machine effect and replay it on repeats instead of
-    /// re-stepping every access. Off by default; the differential oracle
-    /// proves every export is byte-identical either way.
-    pub replay_cache: bool,
-    /// Entry bound of the replay cache (FIFO eviction), when enabled.
-    pub replay_cache_capacity: usize,
 }
 
 impl HostConfig {
@@ -109,8 +99,6 @@ impl HostConfig {
             admission: AdmissionControl::default(),
             switchless_capacity: 4096,
             recovery: RecoveryPolicy::default(),
-            replay_cache: false,
-            replay_cache_capacity: 4096,
         }
     }
 }
@@ -221,13 +209,6 @@ pub struct HostServer {
     /// Per-tenant monotonic sealed-state counters: the counter the last
     /// seal was stamped with, and the floor a restore must meet.
     pub(crate) seal_counters: Vec<u64>,
-    /// Host-side compute twins of every loaded service's `handle` body,
-    /// keyed by `(tenant index, service index)`. Refreshed whenever a
-    /// service is (re)installed, so the twin always shares the live
-    /// instance's state.
-    pub(crate) computes: BTreeMap<(usize, usize), HostCompute>,
-    /// The macro-op replay cache, when [`HostConfig::replay_cache`] is on.
-    pub(crate) replay: Option<ReplayCache>,
 }
 
 pub(crate) fn gate_image(name: &str) -> EnclaveImage {
@@ -308,7 +289,6 @@ impl HostServer {
         app.register_untrusted("net_reply", net_reply);
 
         let switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>> = Arc::new(Mutex::new(None));
-        let mut computes: BTreeMap<(usize, usize), HostCompute> = BTreeMap::new();
         let mut order: Vec<usize> = (0..cfg.tenants.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(cfg.tenants[i].priority));
         let mut loaded = vec![false; cfg.tenants.len()];
@@ -337,10 +317,8 @@ impl HostServer {
             // has one (the sharded cluster pins the global tenant id), by
             // list position otherwise — the historic unsharded behavior.
             let seed_index = spec.seed_index.unwrap_or(i);
-            for (s, &kind) in spec.services.iter().enumerate() {
-                let twin =
-                    install_service(&mut app, &spec.name, &gate_name, seed_index, kind, cfg.seed)?;
-                computes.insert((i, s), twin);
+            for &kind in &spec.services {
+                install_service(&mut app, &spec.name, &gate_name, seed_index, kind, cfg.seed)?;
             }
             loaded[i] = true;
         }
@@ -406,10 +384,6 @@ impl HostServer {
             attest_failures: vec![BTreeMap::new(); n],
             attest_epoch: vec![0; n],
             seal_counters: vec![0; n],
-            computes,
-            replay: cfg
-                .replay_cache
-                .then(|| ReplayCache::new(cfg.replay_cache_capacity)),
         };
         // NEREPORT-gated admission: every loaded tenant must prove its
         // attestation chain before the front door opens for it. A clean
@@ -642,77 +616,6 @@ impl HostServer {
             self.app.untrusted(core, |cx| cx.charge(gap));
         }
         let start = self.app.machine.cycles(core);
-        // Replay seam: shapes are keyed by what is known before any
-        // compute runs, so a cold shape costs one map probe and nothing
-        // else. Only when candidates exist does the host dry-run its
-        // compute twin (no machine work, no state effects) for the reply
-        // length that selects among them — and on a hit, that probe
-        // doubles as the reply computation. The twin then commits the
-        // service's state effect natively, exactly once — the same
-        // single mutation the in-enclave handler would have made.
-        // Anything short of a clean hit (missing twin, probe failure,
-        // unseen reply length, machine refusal) falls through to the
-        // native path below, which is byte-for-byte the cache-off path.
-        let mut replay_key = None;
-        if self.replay.is_some() {
-            let key = ReplayKey {
-                tenant: req.tenant,
-                service: req.service,
-                core,
-                kind: self.tenants[req.tenant].spec.services[req.service],
-                payload_len: req.payload.len(),
-            };
-            let epoch = self.app.machine.replay_epoch();
-            let cache = self.replay.as_mut().expect("checked is_some above");
-            cache.sync_epoch(epoch);
-            let mut found = None;
-            if cache.has_candidates(&key) {
-                if let Some(twin) = self.computes.get(&(req.tenant, req.service)) {
-                    if let Ok(probe) = twin.run(&req.payload, ComputeMode::Probe) {
-                        found = Some((twin, probe));
-                    }
-                }
-            }
-            if let Some((twin, probe)) = found {
-                if let Some(effect) = cache.lookup(&key, probe.len()) {
-                    match self.app.machine.macro_replay(effect) {
-                        Ok(()) => {
-                            cache.note_hit();
-                            // Stateful services must still apply the
-                            // request's live state effect (the one
-                            // mutation the handler would have made);
-                            // pure services reuse the probe's reply.
-                            let reply = if twin.is_stateful() {
-                                let reply = twin.run(&req.payload, ComputeMode::Commit)?;
-                                debug_assert_eq!(reply, probe, "probe/commit twin diverged");
-                                reply
-                            } else {
-                                probe
-                            };
-                            return Ok(Some(self.finish_request(req, core, start, reply)));
-                        }
-                        Err(_refusal) => cache.note_reject(),
-                    }
-                } else {
-                    cache.note_miss();
-                }
-            } else {
-                cache.note_miss();
-            }
-            // Capture from the second miss of a shape onward: recording
-            // roughly doubles the bracketed execution's cost, so one-off
-            // shapes are cheaper to just run (see ReplayCache::admit).
-            if self
-                .replay
-                .as_mut()
-                .expect("checked is_some above")
-                .admit(&key)
-            {
-                replay_key = Some(key);
-            }
-        }
-        let mut capturing =
-            replay_key.is_some() && self.app.machine.macro_capture_begin(core, self.worker_core);
         let mut msg = Vec::with_capacity(1 + req.payload.len());
         msg.push(req.service as u8);
         msg.extend_from_slice(&req.payload);
@@ -720,13 +623,6 @@ impl HostServer {
             match self.app.ecall(core, &gate_name, "dispatch", &msg) {
                 Ok(reply) => break reply,
                 Err(e) => {
-                    // A faulted attempt dirties the execution: whatever
-                    // happens next (retry, shed, fatal), this request's
-                    // effect is not cacheable.
-                    if capturing {
-                        self.app.machine.macro_capture_abort();
-                        capturing = false;
-                    }
                     req.attempts += 1;
                     match classify(&e) {
                         RecoveryAction::Fatal => {
@@ -793,27 +689,6 @@ impl HostServer {
                 }
             }
         };
-        if capturing {
-            if let (Some(effect), Some(key)) = (self.app.machine.macro_capture_end(), replay_key) {
-                if let Some(cache) = self.replay.as_mut() {
-                    cache.insert(key, reply.len(), effect);
-                }
-            }
-        }
-        Ok(Some(self.finish_request(req, core, start, reply)))
-    }
-
-    /// Books a served request: latency accounting, the request-level
-    /// profile sample, the per-tenant FIFO invariant, and the completion
-    /// record. Shared verbatim by the native path and the replay-hit path
-    /// so both produce identical observable records.
-    fn finish_request(
-        &mut self,
-        req: Request,
-        core: usize,
-        start: u64,
-        reply: Vec<u8>,
-    ) -> Completion {
         let end = self.app.machine.cycles(core);
         let latency = end.saturating_sub(req.arrival);
         self.app
@@ -843,7 +718,7 @@ impl HostServer {
             reply,
         };
         self.completions.push(completion.clone());
-        completion
+        Ok(Some(completion))
     }
 
     /// Applies one repair action for `tenant`. Errors mean the repair
@@ -980,7 +855,7 @@ impl HostServer {
         let old = self.app.unload(&name)?;
         // Same seeding identity as the original install, so a respawned
         // service regenerates exactly the state that was lost.
-        let twin = install_service(
+        install_service(
             &mut self.app,
             &spec.name,
             &spec.gate_name(),
@@ -988,11 +863,6 @@ impl HostServer {
             kind,
             self.seed,
         )?;
-        // The twin shares the rebuilt instance's state; the stale one
-        // would probe the torn-down service's world.
-        if let Some(s) = spec.services.iter().position(|&k| k == kind) {
-            self.computes.insert((tenant, s), twin);
-        }
         let new = self.app.eid(&name)?;
         self.eid_owner.insert(new.0, tenant);
         self.app.machine.chaos_retarget(old, new);
@@ -1151,17 +1021,6 @@ impl HostServer {
         }
         self.degraded_replies.store(0, Ordering::Relaxed);
         self.events.clear();
-        // Cached effects stay valid — they are deltas, not absolutes —
-        // but the hit/miss counters belong to the measurement window.
-        if let Some(cache) = self.replay.as_mut() {
-            cache.reset_stats();
-        }
-    }
-
-    /// Counters of the macro-op replay cache, when enabled
-    /// ([`HostConfig::replay_cache`]); `None` on a cache-off server.
-    pub fn replay_stats(&self) -> Option<ReplayCacheStats> {
-        self.replay.as_ref().map(ReplayCache::stats)
     }
 
     /// Installs a chaos plan on the machine (see [`ne_sgx::fault`]).

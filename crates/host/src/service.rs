@@ -52,7 +52,7 @@ pub const SVM_DIM: usize = 8;
 pub const SVM_CLASSES: usize = 3;
 
 /// The kinds of service a tenant can run in an inner enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
     /// Mini-TLS echo (the Fig. 7 server shape).
     TlsEcho,
@@ -273,101 +273,15 @@ fn stateless_lifecycle() -> [(String, TrustedFn); 2] {
     [("seal".to_string(), seal), ("restore".to_string(), restore)]
 }
 
-/// How a [`HostCompute`] invocation treats service state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComputeMode {
-    /// Pure dry run: stateful services execute against a throwaway copy,
-    /// so probing a request's reply (e.g. to build a replay-cache key)
-    /// commits nothing.
-    Probe,
-    /// Commit: state effects (database writes) apply to the live service
-    /// state — what the in-enclave `handle` body would have done.
-    Commit,
-}
-
-/// Host-side twin of one service instance's in-enclave `handle` body.
-///
-/// The twin computes the same reply bytes from the same payload, sharing
-/// the instance's state (the tenant database, model, session key), but
-/// performs **no simulated-machine work** — no charges, no transitions,
-/// no memory traffic. The macro-op replay cache uses it to learn a
-/// request's reply shape ([`ComputeMode::Probe`]) and, on a replay hit,
-/// to apply the request's application-level effect without re-entering
-/// the enclave ([`ComputeMode::Commit`]).
-#[derive(Clone)]
-pub struct HostCompute {
-    run: ComputeFn,
-    stateful: bool,
-}
-
-/// The boxed body of a [`HostCompute`] twin.
-type ComputeFn = Arc<dyn Fn(&[u8], ComputeMode) -> Result<Vec<u8>, SgxError> + Send + Sync>;
-
-impl HostCompute {
-    /// A twin for a pure service: the reply depends only on the payload
-    /// and fixed captured state, so [`ComputeMode`] is irrelevant and a
-    /// replay hit can reuse the probe's reply without a second run.
-    pub fn stateless(
-        run: impl Fn(&[u8], ComputeMode) -> Result<Vec<u8>, SgxError> + Send + Sync + 'static,
-    ) -> HostCompute {
-        HostCompute {
-            run: Arc::new(run),
-            stateful: false,
-        }
-    }
-
-    /// A twin whose [`ComputeMode::Commit`] applies live state effects.
-    pub fn stateful(
-        run: impl Fn(&[u8], ComputeMode) -> Result<Vec<u8>, SgxError> + Send + Sync + 'static,
-    ) -> HostCompute {
-        HostCompute {
-            run: Arc::new(run),
-            stateful: true,
-        }
-    }
-
-    /// Whether a replay hit must follow its probe with a commit run.
-    pub fn is_stateful(&self) -> bool {
-        self.stateful
-    }
-
-    /// Runs the twin on `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors the in-enclave `handle` body would return for
-    /// the same payload against the same state.
-    pub fn run(&self, payload: &[u8], mode: ComputeMode) -> Result<Vec<u8>, SgxError> {
-        (self.run)(payload, mode)
-    }
-}
-
-impl std::fmt::Debug for HostCompute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostCompute {{ stateful: {} }}", self.stateful)
-    }
-}
-
-/// Everything one loaded service instance needs: the trusted-function
-/// table for [`NestedApp::load`] plus the host-side [`HostCompute`] twin
-/// sharing the same captured state.
-pub struct ServiceRuntime {
-    /// Trusted functions (`handle` + `seal`/`restore` lifecycle pair).
-    pub handlers: Vec<(String, TrustedFn)>,
-    /// Host-side twin of the `handle` body.
-    pub twin: HostCompute,
-}
-
-/// Builds the trusted-function set for one service instance (the
+/// Builds the trusted-function set for one service instance: the
 /// gate-facing `handle` body plus the host-facing `seal`/`restore`
-/// lifecycle pair) together with its host-side compute twin, all sharing
-/// the instance's captured state.
+/// lifecycle pair, all sharing the instance's captured state.
 ///
 /// Per-service state (the echo session key, the tenant's [`Database`], the
 /// pre-trained [`SvmModel`]) is captured by the closures; models and
 /// tables are prepared host-side at build time — provisioning is not part
 /// of the measured serving path.
-pub fn service_runtime(kind: ServiceKind, tenant: usize, seed: u64) -> ServiceRuntime {
+pub fn service_handlers(kind: ServiceKind, tenant: usize, seed: u64) -> Vec<(String, TrustedFn)> {
     match kind {
         ServiceKind::TlsEcho => {
             let key = tenant_key(tenant);
@@ -384,18 +298,9 @@ pub fn service_runtime(kind: ServiceKind, tenant: usize, seed: u64) -> ServiceRu
                 cx.charge(gcm_cost(cx.machine.config(), payload.len()));
                 Ok(reply)
             });
-            let twin = HostCompute::stateless(move |wire, _mode| {
-                let (_, payload) = RecordLayer::new(key)
-                    .open(wire)
-                    .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-                Ok(RecordLayer::new(key).seal(ContentType::Data, &payload))
-            });
             let mut fns = vec![("handle".to_string(), handle)];
             fns.extend(stateless_lifecycle());
-            ServiceRuntime {
-                handlers: fns,
-                twin,
-            }
+            fns
         }
         ServiceKind::Db => {
             let db: Arc<Mutex<Database>> = Arc::new(Mutex::new(Database::new()));
@@ -424,33 +329,6 @@ pub fn service_runtime(kind: ServiceKind, tenant: usize, seed: u64) -> ServiceRu
                 );
                 Ok(out)
             });
-            let twin_db = db.clone();
-            let twin = HostCompute::stateful(move |args, mode| {
-                let sql = std::str::from_utf8(args)
-                    .map_err(|_| SgxError::GeneralProtection("bad utf-8 query".into()))?;
-                let stmt =
-                    ne_db::parse(sql).map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-                let mut guard = twin_db
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // Probe must leave the live database untouched. SELECTs
-                // are side-effect free and run live either way; only a
-                // probed *write* pays for a throwaway deep copy.
-                let read_only = matches!(stmt, ne_db::Statement::Select { .. });
-                let result = if read_only || mode == ComputeMode::Commit {
-                    guard.execute_statement(&stmt)
-                } else {
-                    guard.clone().execute_statement(&stmt)
-                }
-                .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-                let mut out = Vec::new();
-                for row in &result.rows {
-                    for v in row {
-                        out.extend_from_slice(v.to_string().as_bytes());
-                    }
-                }
-                Ok(out)
-            });
             let seal_db = db.clone();
             let seal: TrustedFn = Arc::new(move |cx, args| {
                 let (tenant, counter) = decode_seal_args(args)?;
@@ -475,43 +353,26 @@ pub fn service_runtime(kind: ServiceKind, tenant: usize, seed: u64) -> ServiceRu
                     Err(_) => Ok(vec![RESTORE_BAD_PAYLOAD]),
                 }
             });
-            ServiceRuntime {
-                handlers: vec![
-                    ("handle".to_string(), handle),
-                    ("seal".to_string(), seal),
-                    ("restore".to_string(), restore),
-                ],
-                twin,
-            }
+            vec![
+                ("handle".to_string(), handle),
+                ("seal".to_string(), seal),
+                ("restore".to_string(), restore),
+            ]
         }
         ServiceKind::SvmInfer => {
-            let model = Arc::new(tenant_model(tenant, seed));
-            let handle_model = model.clone();
+            let model = tenant_model(tenant, seed);
             let handle: TrustedFn = Arc::new(move |cx, args| {
                 let x = decode_sample(args)?;
-                let cells = handle_model.num_support_vectors() as u64 * SVM_DIM as u64;
+                let cells = model.num_support_vectors() as u64 * SVM_DIM as u64;
                 cx.charge(SVM_PREDICT_CYCLES_PER_CELL * cells);
-                let class = handle_model.predict(&x);
+                let class = model.predict(&x);
                 Ok(vec![class as u8])
-            });
-            let twin = HostCompute::stateless(move |args, _mode| {
-                let x = decode_sample(args)?;
-                Ok(vec![model.predict(&x) as u8])
             });
             let mut fns = vec![("handle".to_string(), handle)];
             fns.extend(stateless_lifecycle());
-            ServiceRuntime {
-                handlers: fns,
-                twin,
-            }
+            fns
         }
     }
-}
-
-/// The trusted-function set alone (see [`service_runtime`]), for callers
-/// that do not need the host-side twin.
-pub fn service_handlers(kind: ServiceKind, tenant: usize, seed: u64) -> Vec<(String, TrustedFn)> {
-    service_runtime(kind, tenant, seed).handlers
 }
 
 /// Trains tenant `tenant`'s SVM on a small synthetic dataset. Done once at
@@ -551,8 +412,8 @@ pub fn encode_sample(x: &[f64]) -> Vec<u8> {
     x.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
-/// Loads one service enclave into `app`, associates it with the tenant's
-/// gate, and returns the host-side compute twin sharing its state.
+/// Loads one service enclave into `app` and associates it with the
+/// tenant's gate.
 ///
 /// # Errors
 ///
@@ -564,12 +425,14 @@ pub fn install_service(
     tenant: usize,
     kind: ServiceKind,
     seed: u64,
-) -> Result<HostCompute, SgxError> {
-    let rt = service_runtime(kind, tenant, seed);
+) -> Result<(), SgxError> {
     let name = service_enclave_name(tenant_name, kind);
-    app.load(service_image(&name, kind), rt.handlers)?;
+    app.load(
+        service_image(&name, kind),
+        service_handlers(kind, tenant, seed),
+    )?;
     app.associate(&name, gate_name)?;
-    Ok(rt.twin)
+    Ok(())
 }
 
 /// Deterministic client-side request stream for one (tenant, service)

@@ -136,47 +136,6 @@ impl Llc {
         }
     }
 
-    /// True if `line` is currently resident. Residency is the replay
-    /// precondition of [`crate::replay`]: an all-hit access sequence
-    /// never evicts, so if every recorded line is still resident,
-    /// re-running the sequence reproduces the capture's hits exactly.
-    pub fn contains(&self, line: u64) -> bool {
-        let set = &self.sets[(line as usize) % self.sets.len()];
-        set.iter().any(|w| w.line == line)
-    }
-
-    /// Applies the net effect of re-running an all-hit access sequence in
-    /// O(unique lines) instead of O(accesses). `touched` holds one
-    /// `(line, last_offset, dirty)` entry per distinct line, where
-    /// `last_offset` is the 0-based position of the line's *final* access
-    /// among the sequence's `accesses` total line-accesses and `dirty` is
-    /// whether any of them wrote.
-    ///
-    /// Equivalence to calling [`Llc::access`] per access: every access of
-    /// an all-hit sequence bumps `hits` and `tick` by one and rewrites
-    /// its way's stamp to the pre-access tick, so after the sequence each
-    /// touched way's stamp equals `tick_before + last_offset`, its dirty
-    /// bit has OR-ed in every write, and both counters advanced by
-    /// `accesses`. Nothing else moves — hits never evict. The caller
-    /// must have verified residency of every touched line first
-    /// (see [`Llc::contains`]); a non-resident line would have been a
-    /// miss under re-execution, which this fast path cannot model.
-    pub fn replay_commit(&mut self, touched: &[(u64, u64, bool)], accesses: u64) {
-        let base = self.tick;
-        let num_sets = self.sets.len();
-        for &(line, last_offset, dirty) in touched {
-            let set = &mut self.sets[(line as usize) % num_sets];
-            if let Some(way) = set.iter_mut().find(|w| w.line == line) {
-                way.stamp = base + last_offset;
-                way.dirty |= dirty;
-            } else {
-                debug_assert!(false, "replay_commit on a non-resident line {line}");
-            }
-        }
-        self.tick += accesses;
-        self.hits += accesses;
-    }
-
     /// Total hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -252,46 +211,6 @@ mod tests {
             assert_eq!(c.access(l, false), CacheAccess::Hit, "line {l}");
         }
         assert_eq!(c.misses(), misses_before);
-    }
-
-    #[test]
-    fn replay_commit_matches_per_access_reexecution() {
-        // Two identical warm caches; re-run an all-hit sequence on one via
-        // `access`, apply its folded effect to the other via
-        // `replay_commit`, then drive both into evictions and check they
-        // victimize identically (stamps equal) and count identically.
-        let mut warm = Llc::new(128, 2); // 1 set, 2 ways
-        warm.access(0, false);
-        warm.access(1, false);
-        let mut fast = Llc::new(128, 2);
-        fast.access(0, false);
-        fast.access(1, false);
-        // Sequence: hit 1, hit 0, write 1, hit 0 → offsets: line 1 last at
-        // 2 (dirty), line 0 last at 3.
-        for (line, write) in [(1u64, false), (0, false), (1, true), (0, false)] {
-            assert_eq!(warm.access(line, write), CacheAccess::Hit);
-        }
-        fast.replay_commit(&[(1, 2, true), (0, 3, false)], 4);
-        assert_eq!(warm.hits(), fast.hits());
-        assert_eq!(warm.misses(), fast.misses());
-        // Line 1 is LRU in both (older final stamp): a conflicting fill
-        // must evict it, reporting it as the dirty victim.
-        match (warm.access(2, false), fast.access(2, false)) {
-            (
-                CacheAccess::Miss {
-                    dirty_victim: Some(w),
-                },
-                CacheAccess::Miss {
-                    dirty_victim: Some(f),
-                },
-            ) => {
-                assert_eq!(w, 1);
-                assert_eq!(f, 1);
-            }
-            other => panic!("expected dirty-victim misses, got {other:?}"),
-        }
-        assert!(warm.contains(0) && fast.contains(0));
-        assert!(!warm.contains(1) && !fast.contains(1));
     }
 
     #[test]

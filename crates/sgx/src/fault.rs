@@ -370,36 +370,6 @@ impl FaultPlan {
         actions
     }
 
-    /// True if advancing the trigger clock across the EENTER sequence
-    /// `eids` (raw ids, in entry order) provably fires nothing: no stall
-    /// window is open, and every tick is either aimed at an untargeted
-    /// enclave or matches no term period. On a quiet tick
-    /// `FaultPlan::on_eenter` mutates only `eenters_seen` and draws
-    /// nothing from the PRNG, so a replay that passes this check and
-    /// then calls [`FaultPlan::advance_quiet`] leaves the plan
-    /// byte-identical to a real execution of the same entries.
-    pub fn replay_safe(&self, eids: &[u64]) -> bool {
-        if self.stall_window > 0 {
-            return false;
-        }
-        for (tick, eid) in (self.stats.eenters_seen + 1..).zip(eids) {
-            if !self.targets.is_empty() && !self.targets.contains(eid) {
-                continue;
-            }
-            if self.terms.iter().any(|t| tick.is_multiple_of(t.period)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Advances the trigger clock by `n` quiet EENTERs (the replay-side
-    /// counterpart of `n` `FaultPlan::on_eenter` calls that
-    /// [`FaultPlan::replay_safe`] proved would fire nothing).
-    pub fn advance_quiet(&mut self, n: u64) {
-        self.stats.eenters_seen += n;
-    }
-
     /// Opens a stall window of `window` switchless ocalls.
     pub(crate) fn open_stall(&mut self, window: u32) {
         self.stall_window = self.stall_window.max(window);

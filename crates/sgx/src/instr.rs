@@ -109,7 +109,6 @@ impl Machine {
                 pending: false,
             },
         );
-        self.bump_replay_epoch();
         let cost = self.config().cost.ecreate;
         self.charge_cat(0, CycleCategory::Lifecycle, cost);
         Ok(eid)
@@ -264,7 +263,6 @@ impl Machine {
         secs.mrenclave = measured;
         secs.mrsigner = mrsigner;
         secs.state = EnclaveState::Initialized;
-        self.bump_replay_epoch();
         let cost = self.config().cost.einit;
         self.charge_cat(0, CycleCategory::Lifecycle, cost);
         Ok(())
@@ -364,7 +362,6 @@ impl Machine {
             .expect("live")
             .active_threads += 1;
         self.stats_mut().ecalls += 1;
-        self.macro_note_eenter(eid.0);
         self.record_event(Event::Eenter { core, eid });
         self.chaos_apply_post_entry(core, eid, tcs_va, chaos_actions)?;
         Ok(())
@@ -570,7 +567,6 @@ impl Machine {
             ));
         }
         entry.pending = false;
-        self.bump_replay_epoch();
         let cost = self.config().cost.eaccept_page;
         self.charge_cat(core, CycleCategory::Lifecycle, cost);
         Ok(())
@@ -613,7 +609,6 @@ impl Machine {
             return Err(SgxError::Paging("only REG pages are evictable here".into()));
         }
         // Mark blocked so no new TLB fills can recreate the translation.
-        self.bump_replay_epoch();
         self.epcm_mut().get_mut(pte.ppn).expect("present").blocked = true;
         // Thread tracking: interrupt every core that may cache it.
         self.evict_shootdown(eid)?;
@@ -771,7 +766,6 @@ impl Machine {
             ));
         }
         let pid = secs.pid;
-        self.bump_replay_epoch();
         let pages = self.epcm().pages_of(eid);
         for ppn in pages {
             let entry = self.epcm_mut().remove(ppn).expect("listed");

@@ -67,7 +67,6 @@ pub mod mem;
 pub mod metrics;
 pub mod page_table;
 pub mod profile;
-pub mod replay;
 pub mod spantree;
 pub mod tlb;
 pub mod trace;
@@ -81,4 +80,3 @@ pub use error::{FaultKind, Result, SgxError};
 pub use fault::{ChaosStats, FaultPlan};
 pub use instr::{EvictedPage, PageSource};
 pub use machine::{AccessKind, CoreMode, Machine};
-pub use replay::{MacroEffect, ReplayRefusal};

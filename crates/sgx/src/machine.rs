@@ -19,7 +19,6 @@ use crate::mem::Dram;
 use crate::metrics::{CycleBreakdown, CycleCategory, MachineMetrics};
 use crate::page_table::PageTable;
 use crate::profile::{HierLevel, Profile, ProfileEvent};
-use crate::replay::{MacroRecorder, TlbOp};
 use crate::tlb::Tlb;
 use crate::trace::{Event, SpanKind, Stats, Trace};
 use crate::validate::{CoreView, Outcome, SgxValidator, TlbValidator, ValidationCtx};
@@ -102,22 +101,22 @@ pub struct Machine {
     cfg: HwConfig,
     dram: Dram,
     epcm: Epcm,
-    pub(crate) llc: Llc,
+    llc: Llc,
     mee: Mee,
     processes: Vec<Process>,
     enclaves: EnclaveTable,
     pub(crate) tcs_table: HashMap<(u64, u64), Tcs>,
-    pub(crate) cores: Vec<Core>,
+    cores: Vec<Core>,
     validator: Box<dyn TlbValidator>,
     stats: Stats,
     trace: Trace,
     /// Cycles attributed per enclave (`None` = untrusted execution).
-    pub(crate) enclave_cycles: HashMap<Option<EnclaveId>, CycleBreakdown>,
+    enclave_cycles: HashMap<Option<EnclaveId>, CycleBreakdown>,
     /// Always-on latency histograms (span durations, TLB-miss walks, MEE
     /// crypto, paging).
     profile: Profile,
     /// Monotonic id source for runtime call spans.
-    pub(crate) next_span_id: u64,
+    next_span_id: u64,
     /// Per-core stack of open spans (parents for nested spans).
     span_stacks: Vec<Vec<OpenSpan>>,
     pub(crate) free_epc: Vec<Ppn>,
@@ -147,13 +146,6 @@ pub struct Machine {
     /// live-migrate, deduplicated, in request order. Drained by
     /// [`Machine::take_migration_requests`] at the host's next safe point.
     pub(crate) migration_requests: Vec<u64>,
-    /// Invalidation epoch for the macro-op replay cache: bumps on every
-    /// operation that can change translation/protection state (EPCM
-    /// changes, paging, OS remaps, tampering, poisoning, chaos-plan
-    /// changes). See [`crate::replay`].
-    replay_epoch: u64,
-    /// Active macro-op capture, if any ([`Machine::macro_capture_begin`]).
-    pub(crate) macro_rec: Option<Box<MacroRecorder>>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -224,25 +216,8 @@ impl Machine {
             chaos_evicted: Vec::new(),
             chaos_events: Vec::new(),
             migration_requests: Vec::new(),
-            replay_epoch: 0,
-            macro_rec: None,
             cfg,
         }
-    }
-
-    /// Current replay-cache invalidation epoch. A
-    /// [`crate::replay::MacroEffect`] is only replayable while this
-    /// matches its capture-time value.
-    pub fn replay_epoch(&self) -> u64 {
-        self.replay_epoch
-    }
-
-    /// Advances the replay epoch, invalidating every cached macro-op.
-    /// Called internally by every state-changing operation; public so
-    /// hosts can force invalidation around their own barriers (and so
-    /// tests can prove stale replays are refused).
-    pub fn bump_replay_epoch(&mut self) {
-        self.replay_epoch += 1;
     }
 
     /// The machine configuration.
@@ -253,7 +228,6 @@ impl Machine {
     /// Replaces the validator (diagnostics/ablation only; normally set at
     /// boot).
     pub fn install_validator(&mut self, validator: Box<dyn TlbValidator>) {
-        self.bump_replay_epoch();
         self.flush_all_tlbs();
         self.validator = validator;
     }
@@ -489,7 +463,8 @@ impl Machine {
             while self.span_stacks[core].len() > pos {
                 let open = self.span_stacks[core].pop().expect("len > pos");
                 let duration = cycles.saturating_sub(open.begin_cycles);
-                self.profile_note(ProfileEvent::from_span(open.kind), open.level, duration);
+                self.profile
+                    .record(ProfileEvent::from_span(open.kind), open.level, duration);
                 self.stats.span_closes += 1;
             }
         }
@@ -511,15 +486,6 @@ impl Machine {
     /// Records a latency sample directly — an architectural surface for
     /// ISA-extension crates (AEX/ERESUME and paging record their costs).
     pub fn profile_record(&mut self, event: ProfileEvent, level: HierLevel, cycles: u64) {
-        self.profile_note(event, level, cycles);
-    }
-
-    /// Single funnel for every histogram sample: taps an active macro-op
-    /// capture (so replay can re-apply identical samples), then records.
-    fn profile_note(&mut self, event: ProfileEvent, level: HierLevel, cycles: u64) {
-        if let Some(rec) = self.macro_rec.as_deref_mut() {
-            rec.note_sample(event, level, cycles);
-        }
         self.profile.record(event, level, cycles);
     }
 
@@ -604,9 +570,6 @@ impl Machine {
     /// [`CycleCategory::Transition`].
     pub fn flush_tlb(&mut self, core: usize) {
         self.cores[core].tlb.flush();
-        if let Some(rec) = self.macro_rec.as_deref_mut() {
-            rec.note_tlb(core, TlbOp::Flush);
-        }
         let cost = self.cfg.cost.tlb_flush;
         self.charge_cat(core, CycleCategory::Transition, cost);
         self.trace.record(Event::TlbFlush { core });
@@ -630,14 +593,12 @@ impl Machine {
     /// arbitrarily — including maliciously; protection comes from
     /// validation, not from restricting this call.
     pub fn os_map(&mut self, pid: ProcessId, vpn: Vpn, ppn: Ppn, perms: PagePerms) {
-        self.bump_replay_epoch();
         self.processes[pid.0].page_table.map(vpn, ppn, perms);
     }
 
     /// OS primitive: unmap a page. Does *not* shoot down TLBs — a correct
     /// OS calls [`Machine::flush_tlb`]; an attacker might not.
     pub fn os_unmap(&mut self, pid: ProcessId, vpn: Vpn) {
-        self.bump_replay_epoch();
         self.processes[pid.0].page_table.unmap(vpn);
     }
 
@@ -718,7 +679,7 @@ impl Machine {
             None => {
                 // The walk found nothing, so no validation ran: the miss
                 // cost recorded is the walk alone.
-                self.profile_note(ProfileEvent::TlbMiss, level, walk_cost);
+                self.profile.record(ProfileEvent::TlbMiss, level, walk_cost);
                 self.stats.faults += 1;
                 self.trace.record(Event::Fault {
                     core,
@@ -748,13 +709,11 @@ impl Machine {
         let validation = self.validator.validate(&cx);
         let step_cost = validation.steps as u64 * self.cfg.cost.validation_step;
         self.charge_cat(core, CycleCategory::Validation, step_cost);
-        self.profile_note(ProfileEvent::TlbMiss, level, walk_cost + step_cost);
+        self.profile
+            .record(ProfileEvent::TlbMiss, level, walk_cost + step_cost);
         match validation.outcome {
             Outcome::Insert(entry) => {
                 self.cores[core].tlb.insert(vpn, entry);
-                if let Some(rec) = self.macro_rec.as_deref_mut() {
-                    rec.note_tlb(core, TlbOp::Insert { vpn, entry });
-                }
                 self.check_perms(core, va, entry.perms, kind)?;
                 Ok(Translated::Phys(
                     PhysAddr(entry.ppn.base().0 + va.page_offset() as u64),
@@ -809,13 +768,6 @@ impl Machine {
         if len == 0 {
             return;
         }
-        if let Some(rec) = self.macro_rec.as_deref_mut() {
-            rec.note_llc(
-                paddr.0 / LINE_SIZE as u64,
-                (paddr.0 + len as u64 - 1) / LINE_SIZE as u64,
-                write,
-            );
-        }
         if self.cfg.reference_path {
             self.charge_data_access_reference(core, paddr, len, write);
         } else {
@@ -862,7 +814,8 @@ impl Machine {
         self.charge_cat(core, CycleCategory::MeeCrypto, mee_cycles);
         if mee_cycles > 0 {
             let level = self.hier_level(self.current_enclave(core));
-            self.profile_note(ProfileEvent::MeeCrypto, level, mee_cycles);
+            self.profile
+                .record(ProfileEvent::MeeCrypto, level, mee_cycles);
         }
     }
 
@@ -919,7 +872,8 @@ impl Machine {
         }
         if mee_cycles > 0 {
             let level = self.hier_level(owner);
-            self.profile_note(ProfileEvent::MeeCrypto, level, mee_cycles);
+            self.profile
+                .record(ProfileEvent::MeeCrypto, level, mee_cycles);
         }
     }
 
@@ -1056,7 +1010,6 @@ impl Machine {
     /// For PRM lines, the MEE integrity tree will reject the next
     /// architectural access.
     pub fn physical_tamper(&mut self, paddr: PhysAddr, data: &[u8]) {
-        self.bump_replay_epoch();
         self.dram.write(paddr.ppn(), paddr.page_offset(), data);
         if self.cfg.in_prm(paddr.ppn().0) {
             self.mee.mark_tampered(paddr.0, data.len());
@@ -1068,14 +1021,12 @@ impl Machine {
     /// Installs a fault-injection plan; replaces any previous one.
     /// Chaos is off until this is called.
     pub fn install_chaos(&mut self, plan: FaultPlan) {
-        self.bump_replay_epoch();
         self.chaos = Some(plan);
     }
 
     /// Uninstalls the fault plan (chaos off), returning it. Enclaves
     /// already poisoned stay poisoned until EREMOVEd.
     pub fn clear_chaos(&mut self) -> Option<FaultPlan> {
-        self.bump_replay_epoch();
         self.chaos.take()
     }
 
@@ -1100,7 +1051,6 @@ impl Machine {
     /// Re-aims a targeted plan after a respawn handed the same logical
     /// enclave a fresh id.
     pub fn chaos_retarget(&mut self, old: EnclaveId, new: EnclaveId) {
-        self.bump_replay_epoch();
         if let Some(p) = self.chaos.as_mut() {
             p.retarget(old.0, new.0);
         }
@@ -1109,7 +1059,6 @@ impl Machine {
     /// Marks `eid` crashed: every subsequent EENTER/NEENTER faults with
     /// [`SgxError::EnclavePoisoned`] until the enclave is EREMOVEd.
     pub fn poison_enclave(&mut self, eid: EnclaveId) {
-        self.bump_replay_epoch();
         self.poisoned.insert(eid.0);
     }
 

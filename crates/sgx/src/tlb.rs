@@ -139,33 +139,6 @@ impl Tlb {
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, &TlbEntry)> {
         self.entries.iter().map(|(&v, e)| (Vpn(v), e))
     }
-
-    /// FNV-1a digest of the architecturally visible TLB state: every
-    /// resident entry in FIFO order. The L0 micro-TLB is deliberately
-    /// excluded — it is a pure lookup accelerator whose contents never
-    /// change any architectural outcome (see the type docs). Equal
-    /// fingerprints mean a sequence of lookups/inserts/flushes behaves
-    /// identically from here on, which is what the macro-op replay
-    /// cache ([`crate::replay`]) needs to prove before re-applying a
-    /// memoized effect.
-    pub fn logical_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.order.len() as u64);
-        for &vpn in &self.order {
-            mix(vpn);
-            if let Some(e) = self.entries.get(&vpn) {
-                mix(e.ppn.0);
-                mix(u64::from(e.perms.r) | u64::from(e.perms.w) << 1 | u64::from(e.perms.x) << 2);
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]
