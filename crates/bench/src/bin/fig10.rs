@@ -5,9 +5,9 @@
 //! The paper uses 500 application instances (SSL ≈ 4 MB, App ≈ 1 MB);
 //! that is the `--full` setting. The default scales to 50 instances so the
 //! sweep finishes quickly; the shape is identical. `--metrics-out`,
-//! `--bench-out`, `--profile-out` and `--trace-out` export snapshots,
-//! the regression baseline, latency histograms, and a Chrome/Perfetto
-//! trace of the single-outer nested run (see `ne_bench::report`).
+//! `--profile-out` and `--trace-out` export snapshots, latency
+//! histograms, and a Chrome/Perfetto trace of the single-outer nested
+//! run (see `ne_bench::report`).
 
 use ne_bench::loading::{run_loading, LoadMode};
 use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};

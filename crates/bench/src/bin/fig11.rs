@@ -4,9 +4,9 @@
 //! communication footprints.
 //!
 //! Run with `--full` for more traffic per point. `--metrics-out`,
-//! `--bench-out`, `--profile-out` and `--trace-out` export snapshots,
-//! the regression baseline, latency histograms, and a Chrome/Perfetto
-//! trace of the 2MB/4KB MEE run (see `ne_bench::report`).
+//! `--profile-out` and `--trace-out` export snapshots, latency
+//! histograms, and a Chrome/Perfetto trace of the 2MB/4KB MEE run (see
+//! `ne_bench::report`).
 
 use ne_bench::channel_exp::{run_gcm_channel, run_outer_channel};
 use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};

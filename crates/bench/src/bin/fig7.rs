@@ -5,9 +5,8 @@
 //!
 //! Run with `--full` for more messages per point, and
 //! `--metrics-out <path>` to export every run's machine snapshot.
-//! `--bench-out`, `--profile-out` and `--trace-out` export the
-//! regression baseline, the latency histograms, and a Chrome/Perfetto
-//! trace of the nested 1KB run (see `ne_bench::report`).
+//! `--profile-out` and `--trace-out` export the latency histograms and a
+//! Chrome/Perfetto trace of the nested 1KB run (see `ne_bench::report`).
 
 use ne_bench::report::{
     banner, breakdown_table, f2, f3, want_trace, write_trace, MetricsReport, Table,

@@ -6,9 +6,8 @@
 //! the default uses 2% scale. `--seed <u64>` draws different synthetic
 //! datasets of the same shapes (default 0 reproduces the committed
 //! numbers). `--metrics-out <path>` exports every run's machine snapshot;
-//! `--bench-out`, `--profile-out` and `--trace-out` export the regression
-//! baseline, latency histograms, and a Chrome/Perfetto trace of the
-//! nested dna run (see `ne_bench::report`).
+//! `--profile-out` and `--trace-out` export latency histograms and a
+//! Chrome/Perfetto trace of the nested dna run (see `ne_bench::report`).
 
 use ne_bench::report::{banner, f3, flag_u64, want_trace, write_trace, MetricsReport, Table};
 use ne_bench::svm_case::{run_svm_case, SvmCaseConfig};

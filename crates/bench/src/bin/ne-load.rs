@@ -17,7 +17,7 @@
 //!
 //! Everything is deterministic under `--seed`: the arrival schedule, the
 //! request payloads, and the per-tenant models/datasets, so two runs with
-//! the same flags export byte-identical `ne-bench/v1` baselines. With
+//! the same flags print byte-identical reports and exports. With
 //! `--shards N` the tenants are consistent-hashed onto N independent
 //! machine shards, one OS thread each; `--shards 1` (the default) is
 //! byte-identical to the historic unsharded harness, and the per-tenant
@@ -29,10 +29,10 @@
 //! 2, capped at the 3 service kinds), `--requests N` per (tenant,
 //! service) per run (default 12), `--seed S`, `--mode open|closed|both`
 //! (default both), `--shards N` (default 1), `--no-switchless`, plus the
-//! standard `--metrics-out`, `--bench-out`, `--profile-out` and
-//! `--trace-out` exports (the traced run is the closed-loop one; shard
-//! `k > 0` traces land at `<path>.shard<k>`), and `--tenants-out <path>`
-//! for the `ne-tenants/v1` per-tenant export of the last run.
+//! standard `--metrics-out`, `--profile-out` and `--trace-out` exports
+//! (the traced run is the closed-loop one; shard `k > 0` traces land at
+//! `<path>.shard<k>`), and `--tenants-out <path>` for the `ne-tenants/v1`
+//! per-tenant export of the last run.
 //!
 //! `--chaos <spec>` installs a deterministic fault-injection plan per
 //! shard (see [`ne_sgx::fault::FaultPlan::parse`]) after warmup: terms
@@ -77,8 +77,8 @@
 //! server's `ne-tenants/v1` export line for line.
 
 use ne_bench::report::{
-    banner, f2, flag_str, flag_u64, tenants_out_path, throughput_rps, timeline_out_path,
-    want_trace, write_shard_traces, MetricsReport, Table,
+    banner, cli_error, f2, flag_str, flag_u64, tenants_out_path, throughput_rps, timeline_out_path,
+    want_trace, write_or_exit, write_shard_traces, MetricsReport, Table,
 };
 use ne_cluster::{
     drive, Cluster, ClusterConfig, ClusterReport, MigrationOutcome, MigrationPolicy,
@@ -86,6 +86,7 @@ use ne_cluster::{
 };
 use ne_host::{RequestFactory, ServiceKind};
 use ne_obs::{SamplerConfig, Timeline};
+use ne_sgx::fault::FaultPlan;
 
 #[derive(Clone)]
 struct Plan {
@@ -192,7 +193,8 @@ fn run(
         }
         (other, _) => unreachable!("unknown run label {other}"),
     };
-    let accepted = accepted.unwrap_or_else(|e| panic!("--chaos: {e}"));
+    // The only error is a malformed fault plan, refused in `main`.
+    let accepted = accepted.expect("--chaos is validated before any run");
     let hr = cluster.report();
     assert_eq!(
         hr.sched.invariant_violations, 0,
@@ -327,11 +329,10 @@ fn migration_line(r: &MigrationRecord) -> String {
 /// and the asserted `dropped=0` line. Exports describe this run.
 fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) {
     let (tenant, trigger) =
-        parse_migrate(spec, plan.tenants).unwrap_or_else(|e| panic!("--migrate: {e}"));
-    assert!(
-        plan.requests >= 2,
-        "--migrate needs at least 2 requests per pair (one per segment)"
-    );
+        parse_migrate(spec, plan.tenants).unwrap_or_else(|e| cli_error(&format!("--migrate: {e}")));
+    if plan.requests < 2 {
+        cli_error("--migrate needs at least 2 requests per pair (one per segment)");
+    }
     let mut plan = plan.clone();
     // Migration needs a destination; a single-shard request is promoted.
     plan.shards = plan.shards.max(2);
@@ -423,9 +424,7 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
     println!("dropped={dropped}");
     assert_eq!(dropped, 0, "migration dropped an accepted request");
     if let Some(path) = tenants_out_path() {
-        let payload = cluster.tenants_export();
-        std::fs::write(&path, &payload)
-            .unwrap_or_else(|e| panic!("cannot write tenants export to {}: {e}", path.display()));
+        write_or_exit("tenants export", &path, &cluster.tenants_export());
         println!("\ntenants export: wrote {}", path.display());
     }
     if let Some(t) = &timeline {
@@ -434,9 +433,11 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
             print!("{}", ne_obs::dash::render(t, "ne-load-migrate"));
         }
         if let Some(path) = timeline_out_path() {
-            std::fs::write(&path, ne_obs::to_jsonl(t, "ne-load-migrate")).unwrap_or_else(|e| {
-                panic!("cannot write timeline export to {}: {e}", path.display())
-            });
+            write_or_exit(
+                "timeline export",
+                &path,
+                &ne_obs::to_jsonl(t, "ne-load-migrate"),
+            );
             println!("\ntimeline export: wrote {}", path.display());
         }
     }
@@ -448,7 +449,9 @@ fn run_connect(addr: String) {
     let mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
         "closed" => ne_serve::Mode::Closed,
         "open" => ne_serve::Mode::Open,
-        other => panic!("--connect runs one scenario; --mode expects open|closed, got '{other}'"),
+        other => cli_error(&format!(
+            "--connect runs one scenario; --mode expects open|closed, got '{other}'"
+        )),
     };
     let cfg = ne_serve::ClientConfig {
         addr,
@@ -484,6 +487,13 @@ fn main() {
         chaos: flag_str("--chaos"),
         reference: std::env::args().any(|a| a == "--reference"),
     };
+    // A malformed fault plan is bad input, refused before any run starts
+    // (the per-shard seed does not affect parsing).
+    if let Some(spec) = &plan.chaos {
+        if let Err(e) = FaultPlan::parse(spec, plan.seed) {
+            cli_error(&format!("--chaos: {e}"));
+        }
+    }
     // `--reference` means the naive forms of every optimized hot path: the
     // simulator's memory pipeline (via `HwConfig::reference_path`) and the
     // bit/byte-wise crypto primitives. Outputs are identical either way.
@@ -502,7 +512,7 @@ fn main() {
         "open" => (true, false),
         "closed" => (false, true),
         "both" => (true, true),
-        other => panic!("--mode expects open|closed|both, got '{other}'"),
+        other => cli_error(&format!("--mode expects open|closed|both, got '{other}'")),
     };
     banner(&format!(
         "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless {}{}{}",
@@ -559,8 +569,7 @@ fn main() {
     }
     if let Some(path) = tenants_out_path() {
         let payload = export.expect("at least one run when --tenants-out is given");
-        std::fs::write(&path, &payload)
-            .unwrap_or_else(|e| panic!("cannot write tenants export to {}: {e}", path.display()));
+        write_or_exit("tenants export", &path, &payload);
         println!("\ntenants export: wrote {}", path.display());
     }
     // Like --tenants-out, the timeline describes the *last* run.
@@ -571,9 +580,7 @@ fn main() {
             print!("{}", ne_obs::dash::render(t, &label));
         }
         if let Some(path) = timeline_out_path() {
-            std::fs::write(&path, ne_obs::to_jsonl(t, &label)).unwrap_or_else(|e| {
-                panic!("cannot write timeline export to {}: {e}", path.display())
-            });
+            write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, &label));
             println!("\ntimeline export: wrote {}", path.display());
         }
     }

@@ -4,7 +4,7 @@
 //! ```text
 //! ne-profile report <metrics.json>     # ne-metrics/v2 or ne-metrics-report/v2
 //! ne-profile timeline <timeline.jsonl> # ne-obs/v1
-//! ne-profile demo [--metrics-out p] [--bench-out p] [--profile-out p] [--trace-out p]
+//! ne-profile demo [--metrics-out p] [--profile-out p] [--trace-out p]
 //! ```
 //!
 //! `report` accepts either a single [`ne-metrics/v2`] snapshot or a
@@ -12,12 +12,12 @@
 //! payloads of every experiment binary) and prints one
 //! count/mean/p50/p90/p99/max table per run from the embedded `profile`
 //! summaries. `timeline` pretty-prints an `ne-obs/v1` JSONL timeline
-//! (from `ne-load --timeline-out` / `ne-wallclock --timeline-out`): a
+//! (from `ne-load --timeline-out` / `ne-serve --timeline-out`): a
 //! per-window table, the per-tenant SLO state transitions, and the
 //! correlated incidents. `demo` runs a short nested TLS echo with event
-//! tracing on and honors the same four export flags as the experiment
-//! binaries, so a full profile + Perfetto trace + bench baseline can be
-//! produced in one command without picking an experiment first.
+//! tracing on and honors the same three export flags as the experiment
+//! binaries, so a full profile + Perfetto trace can be produced in one
+//! command without picking an experiment first.
 //!
 //! [`ne-metrics/v2`]: ne_sgx::metrics::METRICS_SCHEMA
 //! [`ne-metrics-report/v2`]: ne_bench::report::REPORT_SCHEMA
@@ -32,8 +32,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: ne-profile report <metrics.json>\n\
                      \x20      ne-profile timeline <timeline.jsonl>\n\
-                     \x20      ne-profile demo [--metrics-out <p>] [--bench-out <p>] \
-                     [--profile-out <p>] [--trace-out <p>]";
+                     \x20      ne-profile demo [--metrics-out <p>] [--profile-out <p>] \
+                     [--trace-out <p>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

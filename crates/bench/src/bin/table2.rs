@@ -2,9 +2,9 @@
 //! for real-hardware SGX, emulated SGX, and emulated nested enclave.
 //!
 //! Run with `--full` for the paper's 1 M iterations (default 10 k).
-//! `--metrics-out`, `--bench-out`, `--profile-out` and `--trace-out`
-//! export snapshots, the regression baseline, latency histograms, and a
-//! Chrome/Perfetto trace of the nested phase (see `ne_bench::report`).
+//! `--metrics-out`, `--profile-out` and `--trace-out` export snapshots,
+//! latency histograms, and a Chrome/Perfetto trace of the nested phase
+//! (see `ne_bench::report`).
 
 use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
 use ne_bench::transitions::{measure_classic, measure_nested};

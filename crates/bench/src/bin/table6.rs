@@ -4,9 +4,9 @@
 //! The paper runs 10 000 queries; that is the `--full` setting (default
 //! 500 for a quick run). `--seed <u64>` picks the YCSB workload stream
 //! (default reproduces the committed numbers). `--metrics-out`,
-//! `--bench-out`, `--profile-out` and `--trace-out` export snapshots, the
-//! regression baseline, latency histograms, and a Chrome/Perfetto trace
-//! of the first nested mix (see `ne_bench::report`).
+//! `--profile-out` and `--trace-out` export snapshots, latency
+//! histograms, and a Chrome/Perfetto trace of the first nested mix (see
+//! `ne_bench::report`).
 
 use ne_bench::db_case::{run_db_case, DEFAULT_DB_SEED};
 use ne_bench::report::{banner, f2, f3, flag_u64, want_trace, write_trace, MetricsReport, Table};

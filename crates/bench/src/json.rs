@@ -1,12 +1,13 @@
-//! A minimal JSON parser for the compare/validation tooling.
+//! A minimal JSON parser for the reading and validation tooling.
 //!
-//! The workspace is offline-only (no serde), but `ne-bench-compare` must
-//! read `ne-bench/v1` baselines and the trace well-formedness test must
-//! parse Chrome Trace Event output. This is a small recursive-descent
-//! parser covering exactly the JSON those emitters produce (and standard
-//! JSON generally): objects, arrays, strings with `\"`/`\\`/`\n`-style
-//! escapes, numbers, booleans, null. Object key order is preserved so
-//! error messages can point at the offending entry.
+//! The workspace is offline-only (no serde), but `ne-profile` must read
+//! metrics exports, `perfbench` must read the metrics JSON it checks, and
+//! the trace well-formedness test must parse Chrome Trace Event output.
+//! This is a small recursive-descent parser covering exactly the JSON
+//! those emitters produce (and standard JSON generally): objects, arrays,
+//! strings with `\"`/`\\`/`\n`-style escapes, numbers, booleans, null.
+//! Object key order is preserved so error messages can point at the
+//! offending entry.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

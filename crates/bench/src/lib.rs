@@ -19,7 +19,6 @@
 //! | § IV-E ablations | [`loading`], [`channel_exp`] | `ablation_evict`, `ablation_depth` |
 
 pub mod channel_exp;
-pub mod compare;
 pub mod db_case;
 pub mod json;
 pub mod loading;

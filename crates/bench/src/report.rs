@@ -1,17 +1,13 @@
 //! Table-formatting helpers and the metrics exporter shared by the
 //! experiment binaries.
 //!
-//! Every binary accepts four export flags:
+//! Every binary accepts three export flags:
 //!
 //! - `--metrics-out <path>` — the full [`MetricsReport`]: one
 //!   [`MachineMetrics`] snapshot per labeled run, as schema-stable JSON
 //!   ([`REPORT_SCHEMA`]). Each snapshot passes [`MachineMetrics::check`]
 //!   on the way in, so a run whose cycle accounting does not add up
 //!   aborts the binary instead of exporting silently-wrong numbers.
-//! - `--bench-out <path>` — the distilled `ne-bench/v1` regression
-//!   baseline ([`MetricsReport::to_bench_json`]): per-run transition
-//!   counts, cycle totals, and histogram summaries, the input of
-//!   `ne-bench-compare`.
 //! - `--profile-out <path>` — human-readable latency histogram tables.
 //! - `--trace-out <path>` — Chrome Trace Event JSON of the traced run
 //!   (Perfetto-loadable; folded flamegraph stacks land at
@@ -25,9 +21,6 @@ use std::path::{Path, PathBuf};
 /// Schema tag of the `--metrics-out` report. v2 embeds `ne-metrics/v2`
 /// snapshots (latency histograms + span counters).
 pub const REPORT_SCHEMA: &str = "ne-metrics-report/v2";
-
-/// Schema tag of the `--bench-out` regression baseline.
-pub const BENCH_SCHEMA: &str = "ne-bench/v1";
 
 /// Prints a header banner for an experiment.
 pub fn banner(title: &str) {
@@ -183,81 +176,6 @@ impl MetricsReport {
         std::fs::write(path, self.to_json())
     }
 
-    /// Renders the distilled regression baseline (schema
-    /// [`BENCH_SCHEMA`]): per run, the total cycles, the transition
-    /// counters, and a merged-across-levels summary of every non-empty
-    /// latency histogram. Every leaf is numeric, so `ne-bench-compare`
-    /// can diff two of these with per-metric relative thresholds.
-    pub fn to_bench_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-        out.push_str(&format!(
-            "  \"experiment\": \"{}\",\n",
-            json_escape(&self.experiment)
-        ));
-        out.push_str("  \"runs\": [\n");
-        for (i, (label, m)) in self.runs.iter().enumerate() {
-            let s = &m.stats;
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"label\": \"{}\",\n", json_escape(label)));
-            out.push_str(&format!("      \"total_cycles\": {},\n", m.total_cycles));
-            // Serving-layer runs record end-to-end request latency; for
-            // those, distill a throughput number too: completed requests
-            // over the wall-clock of the busiest core. Runs without
-            // request samples (all the figure/table benchmarks) are
-            // byte-identical to before this key existed.
-            if let Some(rps) = throughput_rps(m) {
-                out.push_str(&format!("      \"throughput_rps\": {rps:.2},\n"));
-            }
-            out.push_str("      \"transitions\": {");
-            out.push_str(
-                &[
-                    ("ecalls", s.ecalls),
-                    ("ocalls", s.ocalls),
-                    ("n_ecalls", s.n_ecalls),
-                    ("n_ocalls", s.n_ocalls),
-                    ("aexes", s.aexes),
-                    ("eresumes", s.eresumes),
-                    ("switchless_ocalls", s.switchless_ocalls),
-                    ("total", s.total_transitions()),
-                ]
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            );
-            out.push_str("},\n");
-            let merged = merged_histograms(m);
-            if merged.is_empty() {
-                out.push_str("      \"histograms\": {}\n");
-            } else {
-                out.push_str("      \"histograms\": {\n");
-                for (j, (event, h)) in merged.iter().enumerate() {
-                    let s = h.summary();
-                    out.push_str(&format!(
-                        "        \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \
-                         \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}{}\n",
-                        event.name(),
-                        s.count,
-                        s.sum,
-                        s.min,
-                        s.max,
-                        s.p50,
-                        s.p90,
-                        s.p99,
-                        if j + 1 < merged.len() { "," } else { "" }
-                    ));
-                }
-                out.push_str("      }\n");
-            }
-            out.push_str("    }");
-            out.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// Renders latency histogram tables for every run (the
     /// `--profile-out` payload; also printed by `ne-profile report`).
     pub fn profile_text(&self) -> String {
@@ -274,15 +192,15 @@ impl MetricsReport {
         out
     }
 
-    /// Writes the requested exports — `--metrics-out`, `--bench-out`,
-    /// `--profile-out` — and prints where each went. Call this last.
+    /// Writes the requested exports — `--metrics-out`, `--profile-out` —
+    /// and prints where each went. Call this last.
     ///
     /// A requested file that cannot be written ends the process with a
     /// one-line error on stderr and exit status 2: an export that
     /// silently vanishes is worse than an abort.
     pub fn finish(&self) {
         let write = |what: &str, path: &Path, payload: &str| {
-            write_export(what, path, payload).unwrap_or_else(|e| cli_error(&e));
+            write_or_exit(what, path, payload);
             println!(
                 "\n{what}: wrote {} run(s) to {}",
                 self.runs.len(),
@@ -291,9 +209,6 @@ impl MetricsReport {
         };
         if let Some(path) = metrics_out_path() {
             write("metrics", &path, &self.to_json());
-        }
-        if let Some(path) = bench_out_path() {
-            write("bench baseline", &path, &self.to_bench_json());
         }
         if let Some(path) = profile_out_path() {
             write("latency profile", &path, &self.profile_text());
@@ -314,21 +229,6 @@ pub fn throughput_rps(m: &MachineMetrics) -> Option<f64> {
         .sum();
     let wall = m.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
     (requests > 0 && wall > 0).then(|| requests as f64 * m.clock_ghz * 1e9 / wall as f64)
-}
-
-/// Non-empty per-event histograms of a snapshot, merged across hierarchy
-/// levels, in [`ProfileEvent::ALL`] order.
-pub fn merged_histograms(m: &MachineMetrics) -> Vec<(ProfileEvent, Histogram)> {
-    ProfileEvent::ALL
-        .into_iter()
-        .filter_map(|event| {
-            let mut merged = Histogram::new();
-            for e in m.profile.iter().filter(|e| e.event == event) {
-                merged.merge(&e.hist);
-            }
-            (!merged.is_empty()).then_some((event, merged))
-        })
-        .collect()
 }
 
 /// Renders one snapshot's latency histograms as a table: one row per
@@ -434,7 +334,7 @@ pub fn timeline_out_path() -> Option<PathBuf> {
 /// Prints `msg` as a one-line error on stderr and exits with status 2:
 /// the one failure path for bad CLI input (a valueless or malformed flag,
 /// an unwritable output path), so none of them panics.
-fn cli_error(msg: &str) -> ! {
+pub fn cli_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
 }
@@ -497,11 +397,6 @@ pub fn metrics_out_path() -> Option<PathBuf> {
     flag_path("--metrics-out")
 }
 
-/// Parses `--bench-out <path>` from the process arguments.
-pub fn bench_out_path() -> Option<PathBuf> {
-    flag_path("--bench-out")
-}
-
 /// Parses `--profile-out <path>` from the process arguments.
 pub fn profile_out_path() -> Option<PathBuf> {
     flag_path("--profile-out")
@@ -525,16 +420,18 @@ fn write_export(what: &str, path: &Path, payload: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot write {what} to {}: {e}", path.display()))
 }
 
+/// Writes one requested export file. A path that cannot be written ends
+/// the process with a one-line error on stderr and exit status 2.
+pub fn write_or_exit(what: &str, path: &Path, payload: &str) {
+    write_export(what, path, payload).unwrap_or_else(|e| cli_error(&e));
+}
+
 /// Writes a trace bundle: Chrome Trace JSON at `path`, folded stacks at
 /// `<path>.folded`.
 fn write_bundle(path: &Path, b: &TraceBundle) -> Result<(), String> {
     write_export("trace", path, &b.chrome_json)?;
     let folded = PathBuf::from(format!("{}.folded", path.display()));
     write_export("stacks", &folded, &b.folded)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Re-indents every line of a pretty-printed JSON blob after the first by
@@ -659,38 +556,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_distills_counters_and_histograms() {
-        let mut r = MetricsReport::new("unit");
-        r.push_run("a", snapshot());
-        let j = r.to_bench_json();
-        assert!(j.starts_with(&format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\"")));
-        assert!(j.contains("\"total_cycles\": "));
-        assert!(j.contains("\"transitions\": {\"ecalls\": 0,"));
-        // The snapshot's write took TLB misses, so that histogram exists.
-        assert!(j.contains("\"tlb_miss\": {\"count\": "), "{j}");
-        // Identical inputs render byte-identically (baselines are diffable).
-        let mut r2 = MetricsReport::new("unit");
-        r2.push_run("a", snapshot());
-        assert_eq!(j, r2.to_bench_json());
-    }
-
-    #[test]
-    fn bench_json_adds_throughput_for_serving_runs_only() {
+    fn throughput_only_for_serving_runs() {
         use ne_sgx::profile::HierLevel;
         let mut m = ne_sgx::machine::Machine::new(ne_sgx::config::HwConfig::small());
         let va = m.os_alloc_untrusted(ne_sgx::enclave::ProcessId(0), 1);
         m.write(0, va, b"payload").unwrap();
         m.profile_record(ProfileEvent::Request, HierLevel::Untrusted, 1000);
-        let metrics = m.metrics();
-        assert!(throughput_rps(&metrics).unwrap() > 0.0);
-        let mut r = MetricsReport::new("unit");
-        r.push_run("serve", metrics);
-        assert!(r.to_bench_json().contains("\"throughput_rps\": "));
-        // Runs without request samples stay byte-free of the key, so
-        // committed figure/table baselines are unchanged.
-        let mut r2 = MetricsReport::new("unit");
-        r2.push_run("plain", snapshot());
-        assert!(!r2.to_bench_json().contains("throughput_rps"));
+        assert!(throughput_rps(&m.metrics()).unwrap() > 0.0);
         assert!(throughput_rps(&snapshot()).is_none());
     }
 

@@ -39,7 +39,7 @@
 //! `shard-smoke` job. A single-shard cluster is bit-compatible with the
 //! unsharded [`ne_host::HostServer`] path end to end (same exports, same
 //! bytes), which is the regression test that keeps the pre-shard
-//! baselines valid.
+//! committed outputs valid.
 
 pub mod cluster;
 pub mod drive;

@@ -142,9 +142,8 @@ impl Aes128 {
 
     /// The byte-wise FIPS-197 rounds the T-table form was derived from:
     /// SubBytes, ShiftRows and MixColumns as separate per-byte passes.
-    /// Selected by [`crate::set_reference_impl`] so the wall-clock harness
-    /// can price the table rewrite; the tests check both forms compute the
-    /// same permutation.
+    /// Selected by [`crate::set_reference_impl`] for the differential
+    /// oracles; the tests check both forms compute the same permutation.
     fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
         let round_key = |r: usize| -> [u8; 16] {
             let mut out = [0u8; 16];

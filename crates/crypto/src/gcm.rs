@@ -114,8 +114,8 @@ impl AesGcm {
     /// Multiplies `z` by the subkey H via the byte table: Horner over the
     /// 16 bytes of `z`, least-significant (highest-degree) byte first.
     /// Architecturally identical to `gf_mult(z, self.h)`, which the tests
-    /// verify and which [`crate::set_reference_impl`] selects at runtime so
-    /// the wall-clock harness can price the table walk.
+    /// verify and which [`crate::set_reference_impl`] selects at runtime
+    /// for the differential oracles.
     fn mul_h(&self, z: u128) -> u128 {
         if crate::reference_impl() {
             return gf_mult(z, self.h);

@@ -51,8 +51,10 @@ static REFERENCE_IMPL: AtomicBool = AtomicBool::new(false);
 /// derived from. Both compute the identical functions — the per-crate tests
 /// check them against each other and against the NIST/FIPS known-answer
 /// vectors — so the flag changes wall-clock speed only, never output. The
-/// wall-clock harness (`ne-wallclock`) uses it to measure what the
-/// table-driven forms buy on real serving runs.
+/// differential oracles (`ne-host`'s `diff_oracle`, `ne-tls`'s
+/// `echo_oracle`, `ne-obs`'s `reconcile`) set it on their reference runs
+/// and compare replies and exports byte for byte; `ne-load --reference`
+/// sets it for a whole run.
 pub fn set_reference_impl(on: bool) {
     REFERENCE_IMPL.store(on, Ordering::Relaxed);
 }

@@ -31,7 +31,7 @@
 //!
 //! The `ne-load` bin in `ne-bench` drives a [`server::HostServer`] with
 //! deterministic seeded open- and closed-loop arrival processes and emits
-//! the standard `ne-bench/v1` / metrics / profile / trace exports.
+//! the standard metrics / profile / trace exports.
 
 pub mod admission;
 pub mod error;

@@ -1,15 +1,24 @@
-//! Host-level differential oracle: two multi-tenant servers differing only
-//! in [`HwConfig::reference_path`] serve the same closed-loop traffic —
-//! with and without a chaos plan — and must finish with byte-identical
-//! machine metrics exports, identical completion/shed accounting, and the
-//! same serving clock. This is the end-to-end leg of the oracle; the
+//! Host-level differential oracle: two multi-tenant servers serve the same
+//! closed-loop traffic — with and without a chaos plan — one on the
+//! optimized paths, one on the reference forms of both the memory pipeline
+//! ([`HwConfig::reference_path`]) and the crypto primitives
+//! ([`ne_crypto::set_reference_impl`]). They must finish with byte-identical
+//! machine metrics exports, identical completion/shed accounting, the same
+//! serving clock, and byte-identical replies (sealed echo records carry the
+//! crypto's output bytes). This is the end-to-end leg of the oracle; the
 //! structure-level legs live in `ne-sgx`'s `hot_path_props`/`diff_oracle`
 //! suites.
+
+use std::sync::{Mutex, PoisonError};
 
 use ne_host::{HostConfig, HostServer, RequestFactory, ServiceKind, TenantSpec};
 use ne_sgx::fault::FaultPlan;
 
 const SEED: u64 = 0xD1FF;
+
+/// The crypto toggle is process-global and every test here flips it, so
+/// one comparison's runs must not interleave with another's.
+static CRYPTO_PATH: Mutex<()> = Mutex::new(());
 
 fn build_server(reference: bool, chaos: Option<&str>) -> HostServer {
     let specs: Vec<TenantSpec> = (0..3)
@@ -31,9 +40,12 @@ fn build_server(reference: bool, chaos: Option<&str>) -> HostServer {
     server
 }
 
-/// Serves `requests` per (tenant, service) pair in a closed loop and
-/// returns (metrics JSON, summary line).
+/// Serves `requests` per (tenant, service) pair in a closed loop, on the
+/// reference paths when `reference` is set, and returns (metrics JSON,
+/// summary line).
 fn serve(reference: bool, chaos: Option<&str>, requests: usize) -> (String, String) {
+    let _serial = CRYPTO_PATH.lock().unwrap_or_else(PoisonError::into_inner);
+    ne_crypto::set_reference_impl(reference);
     let mut server = build_server(reference, chaos);
     let mut factories: Vec<Vec<RequestFactory>> = (0..3)
         .map(|t| {
@@ -66,16 +78,23 @@ fn serve(reference: bool, chaos: Option<&str>, requests: usize) -> (String, Stri
         }
     }
     server.drain().expect("drain");
+    ne_crypto::set_reference_impl(false);
     let metrics = server.app.machine.metrics().to_json();
+    let mut replies = Vec::new();
+    for c in server.completions() {
+        replies.extend_from_slice(&(c.reply.len() as u32).to_le_bytes());
+        replies.extend_from_slice(&c.reply);
+    }
     let hr = server.report();
     let summary = format!(
-        "completed {} shed {} local-sheds {} now {} faults {} respawns {}",
+        "completed {} shed {} local-sheds {} now {} faults {} respawns {} replies {:02x?}",
         hr.completed(),
         hr.shed_requests(),
         sheds,
         server.now(),
         server.app.machine.stats().faults,
         hr.respawns(),
+        ne_crypto::sha256_digest(&replies),
     );
     (metrics, summary)
 }

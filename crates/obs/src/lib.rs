@@ -38,9 +38,9 @@
 //! * [`dash`] — a deterministic post-run text dashboard: one frame per
 //!   window, replayed from the timeline.
 //!
-//! `ne-load --timeline-out` / `--dash` and `ne-wallclock
-//! --timeline-out` (in `ne-bench`) drive this; `ne-profile timeline`
-//! pretty-prints the export.
+//! `ne-load --timeline-out` / `--dash` (in `ne-bench`) and `ne-serve
+//! --timeline-out` drive this; `ne-profile timeline` pretty-prints the
+//! export.
 
 pub mod dash;
 pub mod export;

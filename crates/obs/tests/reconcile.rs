@@ -6,7 +6,8 @@
 //!   including min/max — windows are deltas of cumulative snapshots,
 //!   so the sums telescope);
 //! * **determinism** — same seed, same flags ⇒ byte-identical
-//!   `ne-obs/v1` export;
+//!   `ne-obs/v1` export, on the optimized paths or on the reference forms
+//!   of the memory pipeline and the crypto primitives;
 //! * **incidents** — a chaos run must produce a non-empty, structured
 //!   incident report joining injections with recovery events.
 
@@ -18,7 +19,8 @@ use proptest::prelude::*;
 
 /// Builds the `ne-load` tenant population and serves `requests` per
 /// (tenant, service) through a closed loop with a sampler riding
-/// along. Returns the drained server and its finished timeline.
+/// along, on the reference memory pipeline when `reference` is set.
+/// Returns the drained server and its finished timeline.
 fn run_closed_loop(
     tenants: usize,
     services: usize,
@@ -26,6 +28,7 @@ fn run_closed_loop(
     seed: u64,
     chaos: Option<&str>,
     window_cycles: u64,
+    reference: bool,
 ) -> (HostServer, Timeline) {
     let specs: Vec<TenantSpec> = (0..tenants)
         .map(|i| {
@@ -37,6 +40,7 @@ fn run_closed_loop(
         .collect();
     let mut cfg = HostConfig::new(specs);
     cfg.seed = seed;
+    cfg.hw.reference_path = reference;
     let mut server = HostServer::build(cfg).expect("host build");
     let mut factories: Vec<Vec<RequestFactory>> = (0..tenants)
         .map(|t| {
@@ -147,7 +151,7 @@ fn assert_reconciles(server: &HostServer, timeline: &Timeline) {
 
 #[test]
 fn clean_run_reconciles_exactly() {
-    let (server, timeline) = run_closed_loop(4, 2, 6, 7, None, 2_000_000);
+    let (server, timeline) = run_closed_loop(4, 2, 6, 7, None, 2_000_000, false);
     assert!(timeline.raw_windows() > 0);
     assert_reconciles(&server, &timeline);
     // A clean run correlates to zero incidents.
@@ -158,7 +162,7 @@ fn clean_run_reconciles_exactly() {
 fn tiny_windows_still_reconcile() {
     // Hundreds of small windows: boundary crossings in mid-flight, empty
     // windows, multi-boundary jumps — the deltas must still telescope.
-    let (server, timeline) = run_closed_loop(2, 2, 4, 11, None, 50_000);
+    let (server, timeline) = run_closed_loop(2, 2, 4, 11, None, 50_000, false);
     assert!(
         timeline.raw_windows() > 20,
         "want many windows for this oracle"
@@ -168,7 +172,8 @@ fn tiny_windows_still_reconcile() {
 
 #[test]
 fn chaos_run_reconciles_and_reports_an_incident() {
-    let (server, timeline) = run_closed_loop(4, 2, 8, 7, Some("aex+evict+crash:7"), 2_000_000);
+    let (server, timeline) =
+        run_closed_loop(4, 2, 8, 7, Some("aex+evict+crash:7"), 2_000_000, false);
     assert_reconciles(&server, &timeline);
     let incidents = correlate(&timeline);
     assert!(
@@ -193,10 +198,16 @@ fn chaos_run_reconciles_and_reports_an_incident() {
     assert!(report.contains("incident tenant"));
 }
 
+/// The second run takes the reference memory pipeline and the reference
+/// crypto, so this is also the optimized-vs-reference oracle for the
+/// observability plane: windows, SLO states, incidents and the reply
+/// checkpoints (digests over sealed echo records) must not move a byte.
 #[test]
 fn export_is_byte_deterministic_across_runs() {
-    let (_, a) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000);
-    let (_, b) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000);
+    let (_, a) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000, false);
+    ne_crypto::set_reference_impl(true);
+    let (_, b) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000, true);
+    ne_crypto::set_reference_impl(false);
     assert_eq!(to_jsonl(&a, "det"), to_jsonl(&b, "det"));
 }
 
@@ -217,7 +228,7 @@ proptest! {
     ) {
         let spec = chaos.then_some("aex:3+evict:4");
         let (server, timeline) =
-            run_closed_loop(tenants, services, requests, seed, spec, window_kcycles * 1_000);
+            run_closed_loop(tenants, services, requests, seed, spec, window_kcycles * 1_000, false);
         assert_reconciles(&server, &timeline);
     }
 }

@@ -34,8 +34,7 @@ pub struct HwConfig {
     /// Run the naive (pre-optimization) translate/data-access pipeline
     /// instead of the fast one. Both produce byte-identical architectural
     /// outputs; the reference path exists as the differential oracle the
-    /// optimized path is property-tested against, and as the baseline the
-    /// wall-clock harness measures speedups over.
+    /// optimized path is property-tested against.
     pub reference_path: bool,
 }
 

@@ -47,7 +47,7 @@ pub struct EchoConfig {
     pub trace: bool,
     /// Run on the naive reference memory pipeline instead of the optimized
     /// one (see [`HwConfig::reference_path`]). Architecturally identical;
-    /// used by the wall-clock harness and the differential oracle.
+    /// used by the differential oracle.
     pub reference: bool,
 }
 
@@ -93,7 +93,9 @@ impl EchoRun {
     }
 }
 
-const SESSION_KEY: [u8; 16] = [0x42; 16];
+/// The pre-shared record key of client and server (the paper's § VI-A
+/// assumption).
+pub const SESSION_KEY: [u8; 16] = [0x42; 16];
 
 fn gcm_cost(cfg: &HwConfig, len: usize) -> u64 {
     cfg.cost.gcm_setup + cfg.cost.gcm_per_byte * len as u64
