@@ -38,8 +38,8 @@
 //! shard (see [`ne_sgx::fault::FaultPlan::parse`]) after warmup: terms
 //! joined by `+`, each `kind[:period]` with kinds `aex`, `evict`, `mac`,
 //! `crash`, `stall` — e.g. `--chaos aex+evict` or `--chaos crash:11`.
-//! The plan's RNG is derived from `--seed` (and, above shard 0, the
-//! shard id), so a chaos run is exactly as reproducible as a clean one:
+//! The cluster derives the plan's RNG from `--seed` (and, above shard 0,
+//! the shard id), so a chaos run is exactly as reproducible as a clean one:
 //! same flags, byte-identical exports. The run then asserts
 //! reply-or-shed (`completed + shed == accepted`) and the metrics
 //! identities instead of zero-loss.
@@ -169,44 +169,21 @@ fn run(
     Option<Timeline>,
 ) {
     let mut cluster = build(plan, trace);
-    // Chaos plans are seeded from --seed (salted) at shard 0, exactly the
-    // historic harness; higher shards get independent derived streams.
-    let chaos = plan
-        .chaos
-        .as_deref()
-        .map(|spec| (spec, plan.seed ^ 0xC4A0_5EED));
-    // The sampler only reads the servers, so the observed variants are
+    // The sampler only reads the servers, so observed runs are
     // byte-identical to the plain runs in every pre-existing export.
-    let (accepted, timeline) = match (label, obs) {
-        ("open-loop", None) => (cluster.run_open_loop(plan.requests, chaos), None),
-        ("closed-loop", None) => (cluster.run_closed_loop(plan.requests, chaos), None),
-        ("open-loop", Some(cfg)) => match cluster.run_open_loop_observed(plan.requests, chaos, cfg)
-        {
-            Ok((a, t)) => (Ok(a), Some(t)),
-            Err(e) => (Err(e), None),
-        },
-        ("closed-loop", Some(cfg)) => {
-            match cluster.run_closed_loop_observed(plan.requests, chaos, cfg) {
-                Ok((a, t)) => (Ok(a), Some(t)),
-                Err(e) => (Err(e), None),
-            }
-        }
-        (other, _) => unreachable!("unknown run label {other}"),
+    let chaos = plan.chaos.as_deref();
+    let run = if label == "open-loop" {
+        cluster.run_open_loop(plan.requests, chaos, obs)
+    } else {
+        cluster.run_closed_loop(plan.requests, chaos, obs)
     };
-    // The only error is a malformed fault plan, refused in `main`.
-    let accepted = accepted.expect("--chaos is validated before any run");
-    let hr = cluster.report();
-    assert_eq!(
-        hr.sched.invariant_violations, 0,
-        "scheduler invariant violated in {label}"
-    );
+    let (accepted, timeline) =
+        run.unwrap_or_else(|e| cli_error(&format!("{label} run failed: {e}")));
     // Reply-or-shed: every accepted request terminated, with a reply or
     // an explicit counted shed (zero sheds without chaos).
-    assert_eq!(
-        hr.completed() + hr.shed_requests(),
-        accepted,
-        "accepted request lost in {label}"
-    );
+    let (hr, m) = cluster
+        .verify_run(accepted)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     // Spot-check every reply against a fresh factory of the same stream,
     // keyed by the tenant's global id.
     let specs = drive::standard_specs(plan.tenants, plan.services);
@@ -218,11 +195,6 @@ fn run(
             specs[global].name
         );
     }
-    let m = cluster
-        .merged_metrics()
-        .unwrap_or_else(|e| panic!("metrics merge failed in {label}: {e}"));
-    m.check()
-        .unwrap_or_else(|e| panic!("metrics identity broken in {label}: {e}"));
     let s = cluster.request_histogram().summary();
     let clock = cluster.clock_ghz();
     println!("\n{label}: {accepted} requests served");
@@ -383,26 +355,12 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
             .map(|c| format!(", chaos {c}"))
             .unwrap_or_default()
     ));
-    let chaos = chaos_spec.as_deref().map(|s| (s, plan.seed ^ 0xC4A0_5EED));
-    let (accepted, timeline, log) = match obs {
-        None => {
-            let (a, log) = cluster
-                .run_segmented_closed_loop(&segments, chaos, &policy)
-                .unwrap_or_else(|e| panic!("--migrate run failed: {e}"));
-            (a, None, log)
-        }
-        Some(cfg) => {
-            let (a, t, log) = cluster
-                .run_segmented_closed_loop_observed(&segments, chaos, &policy, cfg)
-                .unwrap_or_else(|e| panic!("--migrate run failed: {e}"));
-            (a, Some(t), log)
-        }
-    };
-    let hr = cluster.report();
-    assert_eq!(
-        hr.sched.invariant_violations, 0,
-        "scheduler invariant violated"
-    );
+    let (accepted, timeline, log) = cluster
+        .run_segmented_closed_loop(&segments, chaos_spec.as_deref(), &policy, obs)
+        .unwrap_or_else(|e| cli_error(&format!("--migrate run failed: {e}")));
+    let (hr, _) = cluster
+        .verify_run(accepted)
+        .unwrap_or_else(|e| panic!("--migrate: {e}"));
     println!("\nsegmented closed-loop: {accepted} requests served");
     tenant_table(&hr, plan.shards).print();
     println!("\nmigrations: {}", log.len());
@@ -418,26 +376,32 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
             cluster.seal_floor(r.global)
         );
     }
-    // The headline invariant: every accepted request terminated with a
-    // reply or an explicit counted shed — migration dropped nothing.
-    let dropped = accepted - hr.completed() - hr.shed_requests();
-    println!("dropped={dropped}");
-    assert_eq!(dropped, 0, "migration dropped an accepted request");
+    // The headline invariant, held by `verify_run` above: every accepted
+    // request terminated with a reply or an explicit counted shed —
+    // migration dropped nothing.
+    println!("dropped={}", accepted - hr.completed() - hr.shed_requests());
+    write_exports(
+        &cluster.tenants_export(),
+        timeline.as_ref(),
+        "ne-load-migrate",
+        dash,
+    );
+}
+
+/// Writes the run's `--tenants-out` export, then renders (`--dash`) and
+/// writes (`--timeline-out`) its timeline under `label`.
+fn write_exports(tenants: &str, timeline: Option<&Timeline>, label: &str, dash: bool) {
     if let Some(path) = tenants_out_path() {
-        write_or_exit("tenants export", &path, &cluster.tenants_export());
+        write_or_exit("tenants export", &path, tenants);
         println!("\ntenants export: wrote {}", path.display());
     }
-    if let Some(t) = &timeline {
+    if let Some(t) = timeline {
         if dash {
             println!();
-            print!("{}", ne_obs::dash::render(t, "ne-load-migrate"));
+            print!("{}", ne_obs::dash::render(t, label));
         }
         if let Some(path) = timeline_out_path() {
-            write_or_exit(
-                "timeline export",
-                &path,
-                &ne_obs::to_jsonl(t, "ne-load-migrate"),
-            );
+            write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, label));
             println!("\ntimeline export: wrote {}", path.display());
         }
     }
@@ -498,20 +462,21 @@ fn main() {
     // simulator's memory pipeline (via `HwConfig::reference_path`) and the
     // bit/byte-wise crypto primitives. Outputs are identical either way.
     ne_crypto::set_reference_impl(plan.reference);
+    let dash = std::env::args().any(|a| a == "--dash");
+    // The observability plane rides along only when asked for.
+    let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
+        window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
+        ..SamplerConfig::default()
+    });
     if let Some(spec) = flag_str("--migrate") {
-        let dash = std::env::args().any(|a| a == "--dash");
-        let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
-            window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
-            ..SamplerConfig::default()
-        });
         run_migrate(&spec, &plan, obs, dash);
         return;
     }
     let mode = flag_str("--mode").unwrap_or_else(|| "both".to_string());
-    let (open, closed) = match mode.as_str() {
-        "open" => (true, false),
-        "closed" => (false, true),
-        "both" => (true, true),
+    let labels: &[&str] = match mode.as_str() {
+        "open" => &["open-loop"],
+        "closed" => &["closed-loop"],
+        "both" => &["open-loop", "closed-loop"],
         other => cli_error(&format!("--mode expects open|closed|both, got '{other}'")),
     };
     banner(&format!(
@@ -533,57 +498,30 @@ fn main() {
             .map(|c| format!(", chaos {c}"))
             .unwrap_or_default()
     ));
-    let dash = std::env::args().any(|a| a == "--dash");
-    // The observability plane rides along only when asked for — the
-    // plain runs stay exactly the historic code path.
-    let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
-        window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
-        ..SamplerConfig::default()
-    });
     let mut report = MetricsReport::new("ne-load");
     let mut bundles = None;
-    let mut export = None;
-    let mut timeline = None;
-    let mut timeline_label = "";
-    if open {
-        let (e, _, t) = run("open-loop", &plan, &mut report, false, obs);
-        export = Some(e);
-        if t.is_some() {
-            timeline = t;
-            timeline_label = "open-loop";
-        }
-    }
-    if closed {
+    let mut last = None;
+    for &label in labels {
         // The traced run: the closed loop has the cleanest span structure
         // (no overlapping idle-advance from future arrivals).
-        let (e, b, t) = run("closed-loop", &plan, &mut report, want_trace(), obs);
-        export = Some(e);
-        bundles = b;
-        if t.is_some() {
-            timeline = t;
-            timeline_label = "closed-loop";
+        let traced = want_trace() && label == "closed-loop";
+        let (export, b, timeline) = run(label, &plan, &mut report, traced, obs);
+        if traced {
+            bundles = b;
         }
+        last = Some((label, export, timeline));
     }
     if want_trace() {
         write_shard_traces(bundles.as_deref().unwrap_or(&[]));
     }
-    if let Some(path) = tenants_out_path() {
-        let payload = export.expect("at least one run when --tenants-out is given");
-        write_or_exit("tenants export", &path, &payload);
-        println!("\ntenants export: wrote {}", path.display());
-    }
-    // Like --tenants-out, the timeline describes the *last* run.
-    if let Some(t) = &timeline {
-        let label = format!("ne-load-{timeline_label}");
-        if dash {
-            println!();
-            print!("{}", ne_obs::dash::render(t, &label));
-        }
-        if let Some(path) = timeline_out_path() {
-            write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, &label));
-            println!("\ntimeline export: wrote {}", path.display());
-        }
-    }
+    // The exports describe the *last* run.
+    let (label, export, timeline) = last.expect("every --mode runs at least one scenario");
+    write_exports(
+        &export,
+        timeline.as_ref(),
+        &format!("ne-load-{label}"),
+        dash,
+    );
     report.finish();
 }
 

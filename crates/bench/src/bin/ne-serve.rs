@@ -18,33 +18,18 @@
 //! N` (default 30000), `--addr-out <path>` (writes the bound address
 //! once listening, so scripts can use an ephemeral port); exports:
 //! `--tenants-out`, `--metrics-out`, `--timeline-out`.
+//!
+//! Bad input and I/O failures (a non-integer number, an unknown
+//! `--mode`, an unwritable `--addr-out` or export path, a failed bind
+//! or run) end the process with a one-line `error: ...` on stderr and
+//! exit status 2.
 
+use std::path::Path;
 use std::time::Duration;
 
+use ne_bench::report::{cli_error, flag_str, flag_u64, write_or_exit};
 use ne_serve::oracle::run_oracle;
 use ne_serve::{FrontDoor, Mode, ServeConfig, ServeOutcome};
-
-fn flag_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag_u64(name: &str) -> Option<u64> {
-    flag_str(name).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{name} expects a number, got '{v}'"))
-    })
-}
-
-fn write_out(flag: &str, payload: &str) {
-    if let Some(path) = flag_str(flag) {
-        std::fs::write(&path, payload)
-            .unwrap_or_else(|e| panic!("cannot write {flag} to {path}: {e}"));
-        println!("{}: wrote {path}", flag.trim_start_matches('-'));
-    }
-}
 
 fn config() -> ServeConfig {
     let mut cfg = ServeConfig::new(
@@ -56,7 +41,7 @@ fn config() -> ServeConfig {
     cfg.mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
         "closed" => Mode::Closed,
         "open" => Mode::Open,
-        other => panic!("--mode expects closed|open, got '{other}'"),
+        other => cli_error(&format!("--mode expects closed|open, got '{other}'")),
     };
     cfg.switchless = !std::env::args().any(|a| a == "--no-switchless");
     cfg.tls = std::env::args().any(|a| a == "--tls");
@@ -71,6 +56,14 @@ fn config() -> ServeConfig {
     cfg
 }
 
+/// Writes the export `flag` names, if it was given.
+fn write_out(flag: &str, what: &str, payload: &str) {
+    if let Some(path) = flag_str(flag) {
+        write_or_exit(what, Path::new(&path), payload);
+        println!("{}: wrote {path}", flag.trim_start_matches('-'));
+    }
+}
+
 fn finish(outcome: &ServeOutcome) {
     let r = &outcome.report;
     println!(
@@ -80,10 +73,10 @@ fn finish(outcome: &ServeOutcome) {
         r.shed_requests(),
         r.respawns(),
     );
-    write_out("--tenants-out", &outcome.tenants_export);
-    write_out("--metrics-out", &outcome.metrics_json);
+    write_out("--tenants-out", "tenants export", &outcome.tenants_export);
+    write_out("--metrics-out", "metrics", &outcome.metrics_json);
     if let Some(jsonl) = &outcome.timeline_jsonl {
-        write_out("--timeline-out", jsonl);
+        write_out("--timeline-out", "timeline export", jsonl);
     }
 }
 
@@ -105,19 +98,20 @@ fn main() {
             .unwrap_or_default(),
     );
     let outcome = if oracle {
-        run_oracle(&cfg).unwrap_or_else(|e| panic!("oracle run failed: {e}"))
+        run_oracle(&cfg).unwrap_or_else(|e| cli_error(&format!("oracle run failed: {e}")))
     } else {
         let listen = flag_str("--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-        let door =
-            FrontDoor::bind(cfg, &listen).unwrap_or_else(|e| panic!("cannot bind {listen}: {e}"));
-        let addr = door.local_addr().expect("bound address");
+        let door = FrontDoor::bind(cfg, &listen)
+            .unwrap_or_else(|e| cli_error(&format!("cannot bind {listen}: {e}")));
+        let addr = door
+            .local_addr()
+            .unwrap_or_else(|e| cli_error(&format!("bound address: {e}")));
         println!("listening on {addr}");
         if let Some(path) = flag_str("--addr-out") {
-            std::fs::write(&path, addr.to_string())
-                .unwrap_or_else(|e| panic!("cannot write --addr-out to {path}: {e}"));
+            write_or_exit("bound address", Path::new(&path), &addr.to_string());
         }
         door.run()
-            .unwrap_or_else(|e| panic!("serve run failed: {e}"))
+            .unwrap_or_else(|e| cli_error(&format!("serve run failed: {e}")))
     };
     finish(&outcome);
 }

@@ -3,9 +3,9 @@
 //! # ne-bench — experiment harnesses for every table and figure
 //!
 //! Each module reproduces one piece of the paper's evaluation; the
-//! binaries in `src/bin/` print the corresponding table/figure and the
-//! Criterion benches in `benches/` measure the host-side performance of
-//! the same code paths.
+//! binaries in `src/bin/` print the corresponding table/figure in
+//! simulated cycles. Host time is measured by the separate `perfbench`
+//! package.
 //!
 //! | paper artifact | module | binary |
 //! |---|---|---|

@@ -318,14 +318,14 @@ pub fn write_shard_traces(bundles: &[TraceBundle]) {
 }
 
 /// Parses `--tenants-out <path>` — the canonical per-tenant export
-/// (`ne-tenants/v1`) that CI's `shard-smoke` job byte-diffs across shard
-/// counts.
+/// (`ne-tenants/v1`) that CI's `determinism-smoke` job byte-diffs across
+/// shard counts.
 pub fn tenants_out_path() -> Option<PathBuf> {
     flag_path("--tenants-out")
 }
 
 /// Parses `--timeline-out <path>` — destination for the `ne-obs/v1`
-/// windowed timeline export (CI's `timeline-smoke` job byte-diffs two
+/// windowed timeline export (CI's `determinism-smoke` job byte-diffs two
 /// same-seed chaos runs of it).
 pub fn timeline_out_path() -> Option<PathBuf> {
     flag_path("--timeline-out")

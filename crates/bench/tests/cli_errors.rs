@@ -1,8 +1,8 @@
 //! Bad CLI input ends an experiment binary with a one-line error on
 //! stderr and exit status 2: never a panic, and never a silently skipped
 //! export. `table3` drives the shared `ne_bench::report` flag and export
-//! helpers because it runs in milliseconds; `ne-load` adds its own
-//! scenario flags and exports on top of them.
+//! helpers because it runs in milliseconds; `ne-load` and `ne-serve` add
+//! their own scenario flags and exports on top of them.
 
 use std::process::Command;
 
@@ -31,6 +31,7 @@ fn assert_cli_error(bin: &str, args: &[&str], message: &str) {
 
 const TABLE3: &str = env!("CARGO_BIN_EXE_table3");
 const NE_LOAD: &str = env!("CARGO_BIN_EXE_ne-load");
+const NE_SERVE: &str = env!("CARGO_BIN_EXE_ne-serve");
 
 /// The smallest `ne-load` scenario: one tenant, one service, two
 /// requests (the fewest `--migrate` accepts), one closed-loop run.
@@ -129,4 +130,53 @@ fn ne_load_unwritable_timeline_out_exits_2() {
     let message = "cannot write timeline export to";
     assert_ne_load_error(&["--timeline-out", &dir], message);
     assert_ne_load_error(&["--migrate", "0@planned", "--timeline-out", &dir], message);
+}
+
+#[test]
+fn ne_serve_non_integer_tenants_exits_2() {
+    assert_cli_error(
+        NE_SERVE,
+        &["--oracle", "--tenants", "x"],
+        "--tenants expects an unsigned integer, got 'x'",
+    );
+}
+
+#[test]
+fn ne_serve_unknown_mode_exits_2() {
+    assert_cli_error(
+        NE_SERVE,
+        &["--oracle", "--mode", "sideways"],
+        "--mode expects closed|open, got 'sideways'",
+    );
+}
+
+#[test]
+fn ne_serve_oracle_unwritable_tenants_out_exits_2() {
+    let dir = unwritable();
+    assert_cli_error(
+        NE_SERVE,
+        &[
+            "--oracle",
+            "--tenants",
+            "1",
+            "--services",
+            "1",
+            "--requests",
+            "1",
+            "--tenants-out",
+            &dir,
+        ],
+        "cannot write tenants export to",
+    );
+}
+
+#[test]
+fn ne_serve_unwritable_addr_out_exits_2() {
+    // Fails right after binding, before the accept phase waits for any
+    // client.
+    assert_cli_error(
+        NE_SERVE,
+        &["--listen", "127.0.0.1:0", "--addr-out", &unwritable()],
+        "cannot write bound address to",
+    );
 }

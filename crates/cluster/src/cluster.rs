@@ -7,14 +7,15 @@
 //! presented in global-tenant order — sorted by tenant id everywhere,
 //! never in shard or hash order.
 
-use crate::drive;
+use crate::drive::{self, FactorySource, RequestSource};
+use crate::migrate::MigrationPolicy;
 use crate::ring::{shard_seed, ShardRing};
 use ne_host::scheduler::SchedulerStats;
 use ne_host::server::{HostConfig, HostServer, TenantReport};
 use ne_host::tenant::Completion;
-use ne_host::{HostResult, TenantSpec};
+use ne_host::{HostResult, RequestFactory, TenantSpec};
 use ne_obs::{Sampler, SamplerConfig, Timeline};
-use ne_sgx::fault::{ChaosStats, FaultPlan};
+use ne_sgx::fault::{ChaosStats, FaultPlan, CHAOS_SALT};
 use ne_sgx::metrics::MachineMetrics;
 use ne_sgx::profile::{Histogram, ProfileEvent};
 use ne_sgx::spantree::TraceBundle;
@@ -51,14 +52,68 @@ impl ClusterConfig {
 pub struct Shard {
     /// Shard index; fixes merge order and id namespacing.
     pub id: usize,
-    /// The shard-local seed stream, [`shard_seed`]`(base, id)` — for
-    /// shard-local machinery (chaos plans) only.
-    pub seed: u64,
+    /// The shard's chaos-plan seed, [`shard_seed`]`(base ^
+    /// CHAOS_SALT, id)`: shard 0 of a one-shard cluster seeds chaos
+    /// exactly as an unsharded harness does, and higher shards get
+    /// independent streams.
+    pub chaos_seed: u64,
     /// Global ids of the tenants on this shard, in global order; entry
     /// `l` is the global id of the shard's local tenant `l`.
     pub globals: Vec<usize>,
     /// The shard's server.
     pub server: HostServer,
+}
+
+impl Shard {
+    /// The per-shard prologue every driver runs: [`drive::warmup`] from
+    /// `source`, chaos install, then a sampler if `obs` asks for one, so
+    /// the sampler sees exactly the measured run.
+    ///
+    /// # Errors
+    ///
+    /// A warmup failure (see [`drive::warmup`]).
+    pub fn prologue(
+        &mut self,
+        source: &mut dyn RequestSource,
+        setup: &[Vec<usize>],
+        chaos: Option<FaultPlan>,
+        obs: Option<SamplerConfig>,
+    ) -> HostResult<Option<Sampler>> {
+        drive::warmup(self, source, setup)?;
+        if let Some(plan) = chaos {
+            self.server.install_chaos(plan);
+        }
+        Ok(obs.map(|cfg| Sampler::new(&self.server, self.globals.clone(), cfg)))
+    }
+}
+
+/// An in-process driver's per-shard state between loops: the shard's
+/// request-factory rows (one per local tenant slot) and its sampler.
+pub(crate) type ShardState = (Vec<Vec<RequestFactory>>, Option<Sampler>);
+
+/// The in-process prologue: the shard's factory rows, keyed by global
+/// tenant id, warmed up from their own setup streams.
+pub(crate) fn factory_prologue(
+    shard: &mut Shard,
+    seed: u64,
+    chaos: Option<FaultPlan>,
+    obs: Option<SamplerConfig>,
+) -> HostResult<ShardState> {
+    let mut factories = drive::factories(shard, seed);
+    let setup = drive::setup_counts(&factories);
+    let source = &mut FactorySource::setup(&mut factories);
+    let sampler = shard.prologue(source, &setup, chaos, obs)?;
+    Ok((factories, sampler))
+}
+
+/// Per-shard results in shard order; the first failure comes back
+/// tagged with its shard id.
+pub(crate) fn shard_results<T>(results: Vec<HostResult<T>>) -> Result<Vec<T>, String> {
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(id, r)| r.map_err(|e| format!("shard {id}: {e}")))
+        .collect()
 }
 
 /// Per-tenant row of a [`ClusterReport`], tagged with the tenant's
@@ -162,7 +217,7 @@ impl Cluster {
             let server = HostServer::build(host)?;
             shards.push(Shard {
                 id,
-                seed: shard_seed(cfg.host.seed, id),
+                chaos_seed: shard_seed(cfg.host.seed ^ CHAOS_SALT, id),
                 globals,
                 server,
             });
@@ -174,11 +229,6 @@ impl Cluster {
             seed: cfg.host.seed,
             seal_floors,
         })
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of tenants across the cluster.
@@ -197,8 +247,8 @@ impl Cluster {
     }
 
     /// Mutable access to the shards, for external drivers (the
-    /// `ne-serve` wire front door drives shard 0 of a one-shard cluster
-    /// with [`drive::closed_loop_external`] between socket polls).
+    /// `ne-serve` wire front door runs [`Shard::prologue`] and a drive
+    /// loop on shard 0 of a one-shard cluster, between socket polls).
     pub fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
     }
@@ -215,29 +265,18 @@ impl Cluster {
         self.seal_floors[global]
     }
 
-    /// Runs `f` once per shard — **one OS thread per shard** — and
-    /// returns the results in shard order. The single-shard case runs
-    /// inline on the calling thread, so a one-shard cluster is
-    /// bit-compatible with (and as debuggable as) the unsharded path.
-    pub fn run_parallel<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Shard) -> R + Sync,
-    {
-        self.run_parallel_with(self.shards.iter().map(|_| ()).collect(), |shard, ()| {
-            f(shard)
-        })
-    }
-
-    /// [`Cluster::run_parallel`] with one owned payload per shard (e.g.
-    /// a per-shard arrival schedule or chaos plan). `payloads[i]` goes
-    /// to shard `i`.
+    /// Runs `f` once per shard with that shard's payload (e.g. its
+    /// arrival schedule or chaos plan; `payloads[i]` goes to shard `i`)
+    /// — **one OS thread per shard** — and returns the results in shard
+    /// order. The single-shard case runs inline on the calling thread,
+    /// so a one-shard cluster is bit-compatible with (and as debuggable
+    /// as) the unsharded path.
     ///
     /// # Panics
     ///
     /// Panics if `payloads` is not one per shard, or if a shard thread
     /// panics (the panic is propagated).
-    pub fn run_parallel_with<P, R, F>(&mut self, payloads: Vec<P>, f: F) -> Vec<R>
+    pub fn run_parallel<P, R, F>(&mut self, payloads: Vec<P>, f: F) -> Vec<R>
     where
         P: Send,
         R: Send,
@@ -265,52 +304,60 @@ impl Cluster {
         })
     }
 
-    /// Drives the closed-loop scenario on every shard in parallel (see
-    /// [`drive::closed_loop`]): warmup, optional per-shard chaos, then
-    /// one client per (tenant, service) keeping a request in flight
-    /// until `requests` are served. Returns total accepted.
-    ///
-    /// `chaos` is `(spec, base seed)`; each shard derives its own plan
-    /// seed with [`shard_seed`], so shard 0 of a one-shard cluster is
-    /// byte-identical to the unsharded chaos path.
+    /// Drives the closed-loop scenario ([`drive::closed_loop`]) on every
+    /// shard in parallel until each pair has served `requests`: the
+    /// one-segment case of [`Cluster::run_segmented_closed_loop`], so no
+    /// barrier runs. `chaos` is a fault-plan spec, seeded per shard from
+    /// [`Shard::chaos_seed`]; `obs` attaches a sampler per shard, which
+    /// only reads, so every other export is byte-identical without it.
+    /// Returns total accepted and the folded timeline (`Some` iff `obs`).
     ///
     /// # Errors
     ///
-    /// A malformed chaos spec.
+    /// A malformed chaos spec, or a shard's drive error tagged with its
+    /// shard id.
     pub fn run_closed_loop(
         &mut self,
         requests: usize,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<u64, String> {
-        let plans = self.chaos_plans(chaos)?;
-        let seed = self.seed;
-        let accepted = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            drive::closed_loop(shard, &mut factories, requests)
-        });
-        Ok(accepted.iter().sum())
+        chaos: Option<&str>,
+        obs: Option<SamplerConfig>,
+    ) -> Result<(u64, Option<Timeline>), String> {
+        let (accepted, timeline, _) =
+            self.run_segmented_closed_loop(&[requests], chaos, &MigrationPolicy::default(), obs)?;
+        Ok((accepted, timeline))
     }
 
-    /// Drives the open-loop scenario: one **global** Poisson arrival
-    /// schedule (seeded by the base seed, so offered arrival times are
-    /// shard-count-invariant) routed to each tenant's shard, then every
-    /// shard plays its sub-schedule in parallel. Returns total accepted.
+    /// Drives the open-loop scenario ([`drive::open_loop`]): every shard
+    /// plays its share of [`Cluster::open_schedules`] in parallel.
+    /// Arguments and result as in [`Cluster::run_closed_loop`].
     ///
     /// # Errors
     ///
-    /// A malformed chaos spec.
+    /// See [`Cluster::run_closed_loop`].
     pub fn run_open_loop(
         &mut self,
         requests: usize,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<u64, String> {
+        chaos: Option<&str>,
+        obs: Option<SamplerConfig>,
+    ) -> Result<(u64, Option<Timeline>), String> {
         let plans = self.chaos_plans(chaos)?;
-        // Global (tenant, service) pairs in global order — exactly the
-        // unsharded harness's pair list.
+        let payloads = self.open_schedules(requests).into_iter().zip(plans);
+        let seed = self.seed;
+        let results = self.run_parallel(payloads.collect(), |shard, (schedule, plan)| {
+            let (mut factories, mut sampler) = factory_prologue(shard, seed, plan, obs)?;
+            let mut source = FactorySource::new(&mut factories, requests);
+            let accepted = drive::open_loop(shard, &mut source, &schedule, sampler.as_mut())?;
+            Ok((accepted, sampler))
+        });
+        let (accepted, samplers): (Vec<u64>, Vec<_>) = shard_results(results)?.into_iter().unzip();
+        Ok((accepted.iter().sum(), self.finish_samplers(samplers)?))
+    }
+
+    /// The open-loop arrival schedules, one per shard: one **global**
+    /// [`drive::poisson_schedule`] over every pair in global order (so
+    /// offered arrival times are shard-count-invariant), routed to each
+    /// tenant's shard in schedule order with its local slot as the id.
+    pub fn open_schedules(&self, requests: usize) -> Vec<Vec<(usize, usize, u64)>> {
         let pairs: Vec<(usize, usize)> = (0..self.num_tenants())
             .flat_map(|g| {
                 let (s, l) = self.assignment[g];
@@ -318,134 +365,81 @@ impl Cluster {
                 (0..services).map(move |svc| (g, svc))
             })
             .collect();
-        let schedule = drive::poisson_schedule(&pairs, requests, self.seed);
-        // Route each arrival to its tenant's shard, in schedule order,
-        // rewriting the global tenant id to the shard-local index.
         let mut routed: Vec<Vec<(usize, usize, u64)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for &(g, svc, at) in &schedule {
+        for (g, svc, at) in drive::poisson_schedule(&pairs, requests, self.seed) {
             let (s, l) = self.assignment[g];
             routed[s].push((l, svc, at));
         }
-        let seed = self.seed;
-        let payloads: Vec<_> = routed.into_iter().zip(plans).collect();
-        let accepted = self.run_parallel_with(payloads, |shard, (schedule, plan)| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            drive::open_loop(shard, &mut factories, &schedule)
-        });
-        Ok(accepted.iter().sum())
+        routed
     }
 
-    /// [`Cluster::run_closed_loop`] with the observability plane
-    /// attached: each shard carries an [`ne_obs::Sampler`] (created
-    /// after warmup and chaos install, so it sees exactly the measured
-    /// run), the per-shard timelines are namespaced with
-    /// [`Timeline::rebase_shard`] and folded into one cluster timeline.
-    /// The sampler only reads, so accepted counts, metrics, and every
-    /// existing export are byte-identical to the unobserved run.
+    /// One chaos plan per shard, seeded with its [`Shard::chaos_seed`]
+    /// (all `None` without a spec).
     ///
     /// # Errors
     ///
-    /// A malformed chaos spec, or an impossible fold (cannot happen for
-    /// timelines produced here — all shards share one config).
-    pub fn run_closed_loop_observed(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline), String> {
-        let plans = self.chaos_plans(chaos)?;
-        let seed = self.seed;
-        let results = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let mut sampler = Sampler::new(&shard.server, shard.globals.clone(), obs);
-            let accepted =
-                drive::closed_loop_with(shard, &mut factories, requests, &mut |s| sampler.poll(s));
-            let mut timeline = sampler.finish(&shard.server);
-            timeline.rebase_shard(shard.id);
-            (accepted, timeline)
-        });
-        let accepted = results.iter().map(|(a, _)| a).sum();
-        let timelines: Vec<Timeline> = results.into_iter().map(|(_, t)| t).collect();
-        Ok((accepted, Timeline::fold(&timelines)?))
-    }
-
-    /// [`Cluster::run_open_loop`] with the observability plane attached
-    /// (see [`Cluster::run_closed_loop_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec.
-    pub fn run_open_loop_observed(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline), String> {
-        let plans = self.chaos_plans(chaos)?;
-        let pairs: Vec<(usize, usize)> = (0..self.num_tenants())
-            .flat_map(|g| {
-                let (s, l) = self.assignment[g];
-                let services = self.shards[s].server.tenants()[l].spec.services.len();
-                (0..services).map(move |svc| (g, svc))
-            })
-            .collect();
-        let schedule = drive::poisson_schedule(&pairs, requests, self.seed);
-        let mut routed: Vec<Vec<(usize, usize, u64)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for &(g, svc, at) in &schedule {
-            let (s, l) = self.assignment[g];
-            routed[s].push((l, svc, at));
-        }
-        let seed = self.seed;
-        let payloads: Vec<_> = routed.into_iter().zip(plans).collect();
-        let results = self.run_parallel_with(payloads, |shard, (schedule, plan)| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let mut sampler = Sampler::new(&shard.server, shard.globals.clone(), obs);
-            let accepted =
-                drive::open_loop_with(shard, &mut factories, &schedule, &mut |s| sampler.poll(s));
-            let mut timeline = sampler.finish(&shard.server);
-            timeline.rebase_shard(shard.id);
-            (accepted, timeline)
-        });
-        let accepted = results.iter().map(|(a, _)| a).sum();
-        let timelines: Vec<Timeline> = results.into_iter().map(|(_, t)| t).collect();
-        Ok((accepted, Timeline::fold(&timelines)?))
-    }
-
-    /// One parsed chaos plan per shard (or `None`s without a spec).
-    pub(crate) fn chaos_plans(
-        &self,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<Vec<Option<FaultPlan>>, String> {
+    /// A malformed spec.
+    pub fn chaos_plans(&self, chaos: Option<&str>) -> Result<Vec<Option<FaultPlan>>, String> {
         self.shards
             .iter()
             .map(|shard| {
                 chaos
-                    .map(|(spec, base)| FaultPlan::parse(spec, shard_seed(base, shard.id)))
+                    .map(|spec| FaultPlan::parse(spec, shard.chaos_seed))
                     .transpose()
             })
             .collect()
     }
 
-    /// Per-shard metrics snapshots, in shard order.
-    pub fn shard_metrics(&self) -> Vec<MachineMetrics> {
-        self.shards
-            .iter()
-            .map(|s| s.server.app.machine.metrics())
-            .collect()
+    /// The per-run epilogue: each shard's sampler finishes into a
+    /// timeline rebased to its shard ([`Timeline::rebase_shard`]), and
+    /// the timelines fold in shard order. `None` for an unobserved run.
+    ///
+    /// # Errors
+    ///
+    /// An impossible fold (all shards share one sampler config).
+    pub fn finish_samplers(
+        &mut self,
+        samplers: Vec<Option<Sampler>>,
+    ) -> Result<Option<Timeline>, String> {
+        let timelines: Option<Vec<Timeline>> = self
+            .run_parallel(samplers, |shard, sampler| {
+                sampler.map(|sampler| {
+                    let mut timeline = sampler.finish(&shard.server);
+                    timeline.rebase_shard(shard.id);
+                    timeline
+                })
+            })
+            .into_iter()
+            .collect();
+        timelines.map(|t| Timeline::fold(&t)).transpose()
+    }
+
+    /// The end-of-run invariants every harness checks: zero scheduler
+    /// invariant violations, reply-or-shed for the run's `accepted`
+    /// requests, and the §5 identities on the merged metrics, which it
+    /// returns with the report.
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant.
+    pub fn verify_run(&self, accepted: u64) -> Result<(ClusterReport, MachineMetrics), String> {
+        let report = self.report();
+        if report.sched.invariant_violations > 0 {
+            return Err(format!(
+                "scheduler invariant violated {} times",
+                report.sched.invariant_violations
+            ));
+        }
+        let (completed, shed) = (report.completed(), report.shed_requests());
+        if completed + shed != accepted {
+            return Err(format!(
+                "accepted request lost: {completed} completed + {shed} shed != {accepted} accepted"
+            ));
+        }
+        let metrics = self.merged_metrics()?;
+        metrics.check()?;
+        Ok((report, metrics))
     }
 
     /// The merged cluster-wide metrics report: per-shard snapshots
@@ -459,7 +453,12 @@ impl Cluster {
     /// Shards with mismatched machine configurations (never happens for
     /// a [`Cluster::build`]-built cluster).
     pub fn merged_metrics(&self) -> Result<MachineMetrics, String> {
-        MachineMetrics::merge_shards(&self.shard_metrics())
+        let per_shard: Vec<MachineMetrics> = self
+            .shards
+            .iter()
+            .map(|s| s.server.app.machine.metrics())
+            .collect();
+        MachineMetrics::merge_shards(&per_shard)
     }
 
     /// Chaos decision counters summed across shards; `None` when no
@@ -556,8 +555,8 @@ impl Cluster {
     /// (service, seq) order. Shard placement is deliberately excluded:
     /// under the clean closed-loop scenario these bytes are identical at
     /// every shard count, which is exactly what the
-    /// shard-count-invariance oracle (and CI's `shard-smoke` byte-diff)
-    /// checks.
+    /// shard-count-invariance oracle (and CI's `determinism-smoke`
+    /// byte-diff) checks.
     pub fn tenants_export(&self) -> String {
         let mut out = String::from("schema: ne-tenants/v1\n");
         for (g, &(s, l)) in self.assignment.iter().enumerate() {

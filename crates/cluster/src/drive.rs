@@ -1,21 +1,26 @@
-//! Shard drivers: the load-generator loops, factored out of the
-//! unsharded `ne-load` harness **byte for byte** so a one-shard cluster
-//! reproduces its exact request streams, arrival times, and replies.
+//! Shard drivers: the host side of the serving cycle. Each loop
+//! submits requests, steps the shard's server (EENTER the gate enclave,
+//! NEENTER the service enclave) and takes the replies. There is one loop
+//! per arrival process, [`closed_loop`] and [`open_loop`], plus
+//! [`warmup`], and all three pull their payloads from a
+//! [`RequestSource`]: the in-process [`FactorySource`] or the `ne-serve`
+//! wire source.
 //!
-//! Two things differ from the unsharded code, both required for
-//! shard-count invariance and neither observable at one shard:
+//! Two rules keep the loops shard-count invariant:
 //!
 //! * request factories are keyed by the tenant's **global** id
 //!   ([`crate::Shard::globals`]), not its local slot, so a tenant's
 //!   payload stream survives re-placement;
 //! * the open-loop Poisson schedule is generated **globally**
-//!   ([`poisson_schedule`], same RNG and salt as `ne-load`) and routed to
-//!   shards afterwards, so offered arrival times do not depend on the
-//!   shard count.
+//!   ([`poisson_schedule`]) and routed to shards afterwards
+//!   ([`crate::Cluster::open_schedules`]), so offered arrival times do
+//!   not depend on the shard count.
 
 use crate::cluster::Shard;
-use ne_host::server::HostServer;
-use ne_host::{RequestFactory, ServiceKind, TenantSpec};
+use ne_host::{
+    Completion, HostError, HostResult, HostServer, RequestFactory, ServiceKind, TenantSpec,
+};
+use ne_obs::Sampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,74 +91,6 @@ pub fn factories(shard: &Shard, seed: u64) -> Vec<Vec<RequestFactory>> {
         .collect()
 }
 
-/// Serves every provisioning request (db schema + pre-loads; at least one
-/// request per service to warm the paths), drains, and resets the
-/// measurement window so the measured runs see only steady-state work.
-pub fn warmup(shard: &mut Shard, factories: &mut [Vec<RequestFactory>]) {
-    let server = &mut shard.server;
-    for (t, tenant_factories) in factories.iter_mut().enumerate() {
-        if server.tenants()[t].shed {
-            continue;
-        }
-        for (s, factory) in tenant_factories.iter_mut().enumerate() {
-            for _ in 0..factory.setup_requests().max(1) {
-                let payload = factory.next_request();
-                assert!(
-                    server.submit(t, s, server.now(), payload).is_accepted(),
-                    "warmup request rejected (queue bound too small for setup?)"
-                );
-                // Serve as we go so setup never trips the queue bound.
-                server.step().expect("warmup step");
-            }
-        }
-    }
-    server.drain().expect("warmup drain");
-    server.reset_measurement();
-}
-
-/// Offered-load run over a pre-routed arrival schedule (`(local tenant,
-/// service, at)`): arrivals are submitted on time regardless of
-/// completions; full queues reject (backpressure). Returns accepted.
-pub fn open_loop(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    schedule: &[(usize, usize, u64)],
-) -> u64 {
-    open_loop_with(shard, factories, schedule, &mut |_| {})
-}
-
-/// [`open_loop`] with an observer called after every server step (the
-/// observability sampler polls the serving clock here). The observer
-/// only reads, so driving with a no-op observer is byte-identical to
-/// [`open_loop`].
-pub fn open_loop_with(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    schedule: &[(usize, usize, u64)],
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
-    let server = &mut shard.server;
-    let mut accepted = 0u64;
-    let mut i = 0;
-    while i < schedule.len() || server.pending() > 0 {
-        // Submit everything that has arrived by the serving clock; when
-        // the server is idle, jump to the next arrival.
-        while i < schedule.len() && (schedule[i].2 <= server.now() || server.pending() == 0) {
-            let (t, s, at) = schedule[i];
-            i += 1;
-            let payload = factories[t][s].next_request();
-            if server.submit(t, s, at, payload).is_accepted() {
-                accepted += 1;
-            }
-        }
-        if server.pending() > 0 {
-            server.step().expect("open-loop step");
-            observe(server);
-        }
-    }
-    accepted
-}
-
 /// What a [`RequestSource`] produced for one `pull`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pulled {
@@ -164,18 +101,17 @@ pub enum Pulled {
     /// The pair stopped producing before its stream ended (a wire
     /// client hit its read deadline, broke the connection, or violated
     /// the protocol). The driver sheds the whole tenant via
-    /// [`HostServer::shed_tenant`].
+    /// [`ne_host::server::HostServer::shed_tenant`].
     Stalled,
 }
 
-/// Where an external drive loop gets its request payloads and posts its
-/// results — the seam between the simulation-stepping loops below and a
-/// transport (the `ne-serve` TCP front door) or an in-process stand-in
-/// ([`FactorySource`]).
+/// Where a drive loop gets its request payloads and posts its results:
+/// the seam between the simulation-stepping loops below and a transport
+/// (the `ne-serve` TCP front door) or the in-process [`FactorySource`].
 ///
-/// The contract that keeps external drives byte-identical to the plain
-/// loops: `pull` may block on wall-clock I/O but must not touch the
-/// simulation, and for a well-behaved source it returns exactly the
+/// The contract that keeps every source byte-identical to the
+/// in-process one: `pull` may block on wall-clock I/O but must not touch
+/// the simulation, and for a well-behaved source it returns exactly the
 /// payload stream a [`RequestFactory`] keyed by the same `(seed, global
 /// tenant)` would produce. `deliver` and `rejected` are notifications
 /// only (the driver ignores their effects entirely).
@@ -183,15 +119,14 @@ pub trait RequestSource {
     /// Produces the next request payload for `(tenant, service)`.
     fn pull(&mut self, tenant: usize, service: usize) -> Pulled;
     /// Reports a completion for `(tenant, service)` (reply delivery).
-    fn deliver(&mut self, tenant: usize, service: usize, completion: &ne_host::Completion);
+    fn deliver(&mut self, tenant: usize, service: usize, completion: &Completion);
     /// Reports that the pair's last pulled request was rejected by
     /// admission (backpressure or shed).
     fn rejected(&mut self, tenant: usize, service: usize);
 }
 
 /// Warmup request counts per (tenant, service): each pair serves its
-/// provisioning requests plus at least one path-warming request —
-/// exactly [`warmup`]'s per-factory loop bound.
+/// provisioning requests plus at least one path-warming request.
 pub fn setup_counts(factories: &[Vec<RequestFactory>]) -> Vec<Vec<usize>> {
     factories
         .iter()
@@ -199,62 +134,69 @@ pub fn setup_counts(factories: &[Vec<RequestFactory>]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// A [`RequestSource`] backed by the shard's own [`RequestFactory`]s —
-/// the reference implementation of the source contract. Driving
-/// [`closed_loop_external`] / [`open_loop_external`] with a
-/// `FactorySource` is byte-identical to [`closed_loop`] / [`open_loop`]
-/// (asserted by test); the `ne-serve` wire source must match it.
+/// The in-process [`RequestSource`]: serves a fixed number of payloads
+/// per pair from the shard's own [`RequestFactory`] rows, then reports
+/// [`Pulled::Done`]; it never stalls.
 pub struct FactorySource<'a> {
     factories: &'a mut [Vec<RequestFactory>],
-    /// Warmup requests still to serve per pair, consumed first — the
-    /// stream position a wire client's fire-and-forget warmup frames
-    /// occupy.
-    warmup: Vec<Vec<usize>>,
-    /// Measured requests still to serve per pair.
+    /// Requests still to serve per pair.
     remaining: Vec<Vec<usize>>,
 }
 
 impl<'a> FactorySource<'a> {
-    /// A source serving each pair's setup requests and then `requests`
-    /// measured ones from `factories`.
+    /// A source serving `requests` more requests per pair.
     pub fn new(factories: &'a mut [Vec<RequestFactory>], requests: usize) -> FactorySource<'a> {
-        let warmup = setup_counts(factories);
         let remaining = factories
             .iter()
             .map(|fs| vec![requests; fs.len()])
             .collect();
         FactorySource {
             factories,
-            warmup,
             remaining,
+        }
+    }
+
+    /// A source serving exactly each pair's [`setup_counts`]: the
+    /// requests [`warmup`] pulls.
+    pub fn setup(factories: &'a mut [Vec<RequestFactory>]) -> FactorySource<'a> {
+        FactorySource {
+            remaining: setup_counts(factories),
+            factories,
         }
     }
 }
 
 impl RequestSource for FactorySource<'_> {
     fn pull(&mut self, tenant: usize, service: usize) -> Pulled {
-        if self.warmup[tenant][service] > 0 {
-            self.warmup[tenant][service] -= 1;
-        } else if self.remaining[tenant][service] > 0 {
-            self.remaining[tenant][service] -= 1;
-        } else {
+        let left = &mut self.remaining[tenant][service];
+        if *left == 0 {
             return Pulled::Done;
         }
+        *left -= 1;
         Pulled::Request(self.factories[tenant][service].next_request())
     }
 
-    fn deliver(&mut self, _tenant: usize, _service: usize, _completion: &ne_host::Completion) {}
+    fn deliver(&mut self, _tenant: usize, _service: usize, _completion: &Completion) {}
 
     fn rejected(&mut self, _tenant: usize, _service: usize) {}
 }
 
-/// [`warmup`] driven from a [`RequestSource`]: serves `setup[t][s]`
-/// requests per live pair (see [`setup_counts`]), drains, and resets the
-/// measurement window. A pair that stalls or ends early gets its whole
-/// tenant shed ([`HostServer::shed_tenant`]) and the tenant's remaining
-/// warmup is skipped — the measured loops then treat it exactly like a
-/// tenant shed at admission.
-pub fn warmup_external(shard: &mut Shard, source: &mut dyn RequestSource, setup: &[Vec<usize>]) {
+/// Serves `setup[t][s]` requests per live pair from `source` (see
+/// [`setup_counts`]), each as it is submitted so setup never trips the
+/// queue bound, then drains and resets the measurement window. A pair
+/// that stalls or ends early sheds its whole tenant
+/// ([`ne_host::server::HostServer::shed_tenant`]), which the measured
+/// loops then treat like a tenant shed at admission.
+///
+/// # Errors
+///
+/// A warmup request that admission rejects (a queue bound too small for
+/// setup), or a failed step or drain.
+pub fn warmup(
+    shard: &mut Shard,
+    source: &mut dyn RequestSource,
+    setup: &[Vec<usize>],
+) -> HostResult<()> {
     let server = &mut shard.server;
     'tenants: for (t, counts) in setup.iter().enumerate() {
         if server.tenants()[t].shed {
@@ -264,11 +206,14 @@ pub fn warmup_external(shard: &mut Shard, source: &mut dyn RequestSource, setup:
             for _ in 0..n {
                 match source.pull(t, s) {
                     Pulled::Request(payload) => {
-                        assert!(
-                            server.submit(t, s, server.now(), payload).is_accepted(),
-                            "warmup request rejected (queue bound too small for setup?)"
-                        );
-                        server.step().expect("warmup step");
+                        let admission = server.submit(t, s, server.now(), payload);
+                        if !admission.is_accepted() {
+                            return Err(HostError::BadRequest(format!(
+                                "warmup request for tenant {t} service {s} rejected \
+                                 ({admission:?}); queue bound too small for setup?"
+                            )));
+                        }
+                        server.step()?;
                     }
                     Pulled::Done | Pulled::Stalled => {
                         server.shed_tenant(t);
@@ -278,22 +223,92 @@ pub fn warmup_external(shard: &mut Shard, source: &mut dyn RequestSource, setup:
             }
         }
     }
-    server.drain().expect("warmup drain");
+    server.drain()?;
     server.reset_measurement();
+    Ok(())
 }
 
-/// [`open_loop_with`] driven from a [`RequestSource`]: the same arrival
-/// schedule, submit and step sequence — arrival stamps come from the
-/// schedule, never from wall clock, so a blocking `pull` cannot perturb
-/// the simulation. Byte-identical to [`open_loop`] for a well-behaved
-/// source; a stalled pair sheds its tenant and its later arrivals are
-/// dropped (the only divergence, and only under client failure).
-pub fn open_loop_external(
+/// Pulls `(t, s)`'s next request and submits it stamped `at`, telling
+/// `source` about a rejection. A finished stream closes the pair in
+/// `live`; a stalled one sheds the tenant and closes all its pairs.
+/// Returns whether admission accepted, or `None` if nothing was pulled.
+fn offer(
+    server: &mut HostServer,
+    source: &mut dyn RequestSource,
+    live: &mut [Vec<bool>],
+    (t, s, at): (usize, usize, u64),
+) -> Option<bool> {
+    match source.pull(t, s) {
+        Pulled::Request(payload) => {
+            let accepted = server.submit(t, s, at, payload).is_accepted();
+            if !accepted {
+                source.rejected(t, s);
+            }
+            Some(accepted)
+        }
+        Pulled::Done => {
+            live[t][s] = false;
+            None
+        }
+        Pulled::Stalled => {
+            server.shed_tenant(t);
+            live[t].iter_mut().for_each(|l| *l = false);
+            None
+        }
+    }
+}
+
+/// One server step: `sampler` polls the serving clock (it only reads),
+/// and a completion is delivered to `source` and returned. A `None` step
+/// under chaos means a request was shed, not that the queues are dry.
+fn step(
+    server: &mut HostServer,
+    source: &mut dyn RequestSource,
+    sampler: Option<&mut Sampler>,
+) -> HostResult<Option<Completion>> {
+    let stepped = server.step()?;
+    if let Some(sampler) = sampler {
+        sampler.poll(server);
+    }
+    if let Some(c) = &stepped {
+        source.deliver(c.tenant, c.service, c);
+    }
+    Ok(stepped)
+}
+
+/// [`offer`] for a live closed-loop pair, where a rejected submission
+/// also closes the pair. Returns 1 if admission accepted a request.
+fn resubmit(
+    server: &mut HostServer,
+    source: &mut dyn RequestSource,
+    live: &mut [Vec<bool>],
+    (t, s, at): (usize, usize, u64),
+) -> u64 {
+    if !live[t][s] {
+        return 0;
+    }
+    let accepted = offer(server, source, live, (t, s, at));
+    if accepted == Some(false) {
+        live[t][s] = false;
+    }
+    u64::from(accepted == Some(true))
+}
+
+/// Offered-load run over a pre-routed arrival schedule (`(local tenant,
+/// service, at)`): arrivals are submitted at their scheduled stamp
+/// regardless of completions, and full queues reject (backpressure). A
+/// stalled pair sheds its tenant and drops its later arrivals. `sampler`
+/// polls after every step. Returns accepted.
+///
+/// # Errors
+///
+/// A failed server step.
+pub fn open_loop(
     shard: &mut Shard,
     source: &mut dyn RequestSource,
     schedule: &[(usize, usize, u64)],
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
+    mut sampler: Option<&mut Sampler>,
+) -> HostResult<u64> {
     let server = &mut shard.server;
     let mut live: Vec<Vec<bool>> = server
         .tenants()
@@ -303,186 +318,55 @@ pub fn open_loop_external(
     let mut accepted = 0u64;
     let mut i = 0;
     while i < schedule.len() || server.pending() > 0 {
+        // Submit everything that has arrived by the serving clock; when
+        // the server is idle, jump to the next arrival.
         while i < schedule.len() && (schedule[i].2 <= server.now() || server.pending() == 0) {
-            let (t, s, at) = schedule[i];
+            let (t, s, _) = schedule[i];
+            if live[t][s] && offer(server, source, &mut live, schedule[i]) == Some(true) {
+                accepted += 1;
+            }
             i += 1;
-            if !live[t][s] {
-                continue;
-            }
-            match source.pull(t, s) {
-                Pulled::Request(payload) => {
-                    if server.submit(t, s, at, payload).is_accepted() {
-                        accepted += 1;
-                    } else {
-                        source.rejected(t, s);
-                    }
-                }
-                Pulled::Done => live[t][s] = false,
-                Pulled::Stalled => {
-                    server.shed_tenant(t);
-                    live[t].iter_mut().for_each(|l| *l = false);
-                }
-            }
         }
         if server.pending() > 0 {
-            let stepped = server.step().expect("open-loop step");
-            observe(server);
-            if let Some(c) = stepped {
-                source.deliver(c.tenant, c.service, &c);
-            }
+            step(server, source, sampler.as_deref_mut())?;
         }
     }
-    accepted
+    Ok(accepted)
 }
 
-/// [`closed_loop_with`] driven from a [`RequestSource`]: one in-flight
-/// request per live pair, resubmitted at the completion time of the
-/// previous one. Byte-identical to [`closed_loop`] for a well-behaved
-/// source — the pull on the *specific completed pair's* stream re-imposes
-/// the deterministic order no matter how the transport interleaves
-/// arrivals. A rejected resubmit closes the pair (the client sees a
-/// reject notification); a stalled pair sheds its tenant.
-pub fn closed_loop_external(
+/// Think-time-free closed loop: each live pair keeps one request in
+/// flight, submitting the next at the previous one's completion time
+/// until `source` reports the pair done. Pulling from the *completed
+/// pair's* stream fixes the order however a transport interleaves
+/// arrivals. A rejected submission closes the pair; a stalled pair sheds
+/// its tenant. `sampler` polls as in [`open_loop`]. Returns accepted.
+///
+/// # Errors
+///
+/// A failed server step.
+pub fn closed_loop(
     shard: &mut Shard,
     source: &mut dyn RequestSource,
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
+    mut sampler: Option<&mut Sampler>,
+) -> HostResult<u64> {
     let server = &mut shard.server;
-    let mut open: Vec<Vec<bool>> = server
+    let mut live: Vec<Vec<bool>> = server
         .tenants()
         .iter()
         .map(|t| vec![!t.shed; t.spec.services.len()])
         .collect();
     let mut accepted = 0u64;
     // Prime one in-flight request per live pair, in (tenant, service)
-    // order — the same order the plain loop seeds its clients.
-    for (t, row) in open.iter_mut().enumerate() {
-        let mut stalled = false;
-        for (s, live) in row.iter_mut().enumerate() {
-            if !*live {
-                continue;
-            }
-            match source.pull(t, s) {
-                Pulled::Request(payload) => {
-                    if server.submit(t, s, 0, payload).is_accepted() {
-                        accepted += 1;
-                    } else {
-                        source.rejected(t, s);
-                        *live = false;
-                    }
-                }
-                Pulled::Done => *live = false,
-                Pulled::Stalled => {
-                    server.shed_tenant(t);
-                    stalled = true;
-                    break;
-                }
-            }
-        }
-        if stalled {
-            row.iter_mut().for_each(|o| *o = false);
+    // order.
+    for t in 0..live.len() {
+        for s in 0..live[t].len() {
+            accepted += resubmit(server, source, &mut live, (t, s, 0));
         }
     }
     while server.pending() > 0 {
-        let stepped = server.step().expect("closed-loop step");
-        observe(server);
-        let Some(c) = stepped else {
-            continue;
-        };
-        source.deliver(c.tenant, c.service, &c);
-        if !open[c.tenant][c.service] {
-            continue;
-        }
-        match source.pull(c.tenant, c.service) {
-            Pulled::Request(payload) => {
-                if server
-                    .submit(c.tenant, c.service, c.end, payload)
-                    .is_accepted()
-                {
-                    accepted += 1;
-                } else {
-                    source.rejected(c.tenant, c.service);
-                    open[c.tenant][c.service] = false;
-                }
-            }
-            Pulled::Done => open[c.tenant][c.service] = false,
-            Pulled::Stalled => {
-                server.shed_tenant(c.tenant);
-                open[c.tenant].iter_mut().for_each(|o| *o = false);
-            }
+        if let Some(c) = step(server, source, sampler.as_deref_mut())? {
+            accepted += resubmit(server, source, &mut live, (c.tenant, c.service, c.end));
         }
     }
-    accepted
-}
-
-/// Think-time-free closed loop: one client per (tenant, service); each
-/// submits its next request at the completion time of its previous one,
-/// `requests` times. Returns accepted.
-pub fn closed_loop(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    requests: usize,
-) -> u64 {
-    closed_loop_with(shard, factories, requests, &mut |_| {})
-}
-
-/// [`closed_loop`] with an observer called after every server step (see
-/// [`open_loop_with`]).
-pub fn closed_loop_with(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    requests: usize,
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
-    let server = &mut shard.server;
-    let mut remaining: Vec<Vec<usize>> = factories
-        .iter()
-        .enumerate()
-        .map(|(t, fs)| {
-            let n = if server.tenants()[t].shed {
-                0
-            } else {
-                requests
-            };
-            vec![n; fs.len()]
-        })
-        .collect();
-    let mut accepted = 0u64;
-    for t in 0..factories.len() {
-        for s in 0..factories[t].len() {
-            if remaining[t][s] > 0 {
-                remaining[t][s] -= 1;
-                let payload = factories[t][s].next_request();
-                if server.submit(t, s, 0, payload).is_accepted() {
-                    accepted += 1;
-                } else {
-                    // Shed (e.g. a tripped breaker under chaos): this
-                    // client stops; reply-or-shed still holds.
-                    remaining[t][s] = 0;
-                }
-            }
-        }
-    }
-    // A `None` step under chaos means a request was shed, not that the
-    // queues are dry — keep stepping until pending work is gone.
-    while server.pending() > 0 {
-        let stepped = server.step().expect("closed-loop step");
-        observe(server);
-        let Some(c) = stepped else {
-            continue;
-        };
-        if remaining[c.tenant][c.service] > 0 {
-            remaining[c.tenant][c.service] -= 1;
-            let payload = factories[c.tenant][c.service].next_request();
-            if server
-                .submit(c.tenant, c.service, c.end, payload)
-                .is_accepted()
-            {
-                accepted += 1;
-            } else {
-                remaining[c.tenant][c.service] = 0;
-            }
-        }
-    }
-    accepted
+    Ok(accepted)
 }

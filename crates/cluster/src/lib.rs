@@ -28,18 +28,24 @@
 //! # Determinism and the shard-count-invariance oracle
 //!
 //! Everything tenant-visible is seeded by `(base seed, global tenant
-//! id)`; only shard-local machinery (chaos plans) draws from the
-//! per-shard stream [`shard_seed`]`(seed, shard_id)`. Arrival schedules
-//! for the open loop are generated **globally** and then routed
-//! ([`poisson_schedule`]), so a tenant sees the same offered arrival
-//! times at any shard count. The result: under the clean closed-loop
-//! scenario, per-tenant outputs ([`Cluster::tenants_export`]) are
-//! **byte-identical at every shard count** — that is the
+//! id)`; only shard-local machinery (chaos plans) draws from a
+//! per-shard stream, [`Shard::chaos_seed`]. Arrival schedules for the
+//! open loop are generated **globally** and then routed
+//! ([`Cluster::open_schedules`]), so a tenant sees the same offered
+//! arrival times at any shard count. The result: under the clean
+//! closed-loop scenario, per-tenant outputs ([`Cluster::tenants_export`])
+//! are **byte-identical at every shard count** — that is the
 //! shard-count-invariance oracle checked by this crate's tests and CI's
-//! `shard-smoke` job. A single-shard cluster is bit-compatible with the
-//! unsharded [`ne_host::HostServer`] path end to end (same exports, same
-//! bytes), which is the regression test that keeps the pre-shard
-//! committed outputs valid.
+//! `determinism-smoke` job. A single-shard cluster is bit-compatible
+//! with the unsharded [`ne_host::HostServer`] path end to end (same
+//! exports, same bytes), which is the regression test that keeps the
+//! pre-shard committed outputs valid.
+//!
+//! Every run, in-process ([`Cluster::run_closed_loop`],
+//! [`Cluster::run_open_loop`], [`Cluster::run_segmented_closed_loop`])
+//! or over the `ne-serve` wire, follows one per-shard sequence:
+//! [`Shard::prologue`], a [`drive`] loop pulling from a
+//! [`drive::RequestSource`], then [`Cluster::finish_samplers`].
 
 pub mod cluster;
 pub mod drive;
@@ -47,10 +53,6 @@ pub mod migrate;
 pub mod ring;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, GlobalTenantReport, Shard};
-pub use drive::{
-    poisson_schedule, setup_counts, standard_specs, FactorySource, Pulled, RequestSource,
-    MEAN_GAP_CYCLES, OPEN_LOOP_SALT,
-};
 pub use migrate::{
     MigrationOutcome, MigrationPolicy, MigrationRecord, MigrationTrigger, PlannedMove,
 };

@@ -19,17 +19,18 @@
 //!    dropped (parked requests travel inside the snapshot).
 //!
 //! Migrations only happen at **segment barriers** — points where every
-//! shard has drained — driven by [`Cluster::run_segmented_closed_loop`]
-//! / [`Cluster::run_segmented_closed_loop_observed`]. Three triggers
+//! shard has drained — driven by [`Cluster::run_segmented_closed_loop`],
+//! which arms a fresh [`FactorySource`] per shard and segment over the
+//! factory rows the barrier moves along with their tenants. Three triggers
 //! compose at a barrier, in deterministic order: planned moves from the
 //! [`MigrationPolicy`], EPC-pressure evacuation, then chaos-injected
 //! requests (`migrate[:period]` in the fault grammar) drained from each
 //! machine via [`ne_sgx::machine::Machine::take_migration_requests`].
 
-use crate::cluster::Cluster;
-use crate::drive;
-use ne_host::{HostError, HostResult, RequestFactory};
-use ne_obs::{Sampler, SamplerConfig, TenantCarry, Timeline};
+use crate::cluster::{factory_prologue, shard_results, Cluster, ShardState};
+use crate::drive::{self, FactorySource};
+use ne_host::{HostError, HostResult};
+use ne_obs::{SamplerConfig, TenantCarry, Timeline};
 
 /// One planned cross-shard move for a segmented run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +44,7 @@ pub struct PlannedMove {
     pub to_shard: usize,
 }
 
-/// Migration controls for the segmented drivers. The default policy
+/// Migration controls for the segmented driver. The default policy
 /// performs no planned moves, no EPC evacuation, and still honors
 /// chaos-injected migration requests (they only exist if the fault
 /// plan's grammar asked for `migrate`).
@@ -100,7 +101,7 @@ pub enum MigrationOutcome {
     },
 }
 
-/// One barrier migration, as recorded by the segmented drivers.
+/// One barrier migration, as recorded by the segmented driver.
 #[derive(Debug)]
 pub struct MigrationRecord {
     /// Barrier index (after this segment).
@@ -115,13 +116,10 @@ pub struct MigrationRecord {
     pub outcome: MigrationOutcome,
 }
 
-/// Per-shard driver state the coordinator carries across segments.
-type ShardState = (Vec<Vec<RequestFactory>>, Option<Sampler>);
-
 impl Cluster {
     /// Migrates global tenant `global` from `from_shard` to `to_shard`
     /// on an otherwise idle cluster (no driver running, no samplers
-    /// attached — the segmented drivers handle their own bookkeeping).
+    /// attached — the segmented driver handles its own bookkeeping).
     /// On a refused adoption the tenant is rolled back onto
     /// `from_shard` and the refusal is reported in the outcome.
     ///
@@ -317,45 +315,49 @@ impl Cluster {
         moves
     }
 
-    /// Shared body of the segmented drivers. `obs` attaches one
-    /// sampler per shard and folds the timelines at the end.
-    fn run_segmented(
+    /// Drives the closed-loop scenario in segments: each segment serves
+    /// `segments[i]` requests per pair on every shard in parallel, from a
+    /// [`FactorySource`] armed over the shard's factory rows. Between
+    /// segments, with all shards drained, a barrier executes that round's
+    /// migrations (planned, EPC-pressure, chaos-injected). `chaos` and
+    /// `obs` as in [`Cluster::run_closed_loop`]; a migrating tenant hands
+    /// its window cursor to the destination sampler, so the timeline
+    /// keeps one totals line per tenant. Returns total accepted, the
+    /// folded timeline, and the migration log.
+    ///
+    /// Running `[a, b]` with no migrations produces exactly the same
+    /// per-tenant reply bytes as running `[a + b]` — reply streams
+    /// depend only on the factory streams and sealed state, never on
+    /// barrier timing — which is what makes the migration differential
+    /// oracle byte-exact.
+    ///
+    /// # Errors
+    ///
+    /// A malformed chaos spec, a shard's typed drive error tagged with
+    /// its shard id, or a migration whose rollback failed.
+    pub fn run_segmented_closed_loop(
         &mut self,
         segments: &[usize],
-        chaos: Option<(&str, u64)>,
+        chaos: Option<&str>,
         policy: &MigrationPolicy,
         obs: Option<SamplerConfig>,
     ) -> Result<(u64, Option<Timeline>, Vec<MigrationRecord>), String> {
         let plans = self.chaos_plans(chaos)?;
         let seed = self.seed;
-        let mut state: Vec<ShardState> = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let sampler = obs.map(|cfg| Sampler::new(&shard.server, shard.globals.clone(), cfg));
-            (factories, sampler)
-        });
+        let mut state = shard_results(self.run_parallel(plans, |shard, plan| {
+            factory_prologue(shard, seed, plan, obs)
+        }))?;
         let mut accepted = 0u64;
         let mut log: Vec<MigrationRecord> = Vec::new();
         for (i, &requests) in segments.iter().enumerate() {
-            let results = self.run_parallel_with(state, |shard, (mut factories, mut sampler)| {
-                let n = match &mut sampler {
-                    Some(sampler) => {
-                        drive::closed_loop_with(shard, &mut factories, requests, &mut |s| {
-                            sampler.poll(s)
-                        })
-                    }
-                    None => drive::closed_loop(shard, &mut factories, requests),
-                };
-                (n, (factories, sampler))
+            let results = self.run_parallel(state, |shard, (mut factories, mut sampler)| {
+                let mut source = FactorySource::new(&mut factories, requests);
+                let n = drive::closed_loop(shard, &mut source, sampler.as_mut())?;
+                Ok((n, (factories, sampler)))
             });
-            state = Vec::with_capacity(results.len());
-            for (n, shard_state) in results {
-                accepted += n;
-                state.push(shard_state);
-            }
+            let (served, next): (Vec<u64>, _) = shard_results(results)?.into_iter().unzip();
+            accepted += served.iter().sum::<u64>();
+            state = next;
             if i + 1 == segments.len() {
                 break;
             }
@@ -373,72 +375,7 @@ impl Cluster {
                 });
             }
         }
-        let timeline = if obs.is_some() {
-            let samplers: Vec<Sampler> = state
-                .into_iter()
-                .map(|(_, sampler)| sampler.expect("observed run has a sampler per shard"))
-                .collect();
-            let timelines = self.run_parallel_with(samplers, |shard, sampler| {
-                let mut t = sampler.finish(&shard.server);
-                t.rebase_shard(shard.id);
-                t
-            });
-            Some(Timeline::fold(&timelines)?)
-        } else {
-            None
-        };
-        Ok((accepted, timeline, log))
-    }
-
-    /// Drives the closed-loop scenario in segments with migration
-    /// barriers between them: each segment serves `segments[i]`
-    /// requests per (tenant, service) pair on every shard in parallel,
-    /// then — with all shards drained — the barrier executes this
-    /// round's migrations (planned, EPC-pressure, chaos-injected).
-    /// Returns total accepted and the migration log.
-    ///
-    /// Running `[a, b]` with no migrations produces exactly the same
-    /// per-tenant reply bytes as running `[a + b]` — reply streams
-    /// depend only on the factory streams and sealed state, never on
-    /// barrier timing — which is what makes the migration differential
-    /// oracle byte-exact.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec, or a migration whose rollback failed.
-    pub fn run_segmented_closed_loop(
-        &mut self,
-        segments: &[usize],
-        chaos: Option<(&str, u64)>,
-        policy: &MigrationPolicy,
-    ) -> Result<(u64, Vec<MigrationRecord>), String> {
-        let (accepted, _, log) = self.run_segmented(segments, chaos, policy, None)?;
-        Ok((accepted, log))
-    }
-
-    /// [`Cluster::run_segmented_closed_loop`] with the observability
-    /// plane attached: per-shard samplers ride every segment, migrating
-    /// tenants hand their window cursor to the destination sampler
-    /// ([`ne_obs::Sampler::retire_tenant`] /
-    /// [`ne_obs::Sampler::adopt_tenant`]), and the folded timeline
-    /// carries exactly one totals line per global tenant.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec, a migration whose rollback failed, or an
-    /// impossible fold.
-    pub fn run_segmented_closed_loop_observed(
-        &mut self,
-        segments: &[usize],
-        chaos: Option<(&str, u64)>,
-        policy: &MigrationPolicy,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline, Vec<MigrationRecord>), String> {
-        let (accepted, timeline, log) = self.run_segmented(segments, chaos, policy, Some(obs))?;
-        Ok((
-            accepted,
-            timeline.expect("observed run folds a timeline"),
-            log,
-        ))
+        let samplers = state.into_iter().map(|(_, sampler)| sampler).collect();
+        Ok((accepted, self.finish_samplers(samplers)?, log))
     }
 }

@@ -57,14 +57,14 @@ fn move_one(cluster: &Cluster) -> (usize, MigrationPolicy) {
 fn planned_migration_is_byte_invisible_in_the_tenant_export() {
     // Baseline A: the plain unsegmented run.
     let mut plain = build_cluster(2);
-    let plain_accepted = plain.run_closed_loop(6, None).expect("plain run");
+    let (plain_accepted, _) = plain.run_closed_loop(6, None, None).expect("plain run");
     let plain_export = plain.tenants_export();
 
     // Baseline B: segmented, no migrations — segment barriers alone
     // must not change a single tenant-observable byte.
     let mut control = build_cluster(2);
-    let (control_accepted, control_log) = control
-        .run_segmented_closed_loop(&[3, 3], None, &MigrationPolicy::default())
+    let (control_accepted, _, control_log) = control
+        .run_segmented_closed_loop(&[3, 3], None, &MigrationPolicy::default(), None)
         .expect("segmented control");
     assert!(control_log.is_empty(), "default policy must not migrate");
     assert_eq!(plain_accepted, control_accepted);
@@ -77,8 +77,8 @@ fn planned_migration_is_byte_invisible_in_the_tenant_export() {
     // The migrated run: one tenant crosses shards mid-run.
     let mut migrated = build_cluster(2);
     let (g, policy) = move_one(&migrated);
-    let (accepted, log) = migrated
-        .run_segmented_closed_loop(&[3, 3], None, &policy)
+    let (accepted, _, log) = migrated
+        .run_segmented_closed_loop(&[3, 3], None, &policy, None)
         .expect("migrated run");
     assert_eq!(log.len(), 1, "exactly one migration record");
     assert_eq!(log[0].global, g);
@@ -107,19 +107,21 @@ fn planned_migration_is_byte_invisible_in_the_tenant_export() {
 fn observed_migration_run_reconciles_and_drops_nothing() {
     let mut control = build_cluster(2);
     let (_, control_tl, _) = control
-        .run_segmented_closed_loop_observed(
+        .run_segmented_closed_loop(
             &[3, 3],
             None,
             &MigrationPolicy::default(),
-            SamplerConfig::default(),
+            Some(SamplerConfig::default()),
         )
         .expect("observed control");
+    let control_tl = control_tl.expect("observed run folds a timeline");
 
     let mut cluster = build_cluster(2);
     let (g, policy) = move_one(&cluster);
     let (accepted, timeline, log) = cluster
-        .run_segmented_closed_loop_observed(&[3, 3], None, &policy, SamplerConfig::default())
+        .run_segmented_closed_loop(&[3, 3], None, &policy, Some(SamplerConfig::default()))
         .expect("observed migrated run");
+    let timeline = timeline.expect("observed run folds a timeline");
     assert!(matches!(log[0].outcome, MigrationOutcome::Adopted { .. }));
 
     // Exactly one totals line per global tenant, in global order, even
@@ -182,11 +184,12 @@ fn observed_migration_run_reconciles_and_drops_nothing() {
 fn chaos_migrations_are_deterministic_and_lose_nothing() {
     let run = || {
         let mut cluster = build_cluster(2);
-        let (accepted, log) = cluster
+        let (accepted, _, log) = cluster
             .run_segmented_closed_loop(
                 &[2, 2, 2],
-                Some(("aex+migrate:5", SEED ^ 0xC4A0_5EED)),
+                Some("aex+migrate:5"),
                 &MigrationPolicy::default(),
+                None,
             )
             .expect("chaos migrated run");
         let report = cluster.report();
@@ -226,8 +229,8 @@ fn epc_pressure_evacuates_a_tenant_at_the_barrier() {
         moves: Vec::new(),
         epc_low_water: Some(usize::MAX),
     };
-    let (accepted, log) = cluster
-        .run_segmented_closed_loop(&[3, 3], None, &policy)
+    let (accepted, _, log) = cluster
+        .run_segmented_closed_loop(&[3, 3], None, &policy, None)
         .expect("pressure run");
     assert!(!log.is_empty(), "pressure policy never fired");
     for r in &log {
@@ -239,7 +242,7 @@ fn epc_pressure_evacuates_a_tenant_at_the_barrier() {
 
     // Still byte-identical to the unmigrated world.
     let mut plain = build_cluster(2);
-    plain.run_closed_loop(6, None).expect("plain run");
+    plain.run_closed_loop(6, None, None).expect("plain run");
     assert_eq!(plain.tenants_export(), cluster.tenants_export());
 }
 
@@ -416,9 +419,9 @@ proptest! {
             epc_low_water: None,
         };
         let spec = format!("aex+migrate:{}", 3 + seg_a);
-        let chaos_spec = chaos.then_some((spec.as_str(), SEED ^ 0x5EED));
-        let (accepted, log) = cluster
-            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy)
+        let chaos_spec = chaos.then_some(spec.as_str());
+        let (accepted, _, log) = cluster
+            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy, None)
             .map_err(TestCaseError::Fail)?;
         let report = cluster.report();
         prop_assert_eq!(
@@ -439,8 +442,8 @@ proptest! {
         }
         // A fixed interleaving is byte-reproducible.
         let mut again = build_cluster(shards);
-        let (accepted2, _) = again
-            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy)
+        let (accepted2, _, _) = again
+            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy, None)
             .map_err(TestCaseError::Fail)?;
         prop_assert_eq!(accepted, accepted2);
         prop_assert_eq!(export, again.tenants_export());

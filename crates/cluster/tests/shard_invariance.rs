@@ -11,7 +11,7 @@
 
 use ne_cluster::{drive, Cluster, ClusterConfig};
 use ne_host::{HostConfig, HostServer, RequestFactory};
-use ne_obs::SamplerConfig;
+use ne_obs::{SamplerConfig, Timeline};
 
 const TENANTS: usize = 4;
 const SERVICES: usize = 2;
@@ -26,8 +26,8 @@ fn build_cluster(shards: usize) -> Cluster {
 
 fn closed_loop_export(shards: usize) -> (u64, String) {
     let mut cluster = build_cluster(shards);
-    let accepted = cluster
-        .run_closed_loop(REQUESTS, None)
+    let (accepted, _) = cluster
+        .run_closed_loop(REQUESTS, None, None)
         .expect("closed loop");
     let merged = cluster.merged_metrics().expect("merge");
     merged
@@ -69,7 +69,7 @@ fn merged_metrics_are_reproducible_and_close_across_shard_counts() {
     let in_enclave = |shards: usize| {
         let mut cluster = build_cluster(shards);
         cluster
-            .run_closed_loop(REQUESTS, None)
+            .run_closed_loop(REQUESTS, None, None)
             .expect("closed loop");
         let merged = cluster.merged_metrics().expect("merge");
         let total: u64 = merged
@@ -110,7 +110,7 @@ fn single_shard_cluster_matches_the_unsharded_path() {
         })
         .collect();
     // Inline warmup + closed loop mirroring ne-load (drive::warmup needs a
-    // Shard, so replay its steps directly on the server).
+    // Shard and a source, so replay its steps directly on the server).
     for (t, fs) in factories.iter_mut().enumerate() {
         if server.tenants()[t].shed {
             continue;
@@ -155,8 +155,8 @@ fn single_shard_cluster_matches_the_unsharded_path() {
 
     // The one-shard cluster path.
     let mut cluster = build_cluster(1);
-    let cluster_accepted = cluster
-        .run_closed_loop(REQUESTS, None)
+    let (cluster_accepted, _) = cluster
+        .run_closed_loop(REQUESTS, None, None)
         .expect("closed loop");
     let merged = cluster.merged_metrics().expect("merge");
 
@@ -176,7 +176,10 @@ fn open_loop_offered_schedule_is_shard_count_invariant() {
     // with a valid reply on every shard count.
     for shards in [1usize, 3] {
         let mut cluster = build_cluster(shards);
-        let accepted = cluster.run_open_loop(REQUESTS, None).expect("open loop");
+        let accepted = cluster
+            .run_open_loop(REQUESTS, None, None)
+            .expect("open loop")
+            .0;
         let report = cluster.report();
         assert_eq!(report.sched.invariant_violations, 0);
         assert_eq!(
@@ -198,8 +201,8 @@ fn chaos_runs_are_deterministic_per_shard_count() {
     // shard counts — but any fixed shard count must be byte-reproducible.
     let run = |shards: usize| {
         let mut cluster = build_cluster(shards);
-        let accepted = cluster
-            .run_closed_loop(REQUESTS, Some(("aex+evict", SEED ^ 0xC4A0_5EED)))
+        let (accepted, _) = cluster
+            .run_closed_loop(REQUESTS, Some("aex+evict"), None)
             .expect("chaos closed loop");
         let report = cluster.report();
         assert_eq!(
@@ -221,11 +224,12 @@ fn chaos_runs_are_deterministic_per_shard_count() {
 
 /// One observed closed-loop run: accepted count plus the `ne-obs/v1`
 /// export of the folded timeline.
-fn observed_export(shards: usize, chaos: Option<(&str, u64)>) -> (u64, String) {
+fn observed_export(shards: usize, chaos: Option<&str>) -> (u64, String) {
     let mut cluster = build_cluster(shards);
     let (accepted, timeline) = cluster
-        .run_closed_loop_observed(REQUESTS, chaos, SamplerConfig::default())
+        .run_closed_loop(REQUESTS, chaos, Some(SamplerConfig::default()))
         .expect("observed closed loop");
+    let timeline = timeline.expect("observed run folds a timeline");
     (accepted, ne_obs::to_jsonl(&timeline, "shard-invariance"))
 }
 
@@ -234,7 +238,7 @@ fn timeline_export_is_reproducible_under_chaos() {
     // The full timeline — cycle-bearing windows, injections, recoveries,
     // SLO states, incidents — must be byte-reproducible at a fixed shard
     // count, chaos included.
-    let chaos = Some(("aex+evict", SEED ^ 0xC4A0_5EED));
+    let chaos = Some("aex+evict");
     let (a1, e1) = observed_export(2, chaos);
     let (a2, e2) = observed_export(2, chaos);
     assert_eq!(a1, a2, "accepted count not reproducible");
@@ -275,40 +279,58 @@ fn timeline_invariant_plane_is_shard_count_invariant() {
     );
 }
 
+/// One closed- or open-loop run on a fresh 2-shard cluster.
+fn run_two_shards(open: bool, obs: Option<SamplerConfig>) -> (Cluster, u64, Option<Timeline>) {
+    let mut cluster = build_cluster(2);
+    let (accepted, timeline) = if open {
+        cluster.run_open_loop(REQUESTS, None, obs)
+    } else {
+        cluster.run_closed_loop(REQUESTS, None, obs)
+    }
+    .expect("run");
+    (cluster, accepted, timeline)
+}
+
 #[test]
 fn observed_runs_leave_the_simulation_untouched() {
     // The sampler only reads, so an observed run must report the same
-    // accepted count and per-tenant export as the plain run, and the
-    // timeline totals must reconcile with the merged metrics.
-    let mut plain = build_cluster(2);
-    let plain_accepted = plain.run_closed_loop(REQUESTS, None).expect("closed loop");
-    let plain_export = plain.tenants_export();
+    // accepted count, per-tenant export and merged metrics as the plain
+    // run, in both arrival processes, and the timeline totals must
+    // reconcile with the merged metrics.
+    for open in [false, true] {
+        let (plain, plain_accepted, none) = run_two_shards(open, None);
+        assert!(none.is_none(), "an unobserved run folded a timeline");
+        let plain_metrics = plain.merged_metrics().expect("merge").to_json();
 
-    let mut observed = build_cluster(2);
-    let (accepted, timeline) = observed
-        .run_closed_loop_observed(REQUESTS, None, SamplerConfig::default())
-        .expect("observed closed loop");
-    assert_eq!(plain_accepted, accepted, "observation changed acceptance");
-    assert_eq!(
-        plain_export,
-        observed.tenants_export(),
-        "observation changed the per-tenant export"
-    );
-    let merged = observed.merged_metrics().expect("merge");
-    let (cycles, _, _) = timeline.total();
-    assert_eq!(cycles, merged.total_cycles, "timeline cycles must match");
-    assert_eq!(
-        timeline.totals.iter().map(|t| t.completed).sum::<u64>(),
-        observed.report().completed(),
-        "timeline totals must match the cluster report"
-    );
+        let (observed, accepted, timeline) = run_two_shards(open, Some(SamplerConfig::default()));
+        let timeline = timeline.expect("observed run folds a timeline");
+        assert_eq!(plain_accepted, accepted, "observation changed acceptance");
+        assert_eq!(
+            plain.tenants_export(),
+            observed.tenants_export(),
+            "observation changed the per-tenant export (open: {open})"
+        );
+        let merged = observed.merged_metrics().expect("merge");
+        assert_eq!(
+            plain_metrics,
+            merged.to_json(),
+            "observation changed the merged metrics (open: {open})"
+        );
+        let (cycles, _, _) = timeline.total();
+        assert_eq!(cycles, merged.total_cycles, "timeline cycles must match");
+        assert_eq!(
+            timeline.totals.iter().map(|t| t.completed).sum::<u64>(),
+            observed.report().completed(),
+            "timeline totals must match the cluster report"
+        );
+    }
 }
 
 #[test]
 fn replies_check_against_fresh_global_factories() {
     let mut cluster = build_cluster(3);
     cluster
-        .run_closed_loop(REQUESTS, None)
+        .run_closed_loop(REQUESTS, None, None)
         .expect("closed loop");
     let specs = drive::standard_specs(TENANTS, SERVICES);
     let mut checked = 0usize;

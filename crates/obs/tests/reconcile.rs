@@ -13,7 +13,7 @@
 
 use ne_host::{HostConfig, HostServer, RequestFactory, ServiceKind, TenantSpec};
 use ne_obs::{correlate, to_jsonl, Sampler, SamplerConfig, SloState, Timeline};
-use ne_sgx::fault::FaultPlan;
+use ne_sgx::fault::{FaultPlan, CHAOS_SALT};
 use ne_sgx::profile::ProfileEvent;
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ fn run_closed_loop(
     server.drain().expect("warmup drain");
     server.reset_measurement();
     if let Some(spec) = chaos {
-        let plan = FaultPlan::parse(spec, seed ^ 0xC4A0_5EED).expect("chaos spec");
+        let plan = FaultPlan::parse(spec, seed ^ CHAOS_SALT).expect("chaos spec");
         server.install_chaos(plan);
     }
     let mut sampler = Sampler::new(

@@ -25,15 +25,15 @@
 //!   rollback are rejected on the wire) with the tenant's pre-shared
 //!   key as master secret;
 //! * [`server`] — [`server::FrontDoor`], the blocking accept loop plus
-//!   the serve loop: decoded requests feed
-//!   [`ne_cluster::drive::closed_loop_external`] /
-//!   [`ne_cluster::drive::open_loop_external`], which step the simulated
-//!   machine between socket polls;
+//!   the serve loop: decoded requests feed the cluster's one drive loop
+//!   ([`ne_cluster::drive::closed_loop`] /
+//!   [`ne_cluster::drive::open_loop`]), which steps the simulated machine
+//!   between socket polls;
 //! * [`client`] — [`client::LoadClient`], the seeded wire client behind
 //!   `ne-load --connect` (one connection per (tenant, service) pair,
 //!   open or closed loop, deterministic report);
-//! * [`oracle`] — the same scenario run entirely in-process, the
-//!   byte-exact oracle.
+//! * [`oracle`] — the same scenario run entirely in-process through the
+//!   same per-shard sequence, the byte-exact oracle.
 //!
 //! # Clock discipline and the oracle invariant
 //!
@@ -97,11 +97,6 @@ impl Mode {
         }
     }
 }
-
-/// The salt XORed into the base seed for chaos plans, matching
-/// `ne-load` so a chaos run over the wire is byte-identical to the
-/// harness's.
-pub const CHAOS_SALT: u64 = 0xC4A0_5EED;
 
 /// The scenario a Hello frame pins down. Server and client must agree
 /// on every field — the generator streams are seeded from them, so a

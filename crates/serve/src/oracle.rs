@@ -1,13 +1,12 @@
 //! The in-process oracle: the same scenario a [`crate::FrontDoor`]
-//! serves, run entirely through the existing [`ne_cluster::Cluster`]
-//! drive loops with no socket anywhere. Byte-for-byte, its three exports
-//! are what the wire run must produce — the headline invariant of this
-//! crate, asserted by the `wire_oracle` integration test and CI's
-//! `serve-smoke` job.
+//! serves, run entirely through [`ne_cluster::Cluster`]'s in-process
+//! runs with no socket anywhere. Both paths share the cluster's one
+//! per-shard sequence and differ only in their request source, so
+//! byte-for-byte, the oracle's three exports are what the wire run must
+//! produce — the headline invariant of this crate, asserted by the
+//! `wire_oracle` integration test and CI's `serve-smoke` job.
 
-use ne_obs::SamplerConfig;
-
-use crate::server::{build_cluster, finish_outcome, ServeConfig, ServeOutcome};
+use crate::server::{build_cluster, finish_outcome, sampler_config, ServeConfig, ServeOutcome};
 use crate::Mode;
 
 /// Runs the scenario in-process and returns the exports a conforming
@@ -18,31 +17,14 @@ use crate::Mode;
 ///
 /// # Errors
 ///
-/// Cluster build failures, malformed chaos specs, or broken end-of-run
-/// invariants.
+/// Cluster build failures, malformed chaos specs, typed drive errors,
+/// or broken end-of-run invariants.
 pub fn run_oracle(cfg: &ServeConfig) -> Result<ServeOutcome, String> {
     let mut cluster = build_cluster(cfg)?;
-    let label = format!("ne-serve-{}", cfg.mode.name());
-    let chaos_base = cfg.seed ^ crate::CHAOS_SALT;
-    let chaos: Option<(&str, u64)> = cfg.chaos.as_deref().map(|spec| (spec, chaos_base));
-    let (accepted, timeline) = match (cfg.mode, cfg.window) {
-        (Mode::Closed, None) => (cluster.run_closed_loop(cfg.requests, chaos)?, None),
-        (Mode::Open, None) => (cluster.run_open_loop(cfg.requests, chaos)?, None),
-        (Mode::Closed, Some(w)) => {
-            let (a, t) = cluster.run_closed_loop_observed(cfg.requests, chaos, obs(w))?;
-            (a, Some(t))
-        }
-        (Mode::Open, Some(w)) => {
-            let (a, t) = cluster.run_open_loop_observed(cfg.requests, chaos, obs(w))?;
-            (a, Some(t))
-        }
+    let (chaos, obs) = (cfg.chaos.as_deref(), cfg.window.map(sampler_config));
+    let (accepted, timeline) = match cfg.mode {
+        Mode::Closed => cluster.run_closed_loop(cfg.requests, chaos, obs)?,
+        Mode::Open => cluster.run_open_loop(cfg.requests, chaos, obs)?,
     };
-    finish_outcome(&cluster, accepted, timeline, &label)
-}
-
-fn obs(window: u64) -> SamplerConfig {
-    SamplerConfig {
-        window_cycles: window.max(1),
-        ..SamplerConfig::default()
-    }
+    finish_outcome(&cluster, accepted, timeline, cfg.mode)
 }

@@ -1,33 +1,27 @@
 //! The [`FrontDoor`]: a blocking accept loop that maps connections onto
-//! (tenant, service) pairs, then a serve loop that feeds decoded
-//! request frames through the existing admission/scheduler path via
-//! [`ne_cluster::drive::closed_loop_external`] /
-//! [`ne_cluster::drive::open_loop_external`], stepping the simulated
-//! machine between socket polls.
+//! (tenant, service) pairs, then the cluster's one per-shard sequence
+//! (see [`ne_cluster`]) with a `WireSource` feeding decoded request
+//! frames into the drive loop, which steps the simulated machine between
+//! socket polls. Its only wire-specific step sheds, up front, every
+//! tenant with a pair that never connected.
 //!
-//! Determinism over a nondeterministic transport: the drive loops pull
-//! each payload with a **blocking read on the specific pair's
-//! connection** — the one the in-process loop would consult next — and
-//! every arrival stamp comes from simulated state (`0` / completion
-//! times / the seeded Poisson schedule / `now()` during warmup), so TCP
-//! timing cannot reorder submissions or leak wall clock into exports.
-//! Slow clients cannot wedge the loop either: every connection carries a
-//! read deadline and a bounded pending-frame buffer, and a pair that
-//! stalls gets its tenant shed through
-//! [`ne_host::server::HostServer::shed_tenant`] — the same counters and
-//! recovery-event stream every other loss path uses.
+//! Determinism over a nondeterministic transport is the crate's clock
+//! discipline (see the [crate docs](crate)). Slow clients cannot wedge
+//! the loop either: every connection carries a read deadline and a
+//! bounded pending-frame buffer, and a pair that stalls gets its tenant
+//! shed through [`ne_host::server::HostServer::shed_tenant`] — the same
+//! counters and recovery-event stream every other loss path uses.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use ne_cluster::{drive, shard_seed, Cluster, ClusterConfig, ClusterReport};
+use ne_cluster::{drive, Cluster, ClusterConfig, ClusterReport};
 use ne_host::Completion;
-use ne_obs::{Sampler, SamplerConfig, Timeline};
-use ne_sgx::fault::FaultPlan;
+use ne_obs::{SamplerConfig, Timeline};
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
-use crate::{session, Mode, Scenario, WireCompletion, CHAOS_SALT};
+use crate::{session, Mode, Scenario, WireCompletion};
 
 /// Front-door configuration: the scenario plus wire-level knobs.
 #[derive(Debug, Clone)]
@@ -48,8 +42,8 @@ pub struct ServeConfig {
     /// connect, rollback offers refused on the wire).
     pub tls: bool,
     /// Chaos spec installed after warmup (see
-    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded exactly like
-    /// `ne-load --chaos`.
+    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded by the cluster
+    /// exactly like `ne-load --chaos`.
     pub chaos: Option<String>,
     /// Collect an `ne-obs/v1` timeline with this window length.
     pub window: Option<u64>,
@@ -119,38 +113,30 @@ pub(crate) fn build_cluster(cfg: &ServeConfig) -> Result<Cluster, String> {
     Cluster::build(cc).map_err(|e| format!("cluster build: {e}"))
 }
 
-/// Assembles the outcome and enforces the end-of-run invariants (the
-/// same ones `ne-load` asserts: scheduler invariants read zero,
-/// reply-or-shed holds, the metrics identities check out).
+/// The sampler a `window` asks for (a zero window is one cycle long).
+pub(crate) fn sampler_config(window: u64) -> SamplerConfig {
+    SamplerConfig {
+        window_cycles: window.max(1),
+        ..SamplerConfig::default()
+    }
+}
+
+/// Assembles the outcome after [`Cluster::verify_run`] (the same
+/// end-of-run invariants `ne-load` holds a run to).
 pub(crate) fn finish_outcome(
     cluster: &Cluster,
     accepted: u64,
     timeline: Option<Timeline>,
-    label: &str,
+    mode: Mode,
 ) -> Result<ServeOutcome, String> {
-    let report = cluster.report();
-    if report.sched.invariant_violations > 0 {
-        return Err(format!(
-            "scheduler invariant violated {} times",
-            report.sched.invariant_violations
-        ));
-    }
-    if report.completed() + report.shed_requests() != report.accepted() {
-        return Err(format!(
-            "accepted request lost: {} completed + {} shed != {} accepted",
-            report.completed(),
-            report.shed_requests(),
-            report.accepted()
-        ));
-    }
-    let metrics = cluster.merged_metrics()?;
-    metrics.check()?;
+    let (report, metrics) = cluster.verify_run(accepted)?;
+    let label = format!("ne-serve-{}", mode.name());
     Ok(ServeOutcome {
         accepted,
         report,
         tenants_export: cluster.tenants_export(),
         metrics_json: metrics.to_json(),
-        timeline_jsonl: timeline.map(|t| ne_obs::to_jsonl(&t, label)),
+        timeline_jsonl: timeline.map(|t| ne_obs::to_jsonl(&t, &label)),
     })
 }
 
@@ -315,7 +301,15 @@ impl FrontDoor {
         let cfg = self.cfg;
         let mut cluster = build_cluster(&cfg)?;
         let conns = accept_pairs(&self.listener, &cfg)?;
-        let label = format!("ne-serve-{}", cfg.mode.name());
+        let plan = cluster
+            .chaos_plans(cfg.chaos.as_deref())
+            .map_err(|e| format!("--chaos: {e}"))?
+            .pop()
+            .flatten();
+        let schedule = match cfg.mode {
+            Mode::Closed => None,
+            Mode::Open => cluster.open_schedules(cfg.requests).pop(),
+        };
 
         let shard = &mut cluster.shards_mut()[0];
         // A tenant missing any pair cannot play the scenario: shed it up
@@ -327,53 +321,19 @@ impl FrontDoor {
         }
         let setup = drive::setup_counts(&drive::factories(shard, cfg.seed));
         let mut source = WireSource::new(conns);
-        drive::warmup_external(shard, &mut source, &setup);
-        if let Some(spec) = &cfg.chaos {
-            let plan = FaultPlan::parse(spec, shard_seed(cfg.seed ^ CHAOS_SALT, shard.id))
-                .map_err(|e| format!("--chaos: {e}"))?;
-            shard.server.install_chaos(plan);
-        }
-        let mut sampler = cfg.window.map(|w| {
-            Sampler::new(
-                &shard.server,
-                shard.globals.clone(),
-                SamplerConfig {
-                    window_cycles: w.max(1),
-                    ..SamplerConfig::default()
-                },
-            )
-        });
-        let mut observe = |s: &ne_host::server::HostServer| {
-            if let Some(smp) = sampler.as_mut() {
-                smp.poll(s);
-            }
-        };
-        let accepted = match cfg.mode {
-            Mode::Closed => drive::closed_loop_external(shard, &mut source, &mut observe),
-            Mode::Open => {
-                // One shard: global pair ids are the local ones, and the
-                // globally generated schedule routes to it unchanged.
-                let pairs: Vec<(usize, usize)> = shard
-                    .server
-                    .tenants()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, ts)| (0..ts.spec.services.len()).map(move |s| (t, s)))
-                    .collect();
-                let schedule = drive::poisson_schedule(&pairs, cfg.requests, cfg.seed);
-                drive::open_loop_external(shard, &mut source, &schedule, &mut observe)
-            }
-        };
-        let timeline = match sampler {
-            Some(smp) => {
-                let mut t = smp.finish(&shard.server);
-                t.rebase_shard(shard.id);
-                Some(Timeline::fold(std::slice::from_ref(&t))?)
-            }
-            None => None,
-        };
+        let served = shard
+            .prologue(&mut source, &setup, plan, cfg.window.map(sampler_config))
+            .and_then(|mut sampler| {
+                let accepted = match &schedule {
+                    None => drive::closed_loop(shard, &mut source, sampler.as_mut())?,
+                    Some(s) => drive::open_loop(shard, &mut source, s, sampler.as_mut())?,
+                };
+                Ok((accepted, sampler))
+            });
         source.finish();
-        finish_outcome(&cluster, accepted, timeline, &label)
+        let (accepted, sampler) = served.map_err(|e| format!("shard 0: {e}"))?;
+        let timeline = cluster.finish_samplers(vec![sampler])?;
+        finish_outcome(&cluster, accepted, timeline, cfg.mode)
     }
 }
 

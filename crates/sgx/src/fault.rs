@@ -38,6 +38,13 @@
 use crate::error::{Result, SgxError};
 use std::fmt;
 
+/// Salt XORed into a serving run's base seed to seed its chaos plan, so
+/// the fault stream is independent of the request streams drawn from
+/// the same base seed. Every harness (`ne-load`, `ne-serve`, the
+/// cluster drivers) seeds chaos this way, which is what keeps a chaos
+/// run byte-identical across them.
+pub const CHAOS_SALT: u64 = 0xC4A0_5EED;
+
 /// Default trigger period (in targeted EENTERs) per fault kind. Chosen
 /// mutually coprime so combined specs interleave rather than align.
 const DEFAULT_PERIODS: [(ChaosKind, u64); 6] = [
