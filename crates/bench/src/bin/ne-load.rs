@@ -59,12 +59,15 @@
 //! largest tenant per pressured shard moves — the named tenant is the
 //! one the summary highlights); `chaos[:period]` injects seeded
 //! migration requests through the fault plan (composable with
-//! `--chaos`). The run prints the usual per-tenant table, one line per
-//! migration record, and a final `dropped=<n>` line that is asserted to
-//! be `dropped=0` — the zero-dropped-requests invariant. Everything is
-//! a simulation fact, so the report and the `--tenants-out` /
-//! `--timeline-out` exports are byte-identical across repeats of the
-//! same flags.
+//! `--chaos`). Every `--chaos` kind composes with every trigger: a fault
+//! on the destination's rebuild, attest or restore ecalls is retried
+//! with backoff, and a fault on the source's seal ecall leaves the
+//! tenant where it was. The run prints the usual per-tenant table, one
+//! line per migration record, and a final `dropped=<n>` line that is
+//! asserted to be `dropped=0` — the zero-dropped-requests invariant.
+//! Everything is a simulation fact, so the report and the
+//! `--tenants-out` / `--timeline-out` exports are byte-identical across
+//! repeats of the same flags.
 //!
 //! `--connect host:port` switches the harness into **wire client**
 //! mode: instead of building a cluster it opens one TCP connection per
@@ -97,7 +100,6 @@ struct Plan {
     shards: usize,
     switchless: bool,
     chaos: Option<String>,
-    reference: bool,
 }
 
 fn build(plan: &Plan, trace: bool) -> Cluster {
@@ -108,7 +110,6 @@ fn build(plan: &Plan, trace: bool) -> Cluster {
     cfg.host.seed = plan.seed;
     cfg.host.switchless = plan.switchless;
     cfg.host.hw.trace_events = trace;
-    cfg.host.hw.reference_path = plan.reference;
     Cluster::build(cfg).expect("cluster build")
 }
 
@@ -449,7 +450,6 @@ fn main() {
         shards: (flag_u64("--shards").unwrap_or(1) as usize).max(1),
         switchless: !std::env::args().any(|a| a == "--no-switchless"),
         chaos: flag_str("--chaos"),
-        reference: std::env::args().any(|a| a == "--reference"),
     };
     // A malformed fault plan is bad input, refused before any run starts
     // (the per-shard seed does not affect parsing).
@@ -458,15 +458,10 @@ fn main() {
             cli_error(&format!("--chaos: {e}"));
         }
     }
-    // `--reference` means the naive forms of every optimized hot path: the
-    // simulator's memory pipeline (via `HwConfig::reference_path`) and the
-    // bit/byte-wise crypto primitives. Outputs are identical either way.
-    ne_crypto::set_reference_impl(plan.reference);
     let dash = std::env::args().any(|a| a == "--dash");
     // The observability plane rides along only when asked for.
     let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
         window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
-        ..SamplerConfig::default()
     });
     if let Some(spec) = flag_str("--migrate") {
         run_migrate(&spec, &plan, obs, dash);

@@ -66,14 +66,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The value as object members.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
 /// Parses a complete JSON document.

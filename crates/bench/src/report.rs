@@ -167,15 +167,6 @@ impl MetricsReport {
         out
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating or writing the file.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     /// Renders latency histogram tables for every run (the
     /// `--profile-out` payload; also printed by `ne-profile report`).
     pub fn profile_text(&self) -> String {

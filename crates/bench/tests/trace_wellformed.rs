@@ -10,8 +10,8 @@
 use ne_bench::json::{self, Value};
 use ne_sgx::config::HwConfig;
 use ne_sgx::machine::Machine;
-use ne_sgx::spantree::TraceBundle;
-use ne_sgx::trace::SpanKind;
+use ne_sgx::spantree::SpanTree;
+use ne_sgx::trace::{SpanKind, Trace};
 use ne_tls::echo::{run_echo, EchoConfig};
 use std::collections::BTreeMap;
 
@@ -109,11 +109,11 @@ fn echo_trace_round_trips_through_the_parser() {
 
 #[test]
 fn wrapped_ring_still_exports_well_formed_json() {
-    // Capacity 4 forces eviction of early begins; their ends must surface
-    // as instant markers, never as unbalanced E events.
+    // Replaying into a capacity-4 ring forces eviction of early begins;
+    // their ends must surface as instant markers, never as unbalanced E
+    // events.
     let mut cfg = HwConfig::small();
     cfg.trace_events = true;
-    cfg.trace_capacity = 4;
     let mut m = Machine::new(cfg);
     let outer = m.span_begin(0, SpanKind::Ecall, "outer");
     for i in 0..6 {
@@ -122,13 +122,18 @@ fn wrapped_ring_still_exports_well_formed_json() {
         m.span_end(0, s);
     }
     m.span_end(0, outer);
-    let bundle = TraceBundle::capture(&m);
-    assert!(bundle.trace_dropped > 0, "ring must have wrapped");
-    assert!(bundle.truncated > 0, "evicted begins must be counted");
-    let (begins, ends) = validate(&bundle.chrome_json);
+    let mut ring = Trace::new(true, 4);
+    for e in m.trace().events() {
+        ring.record(e.clone());
+    }
+    assert!(ring.dropped() > 0, "ring must have wrapped");
+    let tree = SpanTree::reconstruct(&ring);
+    assert!(!tree.truncated.is_empty(), "evicted begins must be counted");
+    let chrome_json = tree.to_chrome_json(m.config().cost.clock_ghz);
+    let (begins, ends) = validate(&chrome_json);
     assert_eq!(begins, ends);
     assert!(
-        bundle.chrome_json.contains("truncated_span_end"),
+        chrome_json.contains("truncated_span_end"),
         "truncation must be visible in the export"
     );
 }

@@ -13,7 +13,7 @@ use crate::ring::{shard_seed, ShardRing};
 use ne_host::scheduler::SchedulerStats;
 use ne_host::server::{HostConfig, HostServer, TenantReport};
 use ne_host::tenant::Completion;
-use ne_host::{HostResult, RequestFactory, TenantSpec};
+use ne_host::{reply_digest, HostResult, RequestFactory, TenantSpec};
 use ne_obs::{Sampler, SamplerConfig, Timeline};
 use ne_sgx::fault::{ChaosStats, FaultPlan, CHAOS_SALT};
 use ne_sgx::metrics::MachineMetrics;
@@ -25,24 +25,21 @@ use ne_sgx::spantree::TraceBundle;
 pub struct ClusterConfig {
     /// Template for every shard's server. Its `tenants` list is the
     /// **global** tenant list (global tenant id = index in this list);
-    /// every other field (hardware model, seed, switchless, admission,
-    /// recovery) is applied to each shard as-is.
+    /// every other field (hardware model, seed, switchless) is applied
+    /// to each shard as-is.
     pub host: HostConfig,
     /// Number of machine shards (≥ 1). Each shard is a fully
     /// independent simulated machine driven by its own OS thread.
     pub shards: usize,
-    /// Virtual nodes per shard on the placement ring.
-    pub vnodes: usize,
 }
 
 impl ClusterConfig {
     /// A cluster over `tenants` with `shards` shards and the default
-    /// host template / ring geometry.
+    /// host template.
     pub fn new(tenants: Vec<TenantSpec>, shards: usize) -> ClusterConfig {
         ClusterConfig {
             host: HostConfig::new(tenants),
             shards,
-            vnodes: ShardRing::DEFAULT_VNODES,
         }
     }
 }
@@ -194,7 +191,7 @@ impl Cluster {
     ///
     /// Panics if `cfg.shards` is zero (via [`ShardRing::new`]).
     pub fn build(cfg: ClusterConfig) -> HostResult<Cluster> {
-        let ring = ShardRing::new(cfg.shards, cfg.vnodes);
+        let ring = ShardRing::new(cfg.shards);
         let mut specs: Vec<Vec<TenantSpec>> = (0..cfg.shards).map(|_| Vec::new()).collect();
         let mut globals: Vec<Vec<usize>> = (0..cfg.shards).map(|_| Vec::new()).collect();
         let mut assignment = Vec::with_capacity(cfg.host.tenants.len());
@@ -562,22 +559,13 @@ impl Cluster {
         for (g, &(s, l)) in self.assignment.iter().enumerate() {
             let server = &self.shards[s].server;
             let t = &server.tenants()[l];
-            // Replies in (service, seq) order, independent of completion
-            // interleaving across cores.
-            let mut replies: Vec<&Completion> = server
-                .completions()
-                .iter()
-                .filter(|c| c.tenant == l)
-                .collect();
-            replies.sort_by_key(|c| (c.service, c.seq));
-            let mut bytes = Vec::new();
-            for c in &replies {
-                bytes.extend_from_slice(&(c.service as u32).to_le_bytes());
-                bytes.extend_from_slice(&c.seq.to_le_bytes());
-                bytes.extend_from_slice(&(c.reply.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&c.reply);
-            }
-            let digest = ne_crypto::sha256_digest(&bytes);
+            let digest = reply_digest(
+                server
+                    .completions()
+                    .iter()
+                    .filter(|c| c.tenant == l)
+                    .map(|c| (c.service, c.seq, c.reply.as_slice())),
+            );
             let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             out.push_str(&format!(
                 "tenant {g} name {} accepted {} rejected_full {} rejected_shed {} \

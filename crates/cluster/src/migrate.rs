@@ -29,7 +29,7 @@
 
 use crate::cluster::{factory_prologue, shard_results, Cluster, ShardState};
 use crate::drive::{self, FactorySource};
-use ne_host::{HostError, HostResult};
+use ne_host::{HostError, HostResult, TenantSnapshot};
 use ne_obs::{SamplerConfig, TenantCarry, Timeline};
 
 /// One planned cross-shard move for a segmented run.
@@ -126,7 +126,8 @@ impl Cluster {
     /// # Errors
     ///
     /// [`HostError::BadRequest`] for an invalid placement or shard pair;
-    /// extraction failures (e.g. an open circuit breaker); a rollback
+    /// extraction failures (e.g. an open circuit breaker, or a fault on a
+    /// seal ecall, which leaves the tenant serving on the source); a rollback
     /// that itself fails (the only path that can lose a tenant, and it
     /// propagates rather than being swallowed).
     pub fn migrate_tenant(
@@ -152,57 +153,55 @@ impl Cluster {
                 "tenant {global} is already on shard {to_shard}"
             )));
         }
-        let (_, outcome) = self.do_migrate(global, to_shard)?;
-        Ok(outcome)
+        let (_, local) = self.assignment[global];
+        let snap = self.shards[from_shard].server.extract_tenant(local)?;
+        self.land(global, to_shard, &snap)
     }
 
-    /// The extract → floor → adopt-or-rollback core. Returns the old
-    /// local slot on the source shard alongside the outcome so driver
-    /// wrappers can move their per-slot state.
-    fn do_migrate(&mut self, global: usize, to: usize) -> HostResult<(usize, MigrationOutcome)> {
-        let (from, local) = self.assignment[global];
-        let snap = self.shards[from].server.extract_tenant(local)?;
+    /// The floor → adopt-or-rollback half of a migration, for a snapshot
+    /// just extracted from the tenant's current shard.
+    fn land(
+        &mut self,
+        global: usize,
+        to: usize,
+        snap: &TenantSnapshot,
+    ) -> HostResult<MigrationOutcome> {
+        let (from, _) = self.assignment[global];
         self.seal_floors[global] = snap.seal_counter;
         let floor = self.seal_floors[global];
-        match self.shards[to].server.adopt_tenant(&snap, floor) {
-            Ok(new_local) => {
+        match self.shards[to].server.adopt_tenant(snap, floor) {
+            Ok(local) => {
                 self.shards[to].globals.push(global);
-                self.assignment[global] = (to, new_local);
-                Ok((
-                    local,
-                    MigrationOutcome::Adopted {
-                        to,
-                        local: new_local,
-                    },
-                ))
+                self.assignment[global] = (to, local);
+                Ok(MigrationOutcome::Adopted { to, local })
             }
             Err(error) => {
-                let new_local = self.shards[from].server.rollback_tenant(&snap, floor)?;
+                let local = self.shards[from].server.rollback_tenant(snap, floor)?;
                 self.shards[from].globals.push(global);
-                self.assignment[global] = (from, new_local);
-                Ok((
-                    local,
-                    MigrationOutcome::RolledBack {
-                        error,
-                        local: new_local,
-                    },
-                ))
+                self.assignment[global] = (from, local);
+                Ok(MigrationOutcome::RolledBack { error, local })
             }
         }
     }
 
-    /// [`Cluster::do_migrate`] plus the per-shard driver bookkeeping:
+    /// A barrier migration plus the per-shard driver bookkeeping:
     /// retires the tenant on the source sampler, adopts it on whichever
     /// shard it landed on, and moves its request-factory row so the
-    /// next segment keeps its payload stream position.
+    /// next segment keeps its payload stream position. `None` when the
+    /// extraction failed (a fault on a seal ecall): the source server
+    /// then left the tenant serving in its slot with its queue
+    /// restored, so the move simply does not happen.
     fn migrate_for_driver(
         &mut self,
         global: usize,
         to: usize,
         state: &mut [ShardState],
-    ) -> HostResult<MigrationOutcome> {
-        let (from, _) = self.assignment[global];
-        let (old_local, outcome) = self.do_migrate(global, to)?;
+    ) -> HostResult<Option<MigrationOutcome>> {
+        let (from, old_local) = self.assignment[global];
+        let Ok(snap) = self.shards[from].server.extract_tenant(old_local) else {
+            return Ok(None);
+        };
+        let outcome = self.land(global, to, &snap)?;
         let landed = match &outcome {
             MigrationOutcome::Adopted { to, .. } => *to,
             MigrationOutcome::RolledBack { .. } => from,
@@ -221,7 +220,7 @@ impl Cluster {
             self.shards[landed].server.tenants().len(),
             "factory rows must track tenant slots"
         );
-        Ok(outcome)
+        Ok(Some(outcome))
     }
 
     /// The freest other shard (most free EPC pages; ties go to the
@@ -363,9 +362,12 @@ impl Cluster {
             }
             for (global, to, trigger) in self.barrier_moves(i, policy) {
                 let from = self.assignment[global].0;
-                let outcome = self
+                let Some(outcome) = self
                     .migrate_for_driver(global, to, &mut state)
-                    .map_err(|e| format!("migrating tenant {global} to shard {to}: {e}"))?;
+                    .map_err(|e| format!("migrating tenant {global} to shard {to}: {e}"))?
+                else {
+                    continue;
+                };
                 log.push(MigrationRecord {
                     segment: i,
                     global,

@@ -4,8 +4,9 @@
 //! shard count — never of list position — so that adding a tenant moves
 //! only ~`1/N` of the keys (the consistent-hashing property) and so the
 //! mapping can be documented and recomputed by hand. Each shard owns
-//! `vnodes` points on a `u64` ring; a tenant hashes to a point and is
-//! owned by the first shard point at or after it (wrapping).
+//! [`ShardRing::VNODES`] points on a `u64` ring; a tenant hashes to a
+//! point and is owned by the first shard point at or after it
+//! (wrapping).
 
 /// SplitMix64 finalizer: cheap, seedable, excellent diffusion. The same
 /// mix `ne-sgx`'s chaos RNG uses; duplicated here (it is three lines) to
@@ -53,21 +54,20 @@ pub struct ShardRing {
 }
 
 impl ShardRing {
-    /// Default virtual nodes per shard — enough to keep the expected
-    /// imbalance for tens of tenants within a factor of ~2.
-    pub const DEFAULT_VNODES: usize = 16;
+    /// Virtual nodes per shard — enough to keep the expected imbalance
+    /// for tens of tenants within a factor of ~2.
+    pub const VNODES: usize = 16;
 
-    /// A ring with `vnodes` points per shard.
+    /// A ring with [`ShardRing::VNODES`] points per shard.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` or `vnodes` is zero.
-    pub fn new(shards: usize, vnodes: usize) -> ShardRing {
+    /// Panics if `shards` is zero.
+    pub fn new(shards: usize) -> ShardRing {
         assert!(shards > 0, "a ring needs at least one shard");
-        assert!(vnodes > 0, "a ring needs at least one point per shard");
-        let mut points = Vec::with_capacity(shards * vnodes);
+        let mut points = Vec::with_capacity(shards * Self::VNODES);
         for shard in 0..shards {
-            for v in 0..vnodes {
+            for v in 0..Self::VNODES {
                 // Mix shard and vnode ids far apart so consecutive ids do
                 // not land on consecutive points.
                 let point = splitmix64(((shard as u64) << 32) | v as u64);
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn single_shard_owns_everything() {
-        let ring = ShardRing::new(1, 4);
+        let ring = ShardRing::new(1);
         for name in ["tenant0", "tenant1", "a", ""] {
             assert_eq!(ring.shard_of(name), 0);
         }
@@ -107,8 +107,8 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_and_in_range() {
-        let a = ShardRing::new(4, 16);
-        let b = ShardRing::new(4, 16);
+        let a = ShardRing::new(4);
+        let b = ShardRing::new(4);
         for i in 0..100 {
             let name = format!("tenant{i}");
             let s = a.shard_of(&name);
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn every_shard_gets_tenants_eventually() {
-        let ring = ShardRing::new(4, 16);
+        let ring = ShardRing::new(4);
         let mut seen = [false; 4];
         for i in 0..64 {
             seen[ring.shard_of(&format!("tenant{i}"))] = true;
@@ -131,8 +131,8 @@ mod tests {
     fn growing_the_ring_moves_few_keys() {
         // The consistent-hashing property: going from N to N+1 shards
         // moves roughly 1/(N+1) of the keys, not all of them.
-        let before = ShardRing::new(4, 16);
-        let after = ShardRing::new(5, 16);
+        let before = ShardRing::new(4);
+        let after = ShardRing::new(5);
         let total = 200;
         let moved = (0..total)
             .filter(|i| {

@@ -16,6 +16,7 @@
 use ne_cluster::{
     drive, Cluster, ClusterConfig, MigrationOutcome, MigrationPolicy, MigrationTrigger, PlannedMove,
 };
+use ne_host::admission::EPC_LOW_WATER;
 use ne_host::HostError;
 use ne_obs::SamplerConfig;
 use ne_sgx::SgxError;
@@ -182,41 +183,56 @@ fn observed_migration_run_reconciles_and_drops_nothing() {
 
 #[test]
 fn chaos_migrations_are_deterministic_and_lose_nothing() {
-    let run = || {
-        let mut cluster = build_cluster(2);
-        let (accepted, _, log) = cluster
-            .run_segmented_closed_loop(
-                &[2, 2, 2],
-                Some("aex+migrate:5"),
-                &MigrationPolicy::default(),
-                None,
+    // Every injection kind that can land on a migration ecall: AEX
+    // storms, evicted pages, poisoned enclaves, tampered lines.
+    for spec in [
+        "aex+migrate:5",
+        "evict+migrate:5",
+        "crash:7+migrate:5",
+        "mac:7+migrate:5",
+    ] {
+        let run = || {
+            let mut cluster = build_cluster(2);
+            let (accepted, _, log) = cluster
+                .run_segmented_closed_loop(
+                    &[2, 2, 2],
+                    Some(spec),
+                    &MigrationPolicy::default(),
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("{spec}: chaos migrated run: {e}"));
+            let report = cluster.report();
+            assert_eq!(
+                report.completed() + report.shed_requests(),
+                accepted,
+                "{spec}: reply-or-shed violated under chaos migration"
+            );
+            for r in &log {
+                assert_eq!(r.trigger, MigrationTrigger::Chaos);
+                // Both arms keep the tenant placed somewhere real.
+                let (s, l) = cluster.placement(r.global);
+                assert_eq!(cluster.shards()[s].globals[l], r.global);
+            }
+            let stats = cluster.chaos_stats().expect("chaos stats");
+            (
+                accepted,
+                stats.migrations,
+                log.len(),
+                cluster.tenants_export(),
             )
-            .expect("chaos migrated run");
-        let report = cluster.report();
-        assert_eq!(
-            report.completed() + report.shed_requests(),
-            accepted,
-            "reply-or-shed violated under chaos migration"
+        };
+        let a = run();
+        let b = run();
+        assert!(a.1 > 0, "{spec}: chaos plan injected no migration requests");
+        assert!(
+            a.2 > 0,
+            "{spec}: no chaos-triggered migration reached a barrier"
         );
-        for r in &log {
-            assert_eq!(r.trigger, MigrationTrigger::Chaos);
-            // Both arms keep the tenant placed somewhere real.
-            let (s, l) = cluster.placement(r.global);
-            assert_eq!(cluster.shards()[s].globals[l], r.global);
-        }
-        let stats = cluster.chaos_stats().expect("chaos stats");
-        (
-            accepted,
-            stats.migrations,
-            log.len(),
-            cluster.tenants_export(),
-        )
-    };
-    let a = run();
-    let b = run();
-    assert!(a.1 > 0, "chaos plan injected no migration requests");
-    assert!(a.2 > 0, "no chaos-triggered migration reached a barrier");
-    assert_eq!(a, b, "chaos migration run is not byte-deterministic");
+        assert_eq!(
+            a, b,
+            "{spec}: chaos migration run is not byte-deterministic"
+        );
+    }
 }
 
 #[test]
@@ -334,7 +350,7 @@ fn rollback_on_a_full_destination_keeps_the_tenant_serving() {
     // Probe with roomy hardware to learn each shard's EPC footprint,
     // then rebuild with PRM sized so the fullest shard has exactly the
     // admission low-water headroom free: its own tenants fit, but one
-    // more adoption cannot clear `need + epc_low_water`.
+    // more adoption cannot clear `need + EPC_LOW_WATER`.
     let probe = build_cluster(2);
     let default_prm = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), 2)
         .host
@@ -348,12 +364,11 @@ fn rollback_on_a_full_destination_keeps_the_tenant_serving() {
     let to = if free_pages[0] <= free_pages[1] { 0 } else { 1 };
     let from = 1 - to;
     let g = tenant_on_shard(&probe, from);
-    let low_water = 64; // AdmissionControl::default().epc_low_water
     drop(probe);
 
     let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), 2);
     cfg.host.seed = SEED;
-    cfg.host.hw.prm_pages = default_prm - free_pages[to] as u64 + low_water;
+    cfg.host.hw.prm_pages = default_prm - free_pages[to] as u64 + EPC_LOW_WATER;
     let mut cluster = Cluster::build(cfg).expect("sized cluster build");
     for t in 0..TENANTS {
         let (s, l) = cluster.placement(t);

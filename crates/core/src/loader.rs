@@ -125,11 +125,6 @@ impl EnclaveImage {
         1 + self.code_pages + self.data_pages() + self.heap_pages + self.reserve_pages
     }
 
-    /// Total image bytes (Fig. 10 footprint accounting).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.total_pages() * PAGE_SIZE as u64
-    }
-
     /// Seed identifying the content of code page `idx` — a function of the
     /// enclave name and interface, so different libraries measure
     /// differently.

@@ -53,8 +53,7 @@ static REFERENCE_IMPL: AtomicBool = AtomicBool::new(false);
 /// vectors — so the flag changes wall-clock speed only, never output. The
 /// differential oracles (`ne-host`'s `diff_oracle`, `ne-tls`'s
 /// `echo_oracle`, `ne-obs`'s `reconcile`) set it on their reference runs
-/// and compare replies and exports byte for byte; `ne-load --reference`
-/// sets it for a whole run.
+/// and compare replies and exports byte for byte.
 pub fn set_reference_impl(on: bool) {
     REFERENCE_IMPL.store(on, Ordering::Relaxed);
 }

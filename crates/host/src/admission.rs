@@ -8,7 +8,7 @@
 //!    full queue is rejected immediately instead of buffered, so offered
 //!    load beyond capacity surfaces as rejections, not unbounded memory
 //!    and latency.
-//! 2. **EPC pressure** — when free EPC falls below a low-water mark the
+//! 2. **EPC pressure** — when free EPC falls below [`EPC_LOW_WATER`] the
 //!    host *sheds* whole tenants, lowest priority first, rejecting their
 //!    new submissions. This degrades service for the least important
 //!    tenants instead of letting the working set thrash through EWB/ELDU
@@ -51,68 +51,55 @@ impl Admission {
     }
 }
 
-/// Admission policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionControl {
-    /// Shed tenants when free EPC pages drop below this.
-    pub epc_low_water: u64,
+/// Shed tenants when free EPC pages drop below this.
+pub const EPC_LOW_WATER: u64 = 64;
+
+/// Offers one request for tenant `tenant`; on acceptance the request is
+/// enqueued and assigned the tenant's next sequence number.
+pub fn offer(
+    tenant: &mut TenantState,
+    tenant_idx: usize,
+    service: usize,
+    arrival: u64,
+    payload: Vec<u8>,
+) -> Admission {
+    if tenant.shed {
+        tenant.rejected_shed += 1;
+        return Admission::RejectedShed;
+    }
+    if tenant.queue.len() >= tenant.spec.queue_capacity {
+        tenant.rejected_full += 1;
+        return Admission::RejectedFull;
+    }
+    let seq = tenant.next_seq;
+    tenant.next_seq += 1;
+    tenant.accepted += 1;
+    tenant.queue.push_back(Request {
+        tenant: tenant_idx,
+        service,
+        seq,
+        arrival,
+        payload,
+        attempts: 0,
+    });
+    Admission::Accepted(seq)
 }
 
-impl Default for AdmissionControl {
-    fn default() -> AdmissionControl {
-        AdmissionControl { epc_low_water: 64 }
-    }
+/// True when `free_epc_pages` is below the shedding threshold.
+pub fn under_pressure(free_epc_pages: u64) -> bool {
+    free_epc_pages < EPC_LOW_WATER
 }
 
-impl AdmissionControl {
-    /// Offers one request for tenant `tenant`; on acceptance the request
-    /// is enqueued and assigned the tenant's next sequence number.
-    pub fn offer(
-        &self,
-        tenant: &mut TenantState,
-        tenant_idx: usize,
-        service: usize,
-        arrival: u64,
-        payload: Vec<u8>,
-    ) -> Admission {
-        if tenant.shed {
-            tenant.rejected_shed += 1;
-            return Admission::RejectedShed;
-        }
-        if tenant.queue.len() >= tenant.spec.queue_capacity {
-            tenant.rejected_full += 1;
-            return Admission::RejectedFull;
-        }
-        let seq = tenant.next_seq;
-        tenant.next_seq += 1;
-        tenant.accepted += 1;
-        tenant.queue.push_back(Request {
-            tenant: tenant_idx,
-            service,
-            seq,
-            arrival,
-            payload,
-            attempts: 0,
-        });
-        Admission::Accepted(seq)
-    }
-
-    /// True when `free_epc_pages` is below the shedding threshold.
-    pub fn under_pressure(&self, free_epc_pages: u64) -> bool {
-        free_epc_pages < self.epc_low_water
-    }
-
-    /// Picks the tenant to shed under pressure: the lowest-priority tenant
-    /// that is loaded and not already shed (ties broken toward the higher
-    /// index, i.e. the later-arriving tenant). Returns its index.
-    pub fn shed_victim(&self, tenants: &[TenantState]) -> Option<usize> {
-        tenants
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.loaded && !t.shed)
-            .min_by_key(|(i, t)| (t.spec.priority, std::cmp::Reverse(*i)))
-            .map(|(i, _)| i)
-    }
+/// Picks the tenant to shed under pressure: the lowest-priority tenant
+/// that is loaded and not already shed (ties broken toward the higher
+/// index, i.e. the later-arriving tenant). Returns its index.
+pub fn shed_victim(tenants: &[TenantState]) -> Option<usize> {
+    tenants
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.loaded && !t.shed)
+        .min_by_key(|(i, t)| (t.spec.priority, std::cmp::Reverse(*i)))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -130,36 +117,30 @@ mod tests {
 
     #[test]
     fn bounded_queue_backpressure() {
-        let ac = AdmissionControl::default();
         let mut t = tenant(1, 2, true);
-        assert!(ac.offer(&mut t, 0, 0, 0, vec![]).is_accepted());
-        assert!(ac.offer(&mut t, 0, 0, 0, vec![]).is_accepted());
-        assert_eq!(ac.offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedFull);
+        assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
+        assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
+        assert_eq!(offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedFull);
         assert_eq!((t.accepted, t.rejected_full), (2, 1));
         // Draining one slot re-opens the queue.
         t.queue.pop_front();
-        assert!(ac.offer(&mut t, 0, 0, 0, vec![]).is_accepted());
+        assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
     }
 
     #[test]
     fn shed_tenants_reject_everything() {
-        let ac = AdmissionControl::default();
         let mut t = tenant(1, 8, true);
         t.shed = true;
-        assert_eq!(ac.offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedShed);
+        assert_eq!(offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedShed);
         assert_eq!(t.rejected_shed, 1);
         assert_eq!(t.accepted, 0);
     }
 
     #[test]
     fn sequence_numbers_are_fifo() {
-        let ac = AdmissionControl::default();
         let mut t = tenant(1, 8, true);
         for expect in 0..5u64 {
-            assert_eq!(
-                ac.offer(&mut t, 0, 0, 0, vec![]),
-                Admission::Accepted(expect)
-            );
+            assert_eq!(offer(&mut t, 0, 0, 0, vec![]), Admission::Accepted(expect));
         }
         let seqs: Vec<u64> = t.queue.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
@@ -167,21 +148,19 @@ mod tests {
 
     #[test]
     fn shed_victim_is_lowest_priority() {
-        let ac = AdmissionControl::default();
         let mut ts = vec![tenant(5, 8, true), tenant(1, 8, true), tenant(3, 8, true)];
-        assert_eq!(ac.shed_victim(&ts), Some(1));
+        assert_eq!(shed_victim(&ts), Some(1));
         ts[1].shed = true;
-        assert_eq!(ac.shed_victim(&ts), Some(2));
+        assert_eq!(shed_victim(&ts), Some(2));
         ts[2].shed = true;
-        assert_eq!(ac.shed_victim(&ts), Some(0));
+        assert_eq!(shed_victim(&ts), Some(0));
         ts[0].shed = true;
-        assert_eq!(ac.shed_victim(&ts), None);
+        assert_eq!(shed_victim(&ts), None);
     }
 
     #[test]
     fn pressure_threshold() {
-        let ac = AdmissionControl { epc_low_water: 10 };
-        assert!(ac.under_pressure(9));
-        assert!(!ac.under_pressure(10));
+        assert!(under_pressure(EPC_LOW_WATER - 1));
+        assert!(!under_pressure(EPC_LOW_WATER));
     }
 }

@@ -42,14 +42,13 @@ pub mod server;
 pub mod service;
 pub mod tenant;
 
-pub use admission::{Admission, AdmissionControl};
+pub use admission::Admission;
 pub use error::{HostError, HostResult};
 pub use migrate::TenantSnapshot;
 pub use recovery::{
-    MigratePhase, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryPolicy, RecoveryState,
-    ShedReason,
+    MigratePhase, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryState, ShedReason,
 };
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use server::{HostConfig, HostReport, HostServer, TenantReport};
 pub use service::{RequestFactory, ServiceKind};
-pub use tenant::{Completion, Request, TenantSpec};
+pub use tenant::{pack_reply, reply_digest, Completion, Request, TenantSpec};

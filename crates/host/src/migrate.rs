@@ -6,7 +6,7 @@
 //!
 //! 1. **Quiesce** — admission for the tenant is already closed by the
 //!    caller; queued requests are parked into the snapshot's bounded
-//!    buffer ([`crate::recovery::RecoveryPolicy::migrate_park_capacity`]).
+//!    buffer ([`MIGRATE_PARK_CAPACITY`]).
 //!    Overflow beyond the buffer is shed *explicitly* with
 //!    [`ShedReason::Migrating`] — counted in `shed_requests` like every
 //!    other loss path, never dropped silently.
@@ -20,10 +20,9 @@
 //!    closed, counters zeroed (they travel inside the snapshot — leaving
 //!    them behind would double-count on a same-host round trip).
 //! 4. **Rebuild** — the target rebuilds the gate and service enclaves
-//!    from the same images and re-associates them (NASSO), retrying with
-//!    deterministic backoff on transient faults, then re-proves the full
-//!    NEREPORT chain before any state or traffic lands: no verified
-//!    chain, no adoption.
+//!    from the same images and re-associates them (NASSO), then re-proves
+//!    the full NEREPORT chain before any state or traffic lands: no
+//!    verified chain, no adoption.
 //! 5. **Resume** — each sealed blob is handed back through the service's
 //!    `restore` ecall with the snapshot's counter as the freshness
 //!    floor. A replayed stale blob is refused as the typed
@@ -32,11 +31,16 @@
 //!    [`HostError::SealedState`]. On success the parked requests are
 //!    re-queued and admission reopens.
 //!
+//! A fault inside Rebuild or Resume (chaos can land on the very ecalls
+//! that are supposed to receive the migrated state) tears the rebuilt
+//! enclaves down and retries both phases with deterministic backoff, up
+//! to [`MAX_ATTEMPTS`]; the snapshot still holds the sealed blobs, so a
+//! retry loses nothing. Typed refusals are never retried.
+//!
 //! Every phase runs against a cycle deadline
-//! ([`crate::recovery::RecoveryPolicy::migrate_phase_deadline`]); a
-//! phase that overruns fails the migration with a typed stall. A failed
-//! extraction leaves the source tenant serving (its parked queue is
-//! restored); a failed adoption tears the half-built enclaves down and
+//! ([`MIGRATE_PHASE_DEADLINE`]); a phase that overruns fails the
+//! migration with a typed stall. A failed extraction leaves the source
+//! tenant serving (its parked queue is restored); a failed adoption tears the half-built enclaves down and
 //! leaves the target clean, so the caller can roll the snapshot back to
 //! the source with [`HostServer::rollback_tenant`].
 //!
@@ -50,14 +54,27 @@ use std::collections::BTreeMap;
 use ne_core::lifecycle::{attest_chain, AttestError};
 use ne_sgx::error::SgxError;
 
+use crate::admission::EPC_LOW_WATER;
 use crate::error::{HostError, HostResult};
-use crate::recovery::{backoff_cycles, MigratePhase, RecoveryEventKind, RecoveryState, ShedReason};
+use crate::recovery::{
+    backoff_cycles, MigratePhase, RecoveryEventKind, RecoveryState, ShedReason, MAX_ATTEMPTS,
+};
 use crate::server::{gate_dispatch, gate_image, tenant_epc_pages, HostServer};
 use crate::service::{
     decode_restore_reply, encode_restore_args, encode_seal_args, install_service,
     service_enclave_name, RestoreOutcome, ServiceKind,
 };
 use crate::tenant::{Completion, Request, TenantSpec, TenantState};
+
+/// Bound on the number of already-admitted requests a live migration
+/// parks while the tenant's enclaves are torn down and rebuilt. Parked
+/// requests drain after resume; overflow is shed explicitly with
+/// [`ShedReason::Migrating`] — never dropped silently.
+pub const MIGRATE_PARK_CAPACITY: usize = 64;
+/// Budget (cycles on the migrating core) for each phase of the
+/// five-phase migration machine. A phase that overruns fails the
+/// migration, which rolls back to the source.
+pub const MIGRATE_PHASE_DEADLINE: u64 = 800_000_000;
 
 /// Everything one tenant is, portable across hosts: spec, traffic
 /// counters, parked requests, sealed per-service state, and recovery
@@ -94,8 +111,7 @@ pub struct TenantSnapshot {
     /// Highest completed sequence number, if any.
     pub last_completed_seq: Option<u64>,
     /// Requests that were queued at quiesce, parked for the target to
-    /// re-queue at resume. Bounded by
-    /// [`crate::recovery::RecoveryPolicy::migrate_park_capacity`].
+    /// re-queue at resume. Bounded by [`MIGRATE_PARK_CAPACITY`].
     pub parked: Vec<Request>,
     /// One sealed blob per service, in spec order.
     pub sealed: Vec<(ServiceKind, Vec<u8>)>,
@@ -115,12 +131,11 @@ pub struct TenantSnapshot {
 impl HostServer {
     /// Fails the migration when `phase` has overrun its cycle budget.
     fn phase_guard(&self, tenant: &str, phase: MigratePhase, start: u64) -> HostResult<()> {
-        let budget = self.policy.migrate_phase_deadline;
         let elapsed = self.now().saturating_sub(start);
-        if budget > 0 && elapsed > budget {
+        if elapsed > MIGRATE_PHASE_DEADLINE {
             return Err(HostError::Sgx(SgxError::Stalled(format!(
                 "migration {} phase for tenant {tenant} overran its deadline: \
-                 {elapsed} > {budget} cycles",
+                 {elapsed} > {MIGRATE_PHASE_DEADLINE} cycles",
                 phase.name()
             ))));
         }
@@ -191,9 +206,8 @@ impl HostServer {
             tenant,
             RecoveryEventKind::Migrate(MigratePhase::Quiesce),
         );
-        let cap = self.policy.migrate_park_capacity;
         let mut parked: Vec<Request> = self.tenants[tenant].queue.drain(..).collect();
-        let overflow = parked.split_off(parked.len().min(cap));
+        let overflow = parked.split_off(parked.len().min(MIGRATE_PARK_CAPACITY));
         if !overflow.is_empty() {
             self.tenants[tenant].shed_requests += overflow.len() as u64;
             let now = self.now();
@@ -287,10 +301,11 @@ impl HostServer {
         Ok(snap)
     }
 
-    /// Adopts an extracted tenant on this host: rebuilds its enclaves
-    /// (with retry/backoff), re-proves the NEREPORT chain, restores the
-    /// sealed state, re-queues the parked requests, and reopens
-    /// admission. Returns the tenant's **local index** on this host.
+    /// Adopts an extracted tenant on this host: rebuilds its enclaves,
+    /// re-proves the NEREPORT chain and restores the sealed state (all
+    /// three retried with backoff on faults), re-queues the parked
+    /// requests, and reopens admission. Returns the tenant's **local
+    /// index** on this host.
     ///
     /// `floor` is the caller's authoritative freshness floor — the
     /// highest seal counter it has ever seen for this tenant (the
@@ -300,8 +315,8 @@ impl HostServer {
     /// restore enforces `max(floor, snapshot counter)`. Pass 0 when no
     /// history exists.
     ///
-    /// Adoption requires EPC headroom above the admission low-water mark
-    /// — a migration must not immediately push the target into pressure
+    /// Adoption requires EPC headroom above [`EPC_LOW_WATER`] — a
+    /// migration must not immediately push the target into pressure
     /// shedding.
     ///
     /// # Errors
@@ -342,11 +357,7 @@ impl HostServer {
             )));
         }
         let need = tenant_epc_pages(&spec);
-        let headroom = if rollback {
-            0
-        } else {
-            self.admission.epc_low_water
-        };
+        let headroom = if rollback { 0 } else { EPC_LOW_WATER };
         if (self.app.machine.free_epc_pages() as u64) < need + headroom {
             return Err(HostError::Sgx(SgxError::EpcFull));
         }
@@ -360,47 +371,50 @@ impl HostServer {
         let rebuild_start = self.now();
         self.log_event_at(rebuild_start, local, RecoveryEventKind::Migrate(phase));
 
-        // Rebuild + NASSO, retried with deterministic backoff on
-        // transient faults (chaos can land on the very loads that are
-        // supposed to receive the migrated state).
+        // Rebuild + NASSO, attest, restore — retried together with
+        // deterministic backoff on faults (chaos can land on the very
+        // ecalls that are supposed to receive the migrated state). A
+        // failed attempt tears the rebuilt enclaves down, so a retry and
+        // a final failure both start from a clean target; typed
+        // refusals (a replayed or forged blob) are final.
         let identity = spec.seed_index.unwrap_or(local);
+        let min_counter = floor.max(snap.seal_counter);
         let mut attempt: u32 = 0;
         loop {
-            match self.build_tenant_enclaves(&spec, identity, local) {
+            let result = match self.build_tenant_enclaves(&spec, identity, local) {
+                Ok(()) => self.finish_adoption(
+                    &spec,
+                    identity as u64,
+                    snap,
+                    min_counter,
+                    phase,
+                    rebuild_start,
+                    local,
+                ),
+                Err(source) => Err(HostError::Sgx(source)),
+            };
+            let source = match result {
                 Ok(()) => break,
-                Err(source) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(HostError::Respawn {
-                            tenant: spec.name.clone(),
-                            source,
-                        });
-                    }
-                    let wait =
-                        backoff_cycles(&self.policy, self.seed, local, snap.seal_counter, attempt);
-                    let now = self.now();
-                    self.log_event_at(now, local, RecoveryEventKind::Backoff { wait });
-                    if let Some(core) = self.idle_core() {
-                        self.app.untrusted(core, |cx| cx.charge(wait));
-                    }
+                Err(HostError::Sgx(source)) => source,
+                Err(refusal) => {
+                    self.teardown_enclaves(&spec);
+                    return Err(refusal);
                 }
-            }
-        }
-
-        // Attest + restore; any failure from here tears the rebuilt
-        // enclaves down so the target stays clean for a rollback.
-        let min_counter = floor.max(snap.seal_counter);
-        if let Err(e) = self.finish_adoption(
-            &spec,
-            identity as u64,
-            snap,
-            min_counter,
-            phase,
-            rebuild_start,
-            local,
-        ) {
+            };
             self.teardown_enclaves(&spec);
-            return Err(e);
+            attempt += 1;
+            if attempt >= MAX_ATTEMPTS {
+                return Err(HostError::Respawn {
+                    tenant: spec.name.clone(),
+                    source,
+                });
+            }
+            let wait = backoff_cycles(self.seed, local, snap.seal_counter, attempt);
+            let now = self.now();
+            self.log_event_at(now, local, RecoveryEventKind::Backoff { wait });
+            if let Some(core) = self.idle_core() {
+                self.app.untrusted(core, |cx| cx.charge(wait));
+            }
         }
 
         // Commit: the tenant exists on this host from here on.
@@ -438,8 +452,8 @@ impl HostServer {
     }
 
     /// Loads the gate and service enclaves for an adoption, registering
-    /// their eids under `local`. On failure everything partially built is
-    /// torn down before the error returns.
+    /// their eids under `local`. On failure the caller tears down
+    /// whatever was partially built.
     fn build_tenant_enclaves(
         &mut self,
         spec: &TenantSpec,
@@ -452,38 +466,26 @@ impl HostServer {
             .iter()
             .map(|&k| service_enclave_name(&spec.name, k))
             .collect();
-        let mut result = self
-            .app
-            .load(
-                gate_image(&gate_name),
-                [(
-                    "dispatch".to_string(),
-                    gate_dispatch(
-                        names,
-                        self.switchless_handle.clone(),
-                        self.degraded_replies.clone(),
-                    ),
-                )],
-            )
-            .map(|_| ());
-        if result.is_ok() {
-            for &kind in &spec.services {
-                result = install_service(
-                    &mut self.app,
-                    &spec.name,
-                    &gate_name,
-                    identity,
-                    kind,
-                    self.seed,
-                );
-                if result.is_err() {
-                    break;
-                }
-            }
-        }
-        if let Err(e) = result {
-            self.teardown_enclaves(spec);
-            return Err(e);
+        self.app.load(
+            gate_image(&gate_name),
+            [(
+                "dispatch".to_string(),
+                gate_dispatch(
+                    names,
+                    self.switchless_handle.clone(),
+                    self.degraded_replies.clone(),
+                ),
+            )],
+        )?;
+        for &kind in &spec.services {
+            install_service(
+                &mut self.app,
+                &spec.name,
+                &gate_name,
+                identity,
+                kind,
+                self.seed,
+            )?;
         }
         for name in self.tenant_names_of(spec) {
             if let Ok(eid) = self.app.eid(&name) {
@@ -518,8 +520,8 @@ impl HostServer {
         }
     }
 
-    /// The attest-and-restore tail of an adoption, separated so every
-    /// error path funnels through one teardown in the caller.
+    /// The attest-and-restore tail of one adoption attempt, separated so
+    /// every error path funnels through one teardown in the caller.
     #[allow(clippy::too_many_arguments)]
     fn finish_adoption(
         &mut self,
@@ -742,15 +744,20 @@ mod tests {
 
     #[test]
     fn park_overflow_is_shed_explicitly_never_dropped() {
-        let mut cfg = HostConfig::new(specs(1, &[ServiceKind::TlsEcho]));
-        cfg.recovery.migrate_park_capacity = 2;
-        let mut server = HostServer::build(cfg).unwrap();
+        let queued = MIGRATE_PARK_CAPACITY + 3;
+        let tenants =
+            vec![TenantSpec::new("t0", 1, vec![ServiceKind::TlsEcho]).queue_capacity(queued)];
+        let mut server = HostServer::build(HostConfig::new(tenants)).unwrap();
         let mut f = RequestFactory::new(ServiceKind::TlsEcho, 0, 7);
-        for _ in 0..5 {
+        for _ in 0..queued {
             assert!(server.submit(0, 0, 0, f.next_request()).is_accepted());
         }
         let snap = server.extract_tenant(0).unwrap();
-        assert_eq!(snap.parked.len(), 2, "bounded park buffer");
+        assert_eq!(
+            snap.parked.len(),
+            MIGRATE_PARK_CAPACITY,
+            "bounded park buffer"
+        );
         assert_eq!(snap.shed_requests, 3, "overflow shed, counted");
         assert!(
             server
@@ -763,7 +770,10 @@ mod tests {
         server.drain().unwrap();
         let t = &server.tenants()[local];
         assert_eq!(t.accepted, t.completed + t.shed_requests, "reply-or-shed");
-        assert_eq!((t.completed, t.shed_requests), (2, 3));
+        assert_eq!(
+            (t.completed, t.shed_requests),
+            (MIGRATE_PARK_CAPACITY as u64, 3)
+        );
     }
 
     #[test]
@@ -808,10 +818,22 @@ mod tests {
             assert!(server.submit(0, 0, 0, f.next_request()).is_accepted());
         }
         let snap = server.extract_tenant(0).unwrap();
-        let free = server.app.machine.free_epc_pages() as u64;
-        server.admission.epc_low_water = free; // adoption headroom now unmeetable
+        let need = tenant_epc_pages(&snap.spec);
+
+        // Size the target's PRM so that, with its own tenant loaded,
+        // `need <= free < need + EPC_LOW_WATER`: the pages fit, but the
+        // adoption headroom cannot be met.
+        let target_specs = || vec![TenantSpec::new("other", 1, vec![ServiceKind::TlsEcho])];
+        let probe = HostServer::build(HostConfig::new(target_specs())).unwrap();
+        let mut cfg = HostConfig::new(target_specs());
+        cfg.hw.prm_pages =
+            cfg.hw.prm_pages - probe.app.machine.free_epc_pages() as u64 + need + EPC_LOW_WATER - 1;
+        let mut target = HostServer::build(cfg).unwrap();
+        assert!(target.tenants()[0].loaded, "the target's own tenant fits");
+        let free = target.app.machine.free_epc_pages() as u64;
+        assert!(need <= free && free < need + EPC_LOW_WATER, "free {free}");
         assert_eq!(
-            server.adopt_tenant(&snap, snap.seal_counter).unwrap_err(),
+            target.adopt_tenant(&snap, snap.seal_counter).unwrap_err(),
             HostError::Sgx(SgxError::EpcFull)
         );
         let local = server.rollback_tenant(&snap, snap.seal_counter).unwrap();

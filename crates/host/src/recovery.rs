@@ -14,63 +14,30 @@
 //!
 //! Respawns are the expensive path (EREMOVE, then a full
 //! ECREATE/EADD/EINIT rebuild plus NASSO re-association). A tenant whose
-//! enclaves churn through respawns faster than
-//! [`RecoveryPolicy::breaker_threshold`] per
-//! [`RecoveryPolicy::breaker_window`] cycles trips its **circuit
-//! breaker**: the tenant is shed at admission and its queued requests are
-//! shed explicitly, converting a grey failure (every request limping
-//! through rebuild after rebuild) into a fast, attributable one — without
-//! touching sibling tenants.
+//! enclaves churn through respawns faster than [`BREAKER_THRESHOLD`] per
+//! [`BREAKER_WINDOW`] cycles trips its **circuit breaker**: the tenant is
+//! shed at admission and its queued requests are shed explicitly,
+//! converting a grey failure (every request limping through rebuild
+//! after rebuild) into a fast, attributable one — without touching
+//! sibling tenants.
 
 use ne_sgx::error::{FaultKind, SgxError};
 use ne_sgx::EnclaveId;
 use std::collections::VecDeque;
 
-/// Knobs of the retry/respawn/breaker machinery.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryPolicy {
-    /// Dispatch attempts per request before it is shed (first try
-    /// included).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `backoff_base << min(n, 6)` plus
-    /// jitter, charged to the serving core as untrusted cycles.
-    pub backoff_base: u64,
-    /// Upper bound (inclusive) on the deterministic per-retry jitter.
-    pub backoff_jitter: u64,
-    /// A request older than this (cycles since arrival, checked between
-    /// attempts) is shed instead of retried. Zero disables the deadline.
-    pub deadline: u64,
-    /// Respawns within [`RecoveryPolicy::breaker_window`] that trip the
-    /// tenant's circuit breaker.
-    pub breaker_threshold: u32,
-    /// Sliding window (cycles) over which respawns are counted.
-    pub breaker_window: u64,
-    /// Bound on the number of already-admitted requests a live migration
-    /// parks while the tenant's enclaves are torn down and rebuilt.
-    /// Parked requests drain after resume; overflow is shed explicitly
-    /// with [`ShedReason::Migrating`] — never dropped silently.
-    pub migrate_park_capacity: usize,
-    /// Budget (cycles on the migrating core) for each phase of the
-    /// five-phase migration machine. A phase that overruns fails the
-    /// migration, which rolls back to the source. Zero disables the
-    /// check.
-    pub migrate_phase_deadline: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_attempts: 4,
-            backoff_base: 20_000,
-            backoff_jitter: 8_000,
-            deadline: 400_000_000,
-            breaker_threshold: 8,
-            breaker_window: 50_000_000,
-            migrate_park_capacity: 64,
-            migrate_phase_deadline: 800_000_000,
-        }
-    }
-}
+/// Dispatch attempts per request before it is shed (first try
+/// included).
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before retry `n` is `BACKOFF_BASE << min(n, 6)` plus jitter,
+/// charged to the serving core as untrusted cycles.
+pub const BACKOFF_BASE: u64 = 20_000;
+/// Upper bound (inclusive) on the deterministic per-retry jitter.
+pub const BACKOFF_JITTER: u64 = 8_000;
+/// Respawns within [`BREAKER_WINDOW`] that trip the tenant's circuit
+/// breaker.
+pub const BREAKER_THRESHOLD: usize = 8;
+/// Sliding window (cycles) over which respawns are counted.
+pub const BREAKER_WINDOW: u64 = 50_000_000;
 
 /// What the dispatch loop should do about one failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,17 +97,8 @@ pub fn classify(err: &SgxError) -> RecoveryAction {
 /// jitter hashed from the identifiers, so two runs of the same seeded
 /// workload back off identically while concurrent retries of different
 /// requests still de-synchronize.
-pub fn backoff_cycles(
-    policy: &RecoveryPolicy,
-    seed: u64,
-    tenant: usize,
-    seq: u64,
-    attempt: u32,
-) -> u64 {
-    let base = policy.backoff_base << attempt.min(6);
-    if policy.backoff_jitter == 0 {
-        return base;
-    }
+pub fn backoff_cycles(seed: u64, tenant: usize, seq: u64, attempt: u32) -> u64 {
+    let base = BACKOFF_BASE << attempt.min(6);
     // SplitMix64 finalizer over the request identity.
     let mut x = seed
         ^ (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -151,7 +109,7 @@ pub fn backoff_cycles(
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
-    base + x % (policy.backoff_jitter + 1)
+    base + x % (BACKOFF_JITTER + 1)
 }
 
 /// Why a request was explicitly shed (the label on a
@@ -174,7 +132,7 @@ pub enum ShedReason {
     /// the tenant was shed at admission.
     ClientStalled,
     /// The request was queued when a live migration started and the
-    /// bounded park buffer ([`RecoveryPolicy::migrate_park_capacity`])
+    /// bounded park buffer ([`crate::migrate::MIGRATE_PARK_CAPACITY`])
     /// was already full.
     Migrating,
 }
@@ -308,17 +266,17 @@ pub struct RecoveryState {
 impl RecoveryState {
     /// Records a respawn at cycle `now`; returns true when this respawn
     /// trips (or finds already tripped) the circuit breaker.
-    pub fn note_respawn(&mut self, now: u64, policy: &RecoveryPolicy) -> bool {
+    pub fn note_respawn(&mut self, now: u64) -> bool {
         self.respawns += 1;
         self.respawn_times.push_back(now);
         while let Some(&t0) = self.respawn_times.front() {
-            if now.saturating_sub(t0) > policy.breaker_window {
+            if now.saturating_sub(t0) > BREAKER_WINDOW {
                 self.respawn_times.pop_front();
             } else {
                 break;
             }
         }
-        if self.respawn_times.len() as u32 >= policy.breaker_threshold {
+        if self.respawn_times.len() >= BREAKER_THRESHOLD {
             self.breaker_open = true;
         }
         self.breaker_open
@@ -375,56 +333,38 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_exponential_and_jittered() {
-        let p = RecoveryPolicy::default();
-        let a = backoff_cycles(&p, 1, 0, 5, 1);
-        assert_eq!(
-            a,
-            backoff_cycles(&p, 1, 0, 5, 1),
-            "same identity, same wait"
-        );
+        let a = backoff_cycles(1, 0, 5, 1);
+        assert_eq!(a, backoff_cycles(1, 0, 5, 1), "same identity, same wait");
         // Exponential floor, bounded jitter.
         for attempt in 0..8 {
-            let w = backoff_cycles(&p, 1, 0, 5, attempt);
-            let floor = p.backoff_base << attempt.min(6);
-            assert!(
-                w >= floor && w <= floor + p.backoff_jitter,
-                "{attempt}: {w}"
-            );
+            let w = backoff_cycles(1, 0, 5, attempt);
+            let floor = BACKOFF_BASE << attempt.min(6);
+            assert!(w >= floor && w <= floor + BACKOFF_JITTER, "{attempt}: {w}");
         }
         // Different requests de-synchronize.
         assert_ne!(
-            backoff_cycles(&p, 1, 0, 5, 1) - (p.backoff_base << 1),
-            backoff_cycles(&p, 1, 0, 6, 1) - (p.backoff_base << 1),
-        );
-        let no_jitter = RecoveryPolicy {
-            backoff_jitter: 0,
-            ..p
-        };
-        assert_eq!(
-            backoff_cycles(&no_jitter, 9, 3, 3, 2),
-            no_jitter.backoff_base << 2
+            backoff_cycles(1, 0, 5, 1) - (BACKOFF_BASE << 1),
+            backoff_cycles(1, 0, 6, 1) - (BACKOFF_BASE << 1),
         );
     }
 
     #[test]
     fn breaker_trips_on_churn_within_window_only() {
-        let p = RecoveryPolicy {
-            breaker_threshold: 3,
-            breaker_window: 1_000,
-            ..RecoveryPolicy::default()
-        };
-        // Spread out: never trips.
+        // Spread out (one respawn per window and a bit): never trips.
         let mut calm = RecoveryState::default();
         for i in 0..10u64 {
-            assert!(!calm.note_respawn(i * 10_000, &p));
+            assert!(!calm.note_respawn(i * (BREAKER_WINDOW + 1)));
         }
         assert_eq!(calm.respawns, 10);
-        // Churn: third respawn within the window trips it, and it latches.
+        // Churn: the BREAKER_THRESHOLD-th respawn within the window trips
+        // it, and it latches.
         let mut churn = RecoveryState::default();
-        assert!(!churn.note_respawn(100, &p));
-        assert!(!churn.note_respawn(200, &p));
-        assert!(churn.note_respawn(300, &p));
+        let step = BREAKER_WINDOW / BREAKER_THRESHOLD as u64;
+        for i in 1..BREAKER_THRESHOLD as u64 {
+            assert!(!churn.note_respawn(i * step), "respawn {i}");
+        }
+        assert!(churn.note_respawn(BREAKER_THRESHOLD as u64 * step));
         assert!(churn.breaker_open);
-        assert!(churn.note_respawn(999_999, &p), "breaker latches open");
+        assert!(churn.note_respawn(u64::MAX / 2), "breaker latches open");
     }
 }

@@ -37,11 +37,11 @@
 //! respawns churn trips a circuit breaker and fails fast. The server loop
 //! itself never panics on an injected fault.
 
-use crate::admission::{Admission, AdmissionControl};
+use crate::admission::{self, Admission, EPC_LOW_WATER};
 use crate::error::{HostError, HostResult};
 use crate::recovery::{
-    backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryPolicy,
-    RecoveryState, ShedReason,
+    backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryState,
+    ShedReason, MAX_ATTEMPTS,
 };
 use crate::scheduler::{Scheduler, SchedulerStats};
 use crate::service::{install_service, service_enclave_name, ServiceKind};
@@ -65,6 +65,11 @@ pub const GATE_DISPATCH_CYCLES: u64 = 1_200;
 /// Cycles one reply transmission costs (syscall + TCP/IP stack + NIC
 /// handoff), charged to whichever core runs the untrusted `net_reply`.
 pub const NET_REPLY_CYCLES: u64 = 45_000;
+/// A request older than this (cycles since arrival, checked between
+/// attempts) is shed instead of retried.
+pub const REQUEST_DEADLINE: u64 = 400_000_000;
+/// Payload bound of the switchless reply queue.
+const SWITCHLESS_CAPACITY: usize = 4096;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -80,25 +85,16 @@ pub struct HostConfig {
     pub switchless: bool,
     /// Seed for per-tenant models and datasets.
     pub seed: u64,
-    /// Admission policy (queue bounds live in each [`TenantSpec`]).
-    pub admission: AdmissionControl,
-    /// Payload bound of the switchless reply queue.
-    pub switchless_capacity: usize,
-    /// Retry/respawn/circuit-breaker policy for faulted dispatches.
-    pub recovery: RecoveryPolicy,
 }
 
 impl HostConfig {
-    /// Testbed hardware, switchless on, default admission policy.
+    /// Testbed hardware, switchless on.
     pub fn new(tenants: Vec<TenantSpec>) -> HostConfig {
         HostConfig {
             hw: HwConfig::testbed(),
             tenants,
             switchless: true,
             seed: 0xC0FFEE,
-            admission: AdmissionControl::default(),
-            switchless_capacity: 4096,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -174,11 +170,9 @@ pub struct HostServer {
     pub app: NestedApp,
     pub(crate) tenants: Vec<TenantState>,
     pub(crate) sched: Scheduler,
-    pub(crate) admission: AdmissionControl,
     worker_core: Option<usize>,
     pub(crate) completions: Vec<Completion>,
     pub(crate) seed: u64,
-    pub(crate) policy: RecoveryPolicy,
     pub(crate) recovery: Vec<RecoveryState>,
     /// Shared with every gate closure; respawned gates reuse it.
     pub(crate) switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>>,
@@ -295,7 +289,7 @@ impl HostServer {
         for &i in &order {
             let spec = &cfg.tenants[i];
             let need = tenant_epc_pages(spec);
-            if (app.machine.free_epc_pages() as u64) < need + cfg.admission.epc_low_water {
+            if (app.machine.free_epc_pages() as u64) < need + EPC_LOW_WATER {
                 // Shed at birth: graceful degradation instead of loading a
                 // working set that would thrash EWB/ELDU.
                 continue;
@@ -326,9 +320,7 @@ impl HostServer {
         let num_cores = app.machine.num_cores();
         let worker_core = (cfg.switchless && num_cores >= 2).then(|| num_cores - 1);
         if let Some(w) = worker_core {
-            let q = app.untrusted(0, |cx| {
-                SwitchlessQueue::create(cx, cfg.switchless_capacity, w)
-            });
+            let q = app.untrusted(0, |cx| SwitchlessQueue::create(cx, SWITCHLESS_CAPACITY, w));
             *switchless_handle
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(q);
@@ -369,11 +361,9 @@ impl HostServer {
             app,
             tenants,
             sched,
-            admission: cfg.admission,
             worker_core,
             completions: Vec::new(),
             seed: cfg.seed,
-            policy: cfg.recovery,
             recovery,
             switchless_handle,
             degraded_replies,
@@ -490,11 +480,6 @@ impl HostServer {
         &self.completions
     }
 
-    /// Scheduler counters.
-    pub fn sched_stats(&self) -> SchedulerStats {
-        self.sched.stats
-    }
-
     /// Invariant violations observed so far (must stay zero).
     pub fn invariant_violations(&self) -> u64 {
         self.sched.stats.invariant_violations
@@ -535,8 +520,8 @@ impl HostServer {
             return Admission::RejectedInvalid;
         }
         let free = self.app.machine.free_epc_pages() as u64;
-        if self.admission.under_pressure(free) {
-            if let Some(victim) = self.admission.shed_victim(&self.tenants) {
+        if admission::under_pressure(free) {
+            if let Some(victim) = admission::shed_victim(&self.tenants) {
                 self.tenants[victim].shed = true;
             }
         }
@@ -551,8 +536,7 @@ impl HostServer {
         {
             return Admission::RejectedUnattested;
         }
-        self.admission
-            .offer(&mut self.tenants[tenant], tenant, service, arrival, payload)
+        admission::offer(&mut self.tenants[tenant], tenant, service, arrival, payload)
     }
 
     /// Serves one queued request, if any: the scheduler picks the
@@ -562,8 +546,8 @@ impl HostServer {
     /// ecall → n_ecall → reply-ocall chain runs.
     ///
     /// Faulted dispatches go through the recovery layer: classify, repair
-    /// (reload / respawn), back off, retry — up to the policy's attempt
-    /// budget and deadline, after which the request is shed explicitly.
+    /// (reload / respawn), back off, retry — up to [`MAX_ATTEMPTS`] and
+    /// [`REQUEST_DEADLINE`], after which the request is shed explicitly.
     /// `Ok(None)` therefore means "no request completed this step": the
     /// queues were empty, or a request was shed.
     ///
@@ -641,7 +625,7 @@ impl HostServer {
                             return Ok(None);
                         }
                         action => {
-                            if req.attempts >= self.policy.max_attempts {
+                            if req.attempts >= MAX_ATTEMPTS {
                                 self.tenants[req.tenant].shed_requests += 1;
                                 self.log_event(
                                     core,
@@ -665,17 +649,11 @@ impl HostServer {
                                 );
                                 return Ok(None);
                             }
-                            let wait = backoff_cycles(
-                                &self.policy,
-                                self.seed,
-                                req.tenant,
-                                req.seq,
-                                req.attempts,
-                            );
+                            let wait = backoff_cycles(self.seed, req.tenant, req.seq, req.attempts);
                             self.log_event(core, req.tenant, RecoveryEventKind::Backoff { wait });
                             self.app.untrusted(core, |cx| cx.charge(wait));
                             let age = self.app.machine.cycles(core).saturating_sub(req.arrival);
-                            if self.policy.deadline > 0 && age > self.policy.deadline {
+                            if age > REQUEST_DEADLINE {
                                 self.tenants[req.tenant].shed_requests += 1;
                                 self.log_event(
                                     core,
@@ -875,7 +853,7 @@ impl HostServer {
     /// the next submission) before new traffic is admitted.
     fn note_respawn(&mut self, tenant: usize) {
         let now = self.now();
-        self.recovery[tenant].note_respawn(now, &self.policy);
+        self.recovery[tenant].note_respawn(now);
         self.attested[tenant] = false;
     }
 

@@ -77,7 +77,7 @@ pub struct Request {
     /// [`crate::service::RequestFactory`].
     pub payload: Vec<u8>,
     /// Dispatch attempts so far (the recovery layer retries faulted
-    /// dispatches up to [`crate::recovery::RecoveryPolicy::max_attempts`]).
+    /// dispatches up to [`crate::recovery::MAX_ATTEMPTS`]).
     pub attempts: u32,
 }
 
@@ -102,6 +102,30 @@ pub struct Completion {
     pub latency: u64,
     /// The service's reply.
     pub reply: Vec<u8>,
+}
+
+/// Appends one reply to an `ne-tenants/v1` reply-digest stream: `u32`
+/// service index, `u64` seq, `u32` reply length (all little-endian), then
+/// the reply bytes.
+pub fn pack_reply(bytes: &mut Vec<u8>, service: usize, seq: u64, reply: &[u8]) {
+    bytes.extend_from_slice(&(service as u32).to_le_bytes());
+    bytes.extend_from_slice(&seq.to_le_bytes());
+    bytes.extend_from_slice(&(reply.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(reply);
+}
+
+/// A tenant's `ne-tenants/v1` reply digest: SHA-256 over its
+/// `(service, seq, reply)` triples packed with [`pack_reply`] in
+/// (service, seq) order, so the digest is independent of the order
+/// replies completed in.
+pub fn reply_digest<'a>(replies: impl IntoIterator<Item = (usize, u64, &'a [u8])>) -> [u8; 32] {
+    let mut replies: Vec<(usize, u64, &[u8])> = replies.into_iter().collect();
+    replies.sort_by_key(|&(service, seq, _)| (service, seq));
+    let mut bytes = Vec::new();
+    for (service, seq, reply) in replies {
+        pack_reply(&mut bytes, service, seq, reply);
+    }
+    ne_crypto::sha256_digest(&bytes)
 }
 
 /// Runtime state of one tenant.

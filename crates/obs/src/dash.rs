@@ -98,12 +98,11 @@ pub fn render(t: &Timeline, label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::SloPolicy;
     use crate::window::{TenantWindow, Window};
 
     #[test]
     fn dash_is_deterministic_text() {
-        let mut t = Timeline::new(1_000, 8, SloPolicy::default(), 4);
+        let mut t = Timeline::new(1_000);
         let mut w = Window::new(0);
         let mut row = TenantWindow::new(0);
         row.completed = 3;

@@ -19,6 +19,7 @@ use ne_sgx::profile::Histogram;
 use ne_sgx::trace::Stats;
 
 use crate::incident::{correlate, Incident};
+use crate::slo::{AVAILABILITY_PERMILLE, LATENCY_TARGET, LONG_WINDOWS, PAGE_BURN, WARN_BURN};
 use crate::window::{Timeline, Window};
 
 /// Schema tag of the timeline export.
@@ -43,25 +44,12 @@ fn escape(s: &str) -> String {
 }
 
 fn stats_json(s: &Stats) -> String {
-    format!(
-        "{{\"ecalls\":{},\"ocalls\":{},\"n_ecalls\":{},\"n_ocalls\":{},\"aexes\":{},\
-         \"eresumes\":{},\"switchless_ocalls\":{},\"tlb_misses\":{},\"faults\":{},\
-         \"ewb_pages\":{},\"eldu_pages\":{},\"ipis\":{},\"span_opens\":{},\"span_closes\":{}}}",
-        s.ecalls,
-        s.ocalls,
-        s.n_ecalls,
-        s.n_ocalls,
-        s.aexes,
-        s.eresumes,
-        s.switchless_ocalls,
-        s.tlb_misses,
-        s.faults,
-        s.ewb_pages,
-        s.eldu_pages,
-        s.ipis,
-        s.span_opens,
-        s.span_closes
-    )
+    let fields: Vec<String> = s
+        .fields()
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn hist_json(h: &Histogram) -> String {
@@ -179,18 +167,13 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
     out.push_str(&format!(
         "{{\"schema\":\"{OBS_SCHEMA}\",\"label\":\"{}\",\"window_cycles\":{},\"windows\":{},\
          \"shards\":{},\"tenants\":{},\"hist_buckets\":{buckets},\"slo\":{{\
-         \"latency_target\":{},\"availability_permille\":{},\"long_windows\":{},\
-         \"warn_burn\":{},\"page_burn\":{}}}}}\n",
+         \"latency_target\":{LATENCY_TARGET},\"availability_permille\":{AVAILABILITY_PERMILLE},\
+         \"long_windows\":{LONG_WINDOWS},\"warn_burn\":{WARN_BURN},\"page_burn\":{PAGE_BURN}}}}}\n",
         escape(label),
         t.window_cycles,
         t.raw_windows(),
         t.shards,
         t.totals.len(),
-        t.slo.latency_target,
-        t.slo.availability_permille,
-        t.slo.long_windows,
-        t.slo.warn_burn,
-        t.slo.page_burn
     ));
     if let Some(base) = &t.base {
         out.push_str(&window_json(base, "base"));
@@ -242,11 +225,10 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::SloPolicy;
     use crate::window::{TenantTotal, TenantWindow, Window};
 
     fn tiny() -> Timeline {
-        let mut t = Timeline::new(1_000, 8, SloPolicy::default(), 4);
+        let mut t = Timeline::new(1_000);
         let mut w = Window::new(0);
         let mut row = TenantWindow::new(0);
         row.completed = 2;

@@ -266,11 +266,10 @@ pub fn render_incidents(incidents: &[Incident]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::SloPolicy;
     use crate::window::{Injection, Recovery, TenantWindow, Window};
 
     fn timeline(windows: Vec<Window>) -> Timeline {
-        let mut t = Timeline::new(1_000, 1_024, SloPolicy::default(), 4);
+        let mut t = Timeline::new(1_000);
         for w in windows {
             t.push(w);
         }

@@ -52,5 +52,5 @@ pub mod window;
 pub use export::{to_jsonl, OBS_SCHEMA};
 pub use incident::{correlate, render_incidents, Incident};
 pub use sampler::{Sampler, SamplerConfig, TenantCarry};
-pub use slo::{SloPolicy, SloState};
+pub use slo::SloState;
 pub use window::{Checkpoint, Injection, Recovery, TenantTotal, TenantWindow, Timeline, Window};

@@ -10,32 +10,27 @@
 //! enforced by test).
 
 use ne_host::server::HostServer;
+use ne_host::{pack_reply, reply_digest};
 
-use crate::slo::{self, SloPolicy};
+use crate::slo::{self, LATENCY_TARGET};
 use crate::window::{Checkpoint, Injection, Recovery, TenantTotal, TenantWindow, Timeline, Window};
 
-/// Sampler knobs. Defaults give ~10 windows on the committed `ne-load`
-/// baseline (runs of ~20M serving cycles).
+/// Emit a reply-stream checkpoint every this many completions per
+/// (tenant, service) pair.
+pub const CHECKPOINT_EVERY: u64 = 4;
+
+/// Sampler knobs. The default window gives ~10 windows on the committed
+/// `ne-load` baseline (runs of ~20M serving cycles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Window length in simulated serving-clock cycles.
     pub window_cycles: u64,
-    /// Bounded ring capacity (older windows roll into the base).
-    pub capacity: usize,
-    /// Emit a reply-stream checkpoint every this many completions per
-    /// (tenant, service) pair.
-    pub checkpoint_every: u64,
-    /// SLO policy to judge tenant rows against.
-    pub slo: SloPolicy,
 }
 
 impl Default for SamplerConfig {
     fn default() -> SamplerConfig {
         SamplerConfig {
             window_cycles: 2_000_000,
-            capacity: 1_024,
-            checkpoint_every: 4,
-            slo: SloPolicy::default(),
         }
     }
 }
@@ -83,7 +78,8 @@ pub struct TenantCarry(TenantSnap);
 /// [`Sampler::finish`] once the run drains.
 #[derive(Debug)]
 pub struct Sampler {
-    cfg: SamplerConfig,
+    /// Window length in simulated serving-clock cycles (at least 1).
+    window_cycles: u64,
     /// Local tenant index → global tenant id.
     globals: Vec<usize>,
     /// Local slots whose tenant migrated away (extracted); they emit
@@ -121,14 +117,11 @@ impl Sampler {
         let start = server.now();
         let tenants = snap(server);
         Sampler {
-            cfg: SamplerConfig {
-                window_cycles: window,
-                ..cfg
-            },
+            window_cycles: window,
             retired: vec![false; globals.len()],
             adopted_floor: vec![0; globals.len()],
             globals,
-            timeline: Timeline::new(window, cfg.capacity, cfg.slo, cfg.checkpoint_every),
+            timeline: Timeline::new(window),
             next_boundary: (start / window + 1) * window,
             next_index: start / window,
             prev_cycles: server.app.machine.total_cycles(),
@@ -268,7 +261,7 @@ impl Sampler {
             }
             let row = &mut rows[c.tenant];
             row.latency.record(c.latency);
-            if c.latency > self.cfg.slo.latency_target {
+            if c.latency > LATENCY_TARGET {
                 row.latency_violations += 1;
             }
         }
@@ -312,7 +305,7 @@ impl Sampler {
 
         crate::window::sort_events(&mut w.injections, &mut w.recoveries);
         self.timeline.push(w);
-        self.next_boundary += self.cfg.window_cycles;
+        self.next_boundary += self.window_cycles;
         self.next_index += 1;
     }
 
@@ -335,8 +328,8 @@ impl Sampler {
             if self.retired[l] {
                 continue;
             }
-            // Replies in (service, seq) order — the same layout as the
-            // ne-tenants/v1 digest, so the totals line is part of the
+            // Replies in (service, seq) order, digested as ne-tenants/v1
+            // does, so the totals line is part of the
             // shard-count-invariant data plane.
             let mut replies: Vec<&ne_host::Completion> = server.completions()
                 [self.base_completions..]
@@ -344,10 +337,7 @@ impl Sampler {
                 .filter(|r| r.tenant == l)
                 .collect();
             replies.sort_by_key(|r| (r.service, r.seq));
-            let mut bytes = Vec::new();
-            for r in &replies {
-                push_reply(&mut bytes, r);
-            }
+            let digest = reply_digest(replies.iter().map(|r| (r.service, r.seq, &r.reply[..])));
             self.timeline.totals.push(TenantTotal {
                 tenant: self.globals[l],
                 accepted: c.accepted - b.accepted,
@@ -355,19 +345,19 @@ impl Sampler {
                 shed: c.shed - b.shed,
                 rejected: c.rejected - b.rejected,
                 respawns: c.respawns - b.respawns,
-                digest: ne_crypto::sha256_digest(&bytes),
+                digest,
             });
 
             // Rolling checkpoints per service: digest over the first
-            // k * checkpoint_every replies in seq order.
+            // k * CHECKPOINT_EVERY replies in seq order.
             let services = server.tenants()[l].spec.services.len();
             for s in 0..services {
                 let mut bytes = Vec::new();
                 let mut n = 0u64;
                 for r in replies.iter().filter(|r| r.service == s) {
-                    push_reply(&mut bytes, r);
+                    pack_reply(&mut bytes, r.service, r.seq, &r.reply);
                     n += 1;
-                    if n.is_multiple_of(self.cfg.checkpoint_every) {
+                    if n.is_multiple_of(CHECKPOINT_EVERY) {
                         self.timeline.checkpoints.push(Checkpoint {
                             tenant: self.globals[l],
                             service: s,
@@ -384,36 +374,18 @@ impl Sampler {
             .sort_by_key(|c| (c.tenant, c.service, c.completions));
 
         if let Some(base) = &mut self.timeline.base {
-            slo::annotate(&self.cfg.slo, std::slice::from_mut(base));
+            slo::annotate(std::slice::from_mut(base));
         }
-        slo::annotate(&self.cfg.slo, &mut self.timeline.windows);
+        slo::annotate(&mut self.timeline.windows);
         self.timeline
     }
 }
 
-fn push_reply(bytes: &mut Vec<u8>, c: &ne_host::Completion) {
-    bytes.extend_from_slice(&(c.service as u32).to_le_bytes());
-    bytes.extend_from_slice(&c.seq.to_le_bytes());
-    bytes.extend_from_slice(&(c.reply.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&c.reply);
-}
-
 /// Field-wise `cur - prev` for the cumulative transition counters.
 fn stats_delta(cur: &ne_sgx::trace::Stats, prev: &ne_sgx::trace::Stats) -> ne_sgx::trace::Stats {
-    ne_sgx::trace::Stats {
-        ecalls: cur.ecalls - prev.ecalls,
-        ocalls: cur.ocalls - prev.ocalls,
-        n_ecalls: cur.n_ecalls - prev.n_ecalls,
-        n_ocalls: cur.n_ocalls - prev.n_ocalls,
-        aexes: cur.aexes - prev.aexes,
-        eresumes: cur.eresumes - prev.eresumes,
-        switchless_ocalls: cur.switchless_ocalls - prev.switchless_ocalls,
-        tlb_misses: cur.tlb_misses - prev.tlb_misses,
-        faults: cur.faults - prev.faults,
-        ewb_pages: cur.ewb_pages - prev.ewb_pages,
-        eldu_pages: cur.eldu_pages - prev.eldu_pages,
-        ipis: cur.ipis - prev.ipis,
-        span_opens: cur.span_opens - prev.span_opens,
-        span_closes: cur.span_closes - prev.span_closes,
+    let mut delta = *cur;
+    for ((_, d), (_, p)) in delta.fields_mut().into_iter().zip(prev.fields()) {
+        *d -= p;
     }
+    delta
 }

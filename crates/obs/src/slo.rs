@@ -35,78 +35,59 @@ impl SloState {
     }
 }
 
-/// The SLO targets and burn-rate thresholds a timeline is judged
-/// against. Defaults are calibrated to the committed `ne-load`
-/// baseline: a clean closed-loop run's p99 sits around 0.7M cycles,
-/// so a 1M-cycle latency target plus a 99.0% availability target make
-/// clean runs quiet and chaos runs loud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloPolicy {
-    /// End-to-end latency target in simulated cycles; a completion
-    /// above this is an SLO violation.
-    pub latency_target: u64,
-    /// Availability target in permille of terminated requests (990 =
-    /// 99.0%; the error budget is the permille remainder).
-    pub availability_permille: u64,
-    /// Long-window lookback length, in windows, for the slow burn
-    /// confirmation.
-    pub long_windows: usize,
-    /// Warn when either burn rate reaches this (1000 = consuming the
-    /// error budget exactly at the sustainable rate).
-    pub warn_burn: u64,
-    /// Page when the short burn reaches this and the long burn
-    /// confirms at [`SloPolicy::warn_burn`].
-    pub page_burn: u64,
+// The SLO targets and burn-rate thresholds every timeline is judged
+// against, calibrated to the committed `ne-load` baseline: a clean
+// closed-loop run's p99 sits around 0.7M cycles, so a 1M-cycle latency
+// target plus a 99.0% availability target make clean runs quiet and
+// chaos runs loud.
+
+/// End-to-end latency target in simulated cycles; a completion above
+/// this is an SLO violation.
+pub const LATENCY_TARGET: u64 = 1_000_000;
+/// Availability target in permille of terminated requests (990 =
+/// 99.0%; the error budget is the permille remainder).
+pub const AVAILABILITY_PERMILLE: u64 = 990;
+/// Long-window lookback length, in windows, for the slow burn
+/// confirmation.
+pub const LONG_WINDOWS: usize = 6;
+/// Warn when either burn rate reaches this (1000 = consuming the error
+/// budget exactly at the sustainable rate).
+pub const WARN_BURN: u64 = 1_000;
+/// Page when the short burn reaches this and the long burn confirms at
+/// [`WARN_BURN`].
+pub const PAGE_BURN: u64 = 10_000;
+
+/// The error budget in permille of terminated requests.
+const BUDGET_PERMILLE: u64 = 1_000 - AVAILABILITY_PERMILLE;
+
+/// Burn rate for `bad` SLO-bad outcomes out of `total` terminated
+/// requests, in permille of the error budget consumption rate: 1000
+/// means errors arrive exactly at the budgeted rate, 10_000 means ten
+/// times over budget. Zero traffic burns nothing.
+pub fn burn(bad: u64, total: u64) -> u64 {
+    bad.saturating_mul(1_000_000)
+        .checked_div(total)
+        .unwrap_or(0)
+        / BUDGET_PERMILLE
 }
 
-impl Default for SloPolicy {
-    fn default() -> SloPolicy {
-        SloPolicy {
-            latency_target: 1_000_000,
-            availability_permille: 990,
-            long_windows: 6,
-            warn_burn: 1_000,
-            page_burn: 10_000,
-        }
-    }
-}
-
-impl SloPolicy {
-    /// The error budget in permille of terminated requests (at least
-    /// 1, so a 100% availability target stays well-defined).
-    pub fn budget_permille(&self) -> u64 {
-        (1_000u64.saturating_sub(self.availability_permille)).max(1)
-    }
-
-    /// Burn rate for `bad` SLO-bad outcomes out of `total` terminated
-    /// requests, in permille of the error budget consumption rate:
-    /// 1000 means errors arrive exactly at the budgeted rate, 10_000
-    /// means ten times over budget. Zero traffic burns nothing.
-    pub fn burn(&self, bad: u64, total: u64) -> u64 {
-        bad.saturating_mul(1_000_000)
-            .checked_div(total)
-            .unwrap_or(0)
-            / self.budget_permille()
-    }
-
-    /// The verdict for a (short, long) burn-rate pair.
-    pub fn state(&self, burn_short: u64, burn_long: u64) -> SloState {
-        if burn_short >= self.page_burn && burn_long >= self.warn_burn {
-            SloState::Page
-        } else if burn_short >= self.warn_burn || burn_long >= self.warn_burn {
-            SloState::Warn
-        } else {
-            SloState::Ok
-        }
+/// The verdict for a (short, long) burn-rate pair.
+pub fn state(burn_short: u64, burn_long: u64) -> SloState {
+    if burn_short >= PAGE_BURN && burn_long >= WARN_BURN {
+        SloState::Page
+    } else if burn_short >= WARN_BURN || burn_long >= WARN_BURN {
+        SloState::Warn
+    } else {
+        SloState::Ok
     }
 }
 
 /// Evaluates the burn-rate monitor over a window sequence in index
 /// order, writing the verdict into every tenant row. The long window
-/// is a trailing sum over the last [`SloPolicy::long_windows`] windows
-/// including the current one; windows where a tenant has no traffic
-/// count as zero-burn windows in its lookback.
-pub fn annotate(policy: &SloPolicy, windows: &mut [Window]) {
+/// is a trailing sum over the last [`LONG_WINDOWS`] windows including
+/// the current one; windows where a tenant has no traffic count as
+/// zero-burn windows in its lookback.
+pub fn annotate(windows: &mut [Window]) {
     let mut trailing: BTreeMap<usize, VecDeque<(u64, u64)>> = BTreeMap::new();
     for w in windows.iter() {
         for row in &w.tenants {
@@ -122,16 +103,16 @@ pub fn annotate(policy: &SloPolicy, windows: &mut [Window]) {
                 .map(|r| (r.bad(), r.total()))
                 .unwrap_or((0, 0));
             deque.push_back((bad, total));
-            while deque.len() > policy.long_windows.max(1) {
+            while deque.len() > LONG_WINDOWS {
                 deque.pop_front();
             }
             if let Some(row) = w.tenants.iter_mut().find(|r| r.tenant == *tenant) {
                 let (lb, lt) = deque
                     .iter()
                     .fold((0u64, 0u64), |(b, t), &(db, dt)| (b + db, t + dt));
-                row.burn_short = policy.burn(bad, total);
-                row.burn_long = policy.burn(lb, lt);
-                row.slo = policy.state(row.burn_short, row.burn_long);
+                row.burn_short = burn(bad, total);
+                row.burn_long = burn(lb, lt);
+                row.slo = state(row.burn_short, row.burn_long);
             }
         }
     }
@@ -144,24 +125,23 @@ mod tests {
 
     #[test]
     fn burn_rates_are_integer_permille_of_budget() {
-        let p = SloPolicy::default(); // budget = 10 permille
-        assert_eq!(p.burn(0, 100), 0);
+        // The error budget is 10 permille.
+        assert_eq!(burn(0, 100), 0);
         // 1 bad in 100 = 10 permille error rate = exactly on budget.
-        assert_eq!(p.burn(1, 100), 1_000);
+        assert_eq!(burn(1, 100), 1_000);
         // All bad = 1000 permille = 100x budget.
-        assert_eq!(p.burn(50, 50), 100_000);
-        assert_eq!(p.burn(5, 0), 0);
+        assert_eq!(burn(50, 50), 100_000);
+        assert_eq!(burn(5, 0), 0);
     }
 
     #[test]
     fn page_needs_fast_burn_plus_slow_confirmation() {
-        let p = SloPolicy::default();
-        assert_eq!(p.state(0, 0), SloState::Ok);
-        assert_eq!(p.state(1_000, 0), SloState::Warn);
-        assert_eq!(p.state(0, 1_000), SloState::Warn);
+        assert_eq!(state(0, 0), SloState::Ok);
+        assert_eq!(state(1_000, 0), SloState::Warn);
+        assert_eq!(state(0, 1_000), SloState::Warn);
         // Fast burn without slow confirmation stays at warn.
-        assert_eq!(p.state(10_000, 999), SloState::Warn);
-        assert_eq!(p.state(10_000, 1_000), SloState::Page);
+        assert_eq!(state(10_000, 999), SloState::Warn);
+        assert_eq!(state(10_000, 1_000), SloState::Page);
     }
 
     fn window_with(index: u64, tenant: usize, completed: u64, shed: u64) -> Window {
@@ -175,25 +155,26 @@ mod tests {
 
     #[test]
     fn annotate_walks_the_trailing_window() {
-        let p = SloPolicy {
-            long_windows: 2,
-            ..SloPolicy::default()
-        };
-        // Window 0 clean, window 1 a total outage, window 2 clean again.
-        let mut ws = vec![
-            window_with(0, 0, 100, 0),
-            window_with(1, 0, 0, 50),
-            window_with(2, 0, 100, 0),
-        ];
-        annotate(&p, &mut ws);
+        // Window 0 clean, then quiet windows, then a total outage in the
+        // last window whose lookback still reaches window 0, then a
+        // clean window whose lookback no longer does.
+        let outage_at = LONG_WINDOWS - 1;
+        let mut ws = vec![window_with(0, 0, 100, 0)];
+        for i in 1..outage_at {
+            ws.push(window_with(i as u64, 0, 0, 0));
+        }
+        ws.push(window_with(outage_at as u64, 0, 0, 50));
+        ws.push(window_with(LONG_WINDOWS as u64, 0, 100, 0));
+        annotate(&mut ws);
         assert_eq!(ws[0].tenants[0].slo, SloState::Ok);
-        let outage = &ws[1].tenants[0];
+        let outage = &ws[outage_at].tenants[0];
         assert_eq!(outage.burn_short, 100_000);
-        // Long window spans windows 0..=1: 50 bad of 150 total.
+        // Long window spans windows 0..=outage: 50 bad of 150 total.
         assert_eq!(outage.burn_long, 33_333);
         assert_eq!(outage.slo, SloState::Page);
-        // The window after the outage still warns through the lookback.
-        let after = &ws[2].tenants[0];
+        // The window after the outage still warns through the lookback,
+        // which has dropped window 0: 50 bad of 150 total again.
+        let after = &ws[LONG_WINDOWS].tenants[0];
         assert_eq!(after.burn_short, 0);
         assert_eq!(after.burn_long, 33_333);
         assert_eq!(after.slo, SloState::Warn);

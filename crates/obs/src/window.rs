@@ -13,7 +13,7 @@ use ne_sgx::fault::ChaosKind;
 use ne_sgx::profile::Histogram;
 use ne_sgx::trace::Stats;
 
-use crate::slo::{SloPolicy, SloState};
+use crate::slo::SloState;
 
 /// A chaos injection attributed to a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,15 +348,8 @@ pub struct Checkpoint {
 pub struct Timeline {
     /// Window length in simulated cycles.
     pub window_cycles: u64,
-    /// Ring capacity: at most this many windows are kept; older ones
-    /// roll up into [`Timeline::base`].
-    pub capacity: usize,
     /// Shard timelines folded into this one (1 for a plain timeline).
     pub shards: usize,
-    /// SLO policy the rows were evaluated under.
-    pub slo: SloPolicy,
-    /// Reply-stream checkpoint stride used for [`Timeline::checkpoints`].
-    pub checkpoint_every: u64,
     /// Roll-up of windows evicted from the ring, oldest first.
     pub base: Option<Window>,
     /// The retained windows, in index order.
@@ -368,19 +361,15 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// Ring capacity: at most this many windows are kept; older ones
+    /// roll up into [`Timeline::base`].
+    pub const CAPACITY: usize = 1_024;
+
     /// An empty timeline.
-    pub fn new(
-        window_cycles: u64,
-        capacity: usize,
-        slo: SloPolicy,
-        checkpoint_every: u64,
-    ) -> Timeline {
+    pub fn new(window_cycles: u64) -> Timeline {
         Timeline {
             window_cycles,
-            capacity: capacity.max(1),
             shards: 1,
-            slo,
-            checkpoint_every: checkpoint_every.max(1),
             base: None,
             windows: Vec::new(),
             totals: Vec::new(),
@@ -391,7 +380,7 @@ impl Timeline {
     /// Appends a closed window, evicting the oldest into the base
     /// roll-up if the ring is full.
     pub fn push(&mut self, w: Window) {
-        if self.windows.len() >= self.capacity {
+        if self.windows.len() >= Self::CAPACITY {
             let old = self.windows.remove(0);
             match &mut self.base {
                 None => self.base = Some(old),
@@ -449,12 +438,7 @@ impl Timeline {
     /// shards). Folding a single timeline is the identity.
     pub fn fold(shards: &[Timeline]) -> Result<Timeline, String> {
         let first = shards.first().ok_or("fold of zero timelines")?;
-        let mut out = Timeline::new(
-            first.window_cycles,
-            first.capacity,
-            first.slo,
-            first.checkpoint_every,
-        );
+        let mut out = Timeline::new(first.window_cycles);
         out.shards = 0;
         let mut windows: Vec<Window> = Vec::new();
         for t in shards {
@@ -464,15 +448,15 @@ impl Timeline {
                     t.window_cycles, first.window_cycles
                 ));
             }
-            if t.slo != first.slo {
-                return Err("fold: SLO policy mismatch".into());
-            }
             out.shards += t.shards;
             if let Some(b) = &t.base {
                 match &mut out.base {
                     None => out.base = Some(b.clone()),
                     Some(acc) => {
-                        acc.folded += b.folded;
+                        // Shard bases roll up the same window indices:
+                        // count those raw windows once, as merge_shard
+                        // does for a retained window.
+                        acc.folded = acc.folded.max(b.folded);
                         acc.index = acc.index.min(b.index);
                         acc.accumulate(b, false);
                     }
@@ -498,5 +482,80 @@ impl Timeline {
         out.checkpoints
             .sort_by_key(|c| (c.tenant, c.service, c.completions));
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Window `index` of one shard: 10 cycles, one ecall, a free-EPC
+    /// gauge reading `index`, and one completion for `tenant`.
+    fn window(index: u64, tenant: usize) -> Window {
+        let mut w = Window::new(index);
+        w.cycles = 10;
+        w.stats.ecalls = 1;
+        w.free_epc = index;
+        let mut row = TenantWindow::new(tenant);
+        row.completed = 1;
+        row.latency.record(index + 1);
+        w.tenants.push(row);
+        w
+    }
+
+    /// A timeline that overflowed its ring by six windows.
+    fn overflowed(tenant: usize) -> Timeline {
+        let mut t = Timeline::new(1_000);
+        for i in 0..Timeline::CAPACITY as u64 + 6 {
+            t.push(window(i, tenant));
+        }
+        t
+    }
+
+    fn lines_of_kind(export: &str, kind: &str) -> usize {
+        let prefix = format!("{{\"kind\":\"{kind}\"");
+        export.lines().filter(|l| l.starts_with(&prefix)).count()
+    }
+
+    #[test]
+    fn ring_overflow_rolls_up_into_one_base_window() {
+        let raw = Timeline::CAPACITY as u64 + 6;
+        let t = overflowed(0);
+        assert_eq!(t.windows.len(), Timeline::CAPACITY);
+        assert_eq!(
+            t.windows[0].index, 6,
+            "the six oldest windows left the ring"
+        );
+        assert_eq!(t.raw_windows(), raw);
+        let base = t.base.as_ref().expect("overflow rolls into the base");
+        assert_eq!((base.index, base.folded), (0, 6));
+        assert_eq!(base.completed(), 6, "counters add");
+        assert_eq!(base.free_epc, 5, "gauges take the newest rolled value");
+        let (cycles, stats, request) = t.total();
+        assert_eq!(
+            (cycles, stats.ecalls, request.count()),
+            (10 * raw, raw, raw)
+        );
+        let export = crate::export::to_jsonl(&t, "ring");
+        assert_eq!(lines_of_kind(&export, "base"), 1);
+        assert_eq!(lines_of_kind(&export, "window"), Timeline::CAPACITY);
+
+        // Two overflowed shards fold into one base and one ring, and
+        // their totals still telescope.
+        let folded = Timeline::fold(&[overflowed(0), overflowed(1)]).unwrap();
+        assert_eq!(folded.shards, 2);
+        assert_eq!(folded.windows.len(), Timeline::CAPACITY);
+        assert_eq!(folded.raw_windows(), raw);
+        let base = folded.base.as_ref().expect("folded base");
+        assert_eq!((base.index, base.completed()), (0, 12));
+        assert_eq!(base.tenants.len(), 2);
+        let (cycles, stats, request) = folded.total();
+        assert_eq!(
+            (cycles, stats.ecalls, request.count()),
+            (20 * raw, 2 * raw, 2 * raw)
+        );
+        let export = crate::export::to_jsonl(&folded, "ring");
+        assert_eq!(lines_of_kind(&export, "base"), 1);
+        assert_eq!(lines_of_kind(&export, "window"), Timeline::CAPACITY);
     }
 }

@@ -92,7 +92,6 @@ fn run(migrate: bool) -> (HostServer, Timeline) {
         (0..TENANTS).collect(),
         SamplerConfig {
             window_cycles: WINDOW,
-            ..SamplerConfig::default()
         },
     );
     let mut local_of: Vec<usize> = (0..TENANTS).collect();

@@ -67,10 +67,7 @@ fn run_closed_loop(
     let mut sampler = Sampler::new(
         &server,
         (0..tenants).collect(),
-        SamplerConfig {
-            window_cycles,
-            ..SamplerConfig::default()
-        },
+        SamplerConfig { window_cycles },
     );
     let mut remaining = vec![vec![requests; services]; tenants];
     for t in 0..tenants {

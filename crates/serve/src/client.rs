@@ -16,7 +16,7 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ne_host::{RequestFactory, ServiceKind};
+use ne_host::{reply_digest, RequestFactory, ServiceKind};
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
@@ -420,17 +420,12 @@ impl ClientReport {
                 .collect();
             latencies.sort_unstable();
             // The server's per-tenant digest unit, byte for byte.
-            let mut entries: Vec<&(usize, u64, Vec<u8>)> =
-                pairs.iter().flat_map(|p| p.replies.iter()).collect();
-            entries.sort_by_key(|(s, seq, _)| (*s, *seq));
-            let mut bytes = Vec::new();
-            for (s, seq, reply) in entries {
-                bytes.extend_from_slice(&(*s as u32).to_le_bytes());
-                bytes.extend_from_slice(&seq.to_le_bytes());
-                bytes.extend_from_slice(&(reply.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(reply);
-            }
-            let digest = ne_crypto::sha256_digest(&bytes);
+            let digest = reply_digest(
+                pairs
+                    .iter()
+                    .flat_map(|p| p.replies.iter())
+                    .map(|(s, seq, reply)| (*s, *seq, reply.as_slice())),
+            );
             let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             out.push_str(&format!(
                 "tenant {t} sent {sent} replies {replies} rejected {rejected} \

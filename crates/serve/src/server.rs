@@ -117,7 +117,6 @@ pub(crate) fn build_cluster(cfg: &ServeConfig) -> Result<Cluster, String> {
 pub(crate) fn sampler_config(window: u64) -> SamplerConfig {
     SamplerConfig {
         window_cycles: window.max(1),
-        ..SamplerConfig::default()
     }
 }
 

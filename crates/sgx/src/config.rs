@@ -28,20 +28,12 @@ pub struct HwConfig {
     pub flush_all_on_evict: bool,
     /// Record an event trace (cheap counters are always maintained).
     pub trace_events: bool,
-    /// Ring-buffer capacity of the event trace: when full, the oldest
-    /// events are dropped (and counted) so memory use stays bounded.
-    pub trace_capacity: usize,
     /// Run the naive (pre-optimization) translate/data-access pipeline
     /// instead of the fast one. Both produce byte-identical architectural
     /// outputs; the reference path exists as the differential oracle the
     /// optimized path is property-tested against.
     pub reference_path: bool,
 }
-
-/// Default [`HwConfig::trace_capacity`]: large enough to hold the full
-/// transition history of the quick-mode experiments, small enough
-/// (~tens of MiB worst case) to be safe always-on.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 impl HwConfig {
     /// A small machine suitable for unit tests: 4 cores, 16 MiB DRAM with a
@@ -57,7 +49,6 @@ impl HwConfig {
             cost: CostProfile::emulated(),
             flush_all_on_evict: false,
             trace_events: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             reference_path: false,
         }
     }
@@ -75,7 +66,6 @@ impl HwConfig {
             cost: CostProfile::emulated(),
             flush_all_on_evict: false,
             trace_events: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             reference_path: false,
         }
     }

@@ -22,10 +22,11 @@
 //!   fetch with `IntegrityViolation`;
 //! * **crash** — the enclave (or one of its inner enclaves, chosen by the
 //!   PRNG) aborts: it is poisoned and every subsequent EENTER/NEENTER
-//!   fails with [`SgxError::EnclavePoisoned`] until EREMOVE;
+//!   fails with [`crate::error::SgxError::EnclavePoisoned`] until EREMOVE;
 //! * **stall** — the switchless reply core stops polling for a few
-//!   requests: switchless ocalls fail with [`SgxError::Stalled`] and the
-//!   host degrades to classic exit-based ocalls.
+//!   requests: switchless ocalls fail with
+//!   [`crate::error::SgxError::Stalled`] and the host degrades to classic
+//!   exit-based ocalls.
 //!
 //! The injected faults are applied with the *real* instruction
 //! implementations (`aex`/`eresume`/`ewb`/`physical_tamper`), so every
@@ -35,7 +36,6 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
-use crate::error::{Result, SgxError};
 use std::fmt;
 
 /// Salt XORed into a serving run's base seed to seed its chaos plan, so
@@ -268,7 +268,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a description of the first malformed term.
-    pub fn parse(spec: &str, seed: u64) -> std::result::Result<FaultPlan, String> {
+    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
         let mut terms = Vec::new();
         for raw in spec.split('+') {
             let raw = raw.trim();
@@ -383,7 +383,7 @@ impl FaultPlan {
     }
 
     /// Consumes one tick of the stall window; true if the switchless
-    /// ocall at hand should fail with [`SgxError::Stalled`].
+    /// ocall at hand should fail with [`crate::error::SgxError::Stalled`].
     pub(crate) fn take_stall(&mut self) -> bool {
         if self.stall_window > 0 {
             self.stall_window -= 1;
@@ -397,20 +397,6 @@ impl FaultPlan {
     /// Bumps the forced-eviction counter (apply-side, one per page).
     pub(crate) fn count_forced_eviction(&mut self) {
         self.stats.forced_evictions += 1;
-    }
-
-    /// The error a stalled switchless ocall reports.
-    pub fn stall_error() -> SgxError {
-        SgxError::Stalled("switchless reply core stopped polling".to_string())
-    }
-
-    /// Convenience used by tests: parse-or-panic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::parse`] errors as [`SgxError::GeneralProtection`].
-    pub fn try_parse(spec: &str, seed: u64) -> Result<FaultPlan> {
-        FaultPlan::parse(spec, seed).map_err(SgxError::GeneralProtection)
     }
 }
 

@@ -162,6 +162,12 @@ impl std::fmt::Debug for Machine {
 /// Base of the untrusted heap region handed out by [`Machine::os_alloc_untrusted`].
 const UNTRUSTED_VA_BASE: u64 = 0x7000_0000_0000;
 
+/// Ring-buffer capacity of the event trace: when full, the oldest events
+/// are dropped (and counted) so memory use stays bounded. Large enough to
+/// hold the full transition history of the quick-mode experiments, small
+/// enough (~tens of MiB worst case) to be safe always-on.
+pub const TRACE_CAPACITY: usize = 1 << 16;
+
 impl Machine {
     /// Boots a machine with the baseline SGX validator.
     pub fn new(cfg: HwConfig) -> Machine {
@@ -199,7 +205,7 @@ impl Machine {
             cores,
             validator,
             stats: Stats::default(),
-            trace: Trace::new(cfg.trace_events, cfg.trace_capacity),
+            trace: Trace::new(cfg.trace_events, TRACE_CAPACITY),
             enclave_cycles: HashMap::new(),
             profile: Profile::new(),
             next_span_id: 0,
@@ -223,13 +229,6 @@ impl Machine {
     /// The machine configuration.
     pub fn config(&self) -> &HwConfig {
         &self.cfg
-    }
-
-    /// Replaces the validator (diagnostics/ablation only; normally set at
-    /// boot).
-    pub fn install_validator(&mut self, validator: Box<dyn TlbValidator>) {
-        self.flush_all_tlbs();
-        self.validator = validator;
     }
 
     /// Name of the installed validator.
@@ -275,14 +274,6 @@ impl Machine {
     pub fn current_enclave(&self, core: usize) -> Option<EnclaveId> {
         match self.cores[core].mode {
             CoreMode::Enclave { eid, .. } => Some(eid),
-            CoreMode::NonEnclave => None,
-        }
-    }
-
-    /// Current TCS of `core`, if in enclave mode.
-    pub fn current_tcs(&self, core: usize) -> Option<VirtAddr> {
-        match self.cores[core].mode {
-            CoreMode::Enclave { tcs, .. } => Some(tcs),
             CoreMode::NonEnclave => None,
         }
     }
@@ -369,11 +360,6 @@ impl Machine {
     /// once something is charged to them.
     pub fn enclave_cycle_table(&self) -> &HashMap<Option<EnclaveId>, CycleBreakdown> {
         &self.enclave_cycles
-    }
-
-    /// Cycles attributed to one enclave bucket so far.
-    pub fn enclave_breakdown(&self, eid: Option<EnclaveId>) -> CycleBreakdown {
-        self.enclave_cycles.get(&eid).copied().unwrap_or_default()
     }
 
     /// Snapshots every counter into an exportable [`MachineMetrics`].
@@ -471,11 +457,6 @@ impl Machine {
         if self.trace.is_enabled() {
             self.trace.record(Event::SpanEnd { core, id, cycles });
         }
-    }
-
-    /// Open runtime spans on `core` (diagnostics/tests).
-    pub fn open_spans(&self, core: usize) -> usize {
-        self.span_stacks[core].len()
     }
 
     /// The always-on latency histograms.
@@ -1028,11 +1009,6 @@ impl Machine {
     /// already poisoned stay poisoned until EREMOVEd.
     pub fn clear_chaos(&mut self) -> Option<FaultPlan> {
         self.chaos.take()
-    }
-
-    /// True if a fault plan is installed.
-    pub fn chaos_active(&self) -> bool {
-        self.chaos.is_some()
     }
 
     /// Injection counters of the installed plan, if any.

@@ -606,10 +606,10 @@ impl MachineMetrics {
             self.cores_in_enclave_mode
         ));
         out.push_str("  \"stats\": {");
-        let s = &self.stats;
-        let stat_fields = stat_fields(s);
         out.push_str(
-            &stat_fields
+            &self
+                .stats
+                .fields()
                 .iter()
                 .map(|(k, v)| format!("\"{k}\": {v}"))
                 .collect::<Vec<_>>()
@@ -697,7 +697,7 @@ impl MachineMetrics {
         let mut out = String::from("scope,id,metric,value\n");
         out.push_str(&format!("machine,,total_cycles,{}\n", self.total_cycles));
         out.push_str(&format!("machine,,tlb_flushes,{}\n", self.tlb_flushes));
-        for (k, v) in stat_fields(&self.stats) {
+        for (k, v) in self.stats.fields() {
             out.push_str(&format!("stats,,{},{v}\n", csv_field(k)));
         }
         for e in &self.profile {
@@ -767,27 +767,6 @@ fn merged_profiles(a: &[ProfileEntry], b: &[ProfileEntry]) -> Vec<ProfileEntry> 
         }
     }
     out
-}
-
-/// Stats counters in export order — the single source shared by the JSON
-/// and CSV renderers so the two can never drift.
-fn stat_fields(s: &Stats) -> [(&'static str, u64); 14] {
-    [
-        ("ecalls", s.ecalls),
-        ("ocalls", s.ocalls),
-        ("n_ecalls", s.n_ecalls),
-        ("n_ocalls", s.n_ocalls),
-        ("aexes", s.aexes),
-        ("eresumes", s.eresumes),
-        ("switchless_ocalls", s.switchless_ocalls),
-        ("tlb_misses", s.tlb_misses),
-        ("faults", s.faults),
-        ("ewb_pages", s.ewb_pages),
-        ("eldu_pages", s.eldu_pages),
-        ("ipis", s.ipis),
-        ("span_opens", s.span_opens),
-        ("span_closes", s.span_closes),
-    ]
 }
 
 /// RFC-4180 field quoting: wrap in quotes (doubling embedded quotes) when

@@ -411,11 +411,6 @@ impl Profile {
             .sum()
     }
 
-    /// Total samples recorded for `event` across levels.
-    pub fn event_count(&self, event: ProfileEvent) -> u64 {
-        self.merged(event).count()
-    }
-
     /// Clears every histogram.
     pub fn clear(&mut self) {
         for h in &mut self.hists {

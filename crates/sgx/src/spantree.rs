@@ -330,16 +330,15 @@ mod tests {
     use super::*;
     use crate::config::HwConfig;
 
-    fn traced_machine(capacity: usize) -> Machine {
+    fn traced_machine() -> Machine {
         let mut cfg = HwConfig::small();
         cfg.trace_events = true;
-        cfg.trace_capacity = capacity;
         Machine::new(cfg)
     }
 
     #[test]
     fn reconstructs_nesting_and_durations() {
-        let mut m = traced_machine(1024);
+        let mut m = traced_machine();
         let outer = m.span_begin(0, SpanKind::Ecall, "outer");
         m.charge(0, 100);
         let inner = m.span_begin(0, SpanKind::Ocall, "inner");
@@ -362,7 +361,7 @@ mod tests {
 
     #[test]
     fn implicitly_closed_children_inherit_parent_end() {
-        let mut m = traced_machine(1024);
+        let mut m = traced_machine();
         let outer = m.span_begin(0, SpanKind::Ecall, "outer");
         let _leaked = m.span_begin(0, SpanKind::Ocall, "leaked");
         m.charge(0, 70);
@@ -376,9 +375,10 @@ mod tests {
 
     #[test]
     fn wraparound_mid_span_yields_truncated_not_panic() {
-        // Capacity 4: the begins of early spans are evicted while their
-        // ends still arrive — the reconstructor must count, not panic.
-        let mut m = traced_machine(4);
+        // Replayed into a capacity-4 ring: the begins of early spans are
+        // evicted while their ends still arrive — the reconstructor must
+        // count, not panic.
+        let mut m = traced_machine();
         let outer = m.span_begin(0, SpanKind::Ecall, "outer");
         for i in 0..6 {
             let s = m.span_begin(0, SpanKind::Ocall, &format!("o{i}"));
@@ -386,8 +386,12 @@ mod tests {
             m.span_end(0, s);
         }
         m.span_end(0, outer);
-        assert!(m.trace().dropped() > 0, "ring must have wrapped");
-        let tree = SpanTree::reconstruct(m.trace());
+        let mut ring = Trace::new(true, 4);
+        for e in m.trace().events() {
+            ring.record(e.clone());
+        }
+        assert!(ring.dropped() > 0, "ring must have wrapped");
+        let tree = SpanTree::reconstruct(&ring);
         assert!(
             !tree.truncated.is_empty(),
             "ends without begins must be counted as truncated"
@@ -400,7 +404,7 @@ mod tests {
 
     #[test]
     fn unfinished_spans_become_instants_not_dangling_begins() {
-        let mut m = traced_machine(1024);
+        let mut m = traced_machine();
         let _open = m.span_begin(0, SpanKind::Ecall, "still-open");
         m.charge(0, 5);
         let tree = SpanTree::reconstruct(m.trace());
@@ -412,7 +416,7 @@ mod tests {
 
     #[test]
     fn folded_output_accounts_self_cycles() {
-        let mut m = traced_machine(1024);
+        let mut m = traced_machine();
         let outer = m.span_begin(0, SpanKind::Ecall, "handler");
         m.charge(0, 100);
         let inner = m.span_begin(0, SpanKind::Ocall, "sink");
@@ -429,7 +433,7 @@ mod tests {
 
     #[test]
     fn bundle_capture_smoke() {
-        let mut m = traced_machine(1024);
+        let mut m = traced_machine();
         let s = m.span_begin(1, SpanKind::SwitchlessOcall, "q");
         m.charge(1, 620);
         m.span_end(1, s);

@@ -63,26 +63,43 @@ impl Stats {
         self.ecalls + self.ocalls + self.n_ecalls + self.n_ocalls + self.aexes + self.eresumes
     }
 
+    /// Every counter with its export name, in export order — the one
+    /// list that merges, window deltas and every export iterate, so none
+    /// of them can miss a counter.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 14] {
+        [
+            ("ecalls", &mut self.ecalls),
+            ("ocalls", &mut self.ocalls),
+            ("n_ecalls", &mut self.n_ecalls),
+            ("n_ocalls", &mut self.n_ocalls),
+            ("aexes", &mut self.aexes),
+            ("eresumes", &mut self.eresumes),
+            ("switchless_ocalls", &mut self.switchless_ocalls),
+            ("tlb_misses", &mut self.tlb_misses),
+            ("faults", &mut self.faults),
+            ("ewb_pages", &mut self.ewb_pages),
+            ("eldu_pages", &mut self.eldu_pages),
+            ("ipis", &mut self.ipis),
+            ("span_opens", &mut self.span_opens),
+            ("span_closes", &mut self.span_closes),
+        ]
+    }
+
+    /// [`Stats::fields_mut`] by value.
+    pub fn fields(&self) -> [(&'static str, u64); 14] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Accumulates another counter set into this one (field-wise sums;
     /// associative and commutative). Used when folding per-shard machine
     /// snapshots into one merged report — every counter is a plain event
     /// count, so addition preserves all the identities
     /// [`crate::metrics::MachineMetrics::check`] verifies.
     pub fn merge(&mut self, other: &Stats) {
-        self.ecalls += other.ecalls;
-        self.ocalls += other.ocalls;
-        self.n_ecalls += other.n_ecalls;
-        self.n_ocalls += other.n_ocalls;
-        self.aexes += other.aexes;
-        self.eresumes += other.eresumes;
-        self.switchless_ocalls += other.switchless_ocalls;
-        self.tlb_misses += other.tlb_misses;
-        self.faults += other.faults;
-        self.ewb_pages += other.ewb_pages;
-        self.eldu_pages += other.eldu_pages;
-        self.ipis += other.ipis;
-        self.span_opens += other.span_opens;
-        self.span_closes += other.span_closes;
+        for ((_, a), (_, b)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *a += b;
+        }
     }
 }
 

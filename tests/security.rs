@@ -190,6 +190,29 @@ fn nasso_rejects_unauthorized_join() {
 }
 
 #[test]
+fn nasso_rejects_join_to_an_unexpected_outer() {
+    // The inner-side twin of `nasso_rejects_unauthorized_join`: an inner
+    // enclave's file pins the outer it may bind to, so an OS that offers
+    // it a different outer (even one by the same author) is refused.
+    let mut app = NestedApp::new(HwConfig::testbed());
+    let outer_a = EnclaveImage::new("hub-a", b"provider").edl(Edl::new());
+    app.load(outer_a.clone(), []).unwrap();
+    app.load(EnclaveImage::new("hub-b", b"provider").edl(Edl::new()), [])
+        .unwrap();
+    let a_id = outer_a.identity(app.layout("hub-a").unwrap().base);
+    app.load(
+        EnclaveImage::new("tenant", b"tenant")
+            .expect_outer(a_id)
+            .edl(Edl::new()),
+        [],
+    )
+    .unwrap();
+    let err = app.associate("tenant", "hub-b").unwrap_err();
+    assert!(matches!(err, SgxError::InitVerification(_)), "got {err}");
+    app.associate("tenant", "hub-a").unwrap();
+}
+
+#[test]
 fn os_cannot_drop_or_see_outer_channel_messages() {
     let mut app = topology();
     let a = app.layout("a").unwrap();
