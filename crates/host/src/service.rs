@@ -308,14 +308,15 @@ pub fn service_handlers(kind: ServiceKind, tenant: usize, seed: u64) -> Vec<(Str
             let handle: TrustedFn = Arc::new(move |cx, args| {
                 let sql = std::str::from_utf8(args)
                     .map_err(|_| SgxError::GeneralProtection("bad utf-8 query".into()))?;
-                ne_db::parse(sql).map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
+                let stmt =
+                    ne_db::parse(sql).map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
                 // A poisoned lock only means a previous handler panicked
                 // mid-query; recover the guard rather than panicking the
                 // serving loop too.
                 let result = handle_db
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .execute(sql)
+                    .execute_statement(&stmt)
                     .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
                 let mut out = Vec::new();
                 for row in &result.rows {
@@ -589,6 +590,43 @@ mod tests {
             let stmt = String::from_utf8(f.next_request()).unwrap();
             assert!(!stmt.to_uppercase().starts_with("CREATE TABLE"));
         }
+    }
+
+    /// Runs each query through a db service's `handle`, entered from a
+    /// gate the way the host's dispatch enters it.
+    fn db_replies(queries: &[&str]) -> Vec<Result<Vec<u8>, SgxError>> {
+        let mut app = NestedApp::new(HwConfig::small());
+        let gate: TrustedFn = Arc::new(|cx, sql| cx.n_ecall("t::db", "handle", sql));
+        app.load(
+            EnclaveImage::new("gate", b"test-gate").edl(Edl::new().ecall("dispatch")),
+            [("dispatch".to_string(), gate)],
+        )
+        .unwrap();
+        install_service(&mut app, "t", "gate", 0, ServiceKind::Db, 1).unwrap();
+        queries
+            .iter()
+            .map(|sql| app.ecall(0, "gate", "dispatch", sql.as_bytes()))
+            .collect()
+    }
+
+    #[test]
+    fn db_handler_errors_keep_their_text() {
+        let replies = db_replies(&[
+            "SELEKT * FROM t",
+            "SELECT * FROM missing",
+            "CREATE TABLE t (k, v)",
+            "INSERT INTO t VALUES (1, 2)",
+            "SELECT v FROM t WHERE k = 1",
+        ]);
+        let gp = |text: &str| Err(SgxError::GeneralProtection(text.into()));
+        assert_eq!(
+            replies[0],
+            gp("SQL parse error: unknown statement start Ident(\"SELEKT\")")
+        );
+        assert_eq!(replies[1], gp("no such table: missing"));
+        assert_eq!(replies[2], Ok(vec![]));
+        assert_eq!(replies[3], Ok(vec![]));
+        assert_eq!(replies[4], Ok(b"2".to_vec()));
     }
 
     #[test]

@@ -12,6 +12,11 @@ use crate::profile::ProfileEvent;
 use crate::trace::Event;
 use ne_crypto::gcm::AesGcm;
 use ne_crypto::Digest32;
+use std::sync::LazyLock;
+
+/// SHA-256 of an all-zero page, [`PageSource::Zeros`]'s content digest.
+static ZERO_PAGE_DIGEST: LazyLock<Digest32> =
+    LazyLock::new(|| ne_crypto::sha256::digest(&[0u8; PAGE_SIZE]));
 
 /// Initial contents of an EADDed page.
 ///
@@ -37,10 +42,12 @@ impl PageSource {
     /// Digest of the page content as EEXTEND will measure it. Public so
     /// loaders can *replay* a measurement without performing the load
     /// (an enclave file must embed the expected MRENCLAVE of counterparts
-    /// that are not loaded yet — § IV-C).
+    /// that are not loaded yet — § IV-C). The zero page's digest, which
+    /// every heap page and every replay of one needs, is hashed once per
+    /// process.
     pub fn content_digest(&self) -> Digest32 {
         match self {
-            PageSource::Zeros => ne_crypto::sha256::digest(&[0u8; PAGE_SIZE]),
+            PageSource::Zeros => *ZERO_PAGE_DIGEST,
             PageSource::Image(bytes) => {
                 let mut page = vec![0u8; PAGE_SIZE];
                 page[..bytes.len()].copy_from_slice(bytes);
@@ -1043,6 +1050,17 @@ mod tests {
         let measured = m.enclaves().get(eid).unwrap().measurement.finalize();
         m.einit(eid, &SigStruct::new(b"tester", measured)).unwrap();
         (m, eid, base)
+    }
+
+    #[test]
+    fn zero_page_digest_is_sha256_of_a_zero_page() {
+        let digest = PageSource::Zeros.content_digest();
+        assert_eq!(digest, ne_crypto::sha256::digest(&[0; PAGE_SIZE]));
+        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7"
+        );
     }
 
     #[test]

@@ -1,5 +1,22 @@
 //! C-SVC training by Sequential Minimal Optimization (Platt's SMO, the
 //! algorithm inside LibSVM), with one-vs-one multi-class reduction.
+//!
+//! The trainer computes nothing twice, and every model it returns is bit
+//! for bit the one the plain loop would produce:
+//!
+//! * **Decision memo.** `memo[i]` holds sample `i`'s decision value under
+//!   the current `(alpha, b)`. It is filled on first use and cleared
+//!   whenever an update is accepted, so a pass that changes nothing (each
+//!   problem ends with `max_passes` of them) computes each value once.
+//!   A memoized value is the value the same expression would recompute.
+//! * **Bounded Gram matrix.** Each binary problem whose `n × n` kernel
+//!   matrix fits [`GRAM_BUDGET_BYTES`] evaluates every kernel value once
+//!   up front; larger problems (`fig9 --full` cod-rna) evaluate them on
+//!   demand, as LibSVM bounds its kernel cache. `Kernel::eval` is
+//!   symmetric bit for bit (IEEE `*` commutes, `(a-b)² == (b-a)²`, and
+//!   dimensions are summed in the same order), so one triangle serves
+//!   both. The decision sum keeps its ascending order, its `alpha > 0`
+//!   skip and its `alpha * y * K` expression, so no rounding changes.
 
 use crate::data::Dataset;
 use crate::kernel::Kernel;
@@ -34,6 +51,11 @@ impl Default for TrainParams {
     }
 }
 
+/// Largest kernel matrix, in bytes, that training precomputes for one
+/// binary problem (n ≤ 2,896 samples). Larger problems evaluate kernel
+/// values on demand instead of exhausting host memory.
+pub const GRAM_BUDGET_BYTES: usize = 64 << 20;
+
 /// Trains a (possibly multi-class) SVM on `ds` with one-vs-one reduction,
 /// exactly like LibSVM's C-SVC.
 ///
@@ -46,13 +68,7 @@ pub fn train(ds: &Dataset, params: &TrainParams) -> SvmModel {
     let mut binaries = Vec::new();
     for a in 0..ds.num_classes {
         for b in (a + 1)..ds.num_classes {
-            let (samples, labels): (Vec<Vec<f64>>, Vec<f64>) = ds
-                .samples
-                .iter()
-                .zip(&ds.labels)
-                .filter(|(_, &l)| l == a || l == b)
-                .map(|(x, &l)| (x.clone(), if l == a { 1.0 } else { -1.0 }))
-                .unzip();
+            let (samples, labels) = class_pair(ds, a, b);
             let bin = train_binary(&samples, &labels, params);
             binaries.push(((a, b), bin));
         }
@@ -60,26 +76,76 @@ pub fn train(ds: &Dataset, params: &TrainParams) -> SvmModel {
     SvmModel::new(ds.num_classes, params.kernel, binaries)
 }
 
-/// Trains one binary classifier with simplified SMO.
+/// The samples of classes `a` (label `+1`) and `b` (label `-1`).
+fn class_pair(ds: &Dataset, a: usize, b: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    ds.samples
+        .iter()
+        .zip(&ds.labels)
+        .filter(|(_, &l)| l == a || l == b)
+        .map(|(x, &l)| (x.clone(), if l == a { 1.0 } else { -1.0 }))
+        .unzip()
+}
+
+/// Trains one binary classifier with simplified SMO, over a precomputed
+/// Gram matrix when it fits [`GRAM_BUDGET_BYTES`].
 fn train_binary(samples: &[Vec<f64>], labels: &[f64], params: &TrainParams) -> BinaryModel {
+    let n = samples.len();
+    let fits = n
+        .checked_mul(n)
+        .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
+        .is_some_and(|bytes| bytes <= GRAM_BUDGET_BYTES);
+    let gram = fits.then(|| gram_matrix(samples, params.kernel));
+    smo(samples, labels, params, gram.as_deref())
+}
+
+/// Row-major `n × n` kernel matrix, each value evaluated once and mirrored.
+fn gram_matrix(samples: &[Vec<f64>], kernel: Kernel) -> Vec<f64> {
+    let n = samples.len();
+    let mut gram = vec![0.0f64; n * n];
+    for r in 0..n {
+        for c in r..n {
+            let k = kernel.eval(&samples[r], &samples[c]);
+            gram[r * n + c] = k;
+            gram[c * n + r] = k;
+        }
+    }
+    gram
+}
+
+/// The SMO loop. Kernel values come from `gram` when given, else from
+/// `Kernel::eval` on demand.
+fn smo(
+    samples: &[Vec<f64>],
+    labels: &[f64],
+    params: &TrainParams,
+    gram: Option<&[f64]>,
+) -> BinaryModel {
     let n = samples.len();
     let mut alpha = vec![0.0f64; n];
     let mut b = 0.0f64;
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let decision = |alpha: &[f64], b: f64, x: &[f64]| -> f64 {
+    let kernel = |x: usize, y: usize| -> f64 {
+        match gram {
+            Some(g) => g[x * n + y],
+            None => params.kernel.eval(&samples[x], &samples[y]),
+        }
+    };
+    let decision = |alpha: &[f64], b: f64, x: usize| -> f64 {
         let mut s = b;
-        for i in 0..n {
-            if alpha[i] > 0.0 {
-                s += alpha[i] * labels[i] * params.kernel.eval(&samples[i], x);
+        for k in 0..n {
+            if alpha[k] > 0.0 {
+                s += alpha[k] * labels[k] * kernel(k, x);
             }
         }
         s
     };
+    // Decision value of each sample under the current `(alpha, b)`.
+    let mut memo: Vec<Option<f64>> = vec![None; n];
     let mut passes = 0usize;
     while passes < params.max_passes {
         let mut changed = 0usize;
         for i in 0..n {
-            let ei = decision(&alpha, b, &samples[i]) - labels[i];
+            let ei = *memo[i].get_or_insert_with(|| decision(&alpha, b, i)) - labels[i];
             let violates = (labels[i] * ei < -params.tol && alpha[i] < params.c)
                 || (labels[i] * ei > params.tol && alpha[i] > 0.0);
             if !violates {
@@ -91,7 +157,7 @@ fn train_binary(samples: &[Vec<f64>], labels: &[f64], params: &TrainParams) -> B
             if j >= i {
                 j += 1;
             }
-            let ej = decision(&alpha, b, &samples[j]) - labels[j];
+            let ej = *memo[j].get_or_insert_with(|| decision(&alpha, b, j)) - labels[j];
             let (ai_old, aj_old) = (alpha[i], alpha[j]);
             let (lo, hi) = if (labels[i] - labels[j]).abs() > f64::EPSILON {
                 (
@@ -107,9 +173,9 @@ fn train_binary(samples: &[Vec<f64>], labels: &[f64], params: &TrainParams) -> B
             if hi - lo < 1e-12 {
                 continue;
             }
-            let kii = params.kernel.eval(&samples[i], &samples[i]);
-            let kjj = params.kernel.eval(&samples[j], &samples[j]);
-            let kij = params.kernel.eval(&samples[i], &samples[j]);
+            let kii = kernel(i, i);
+            let kjj = kernel(j, j);
+            let kij = kernel(i, j);
             let eta = 2.0 * kij - kii - kjj;
             if eta >= 0.0 {
                 continue;
@@ -131,6 +197,7 @@ fn train_binary(samples: &[Vec<f64>], labels: &[f64], params: &TrainParams) -> B
             } else {
                 (b1 + b2) / 2.0
             };
+            memo.fill(None);
             changed += 1;
         }
         if changed == 0 {
@@ -158,6 +225,203 @@ fn train_binary(samples: &[Vec<f64>], labels: &[f64], params: &TrainParams) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::TableVDataset;
+    use crate::filter::FilterPolicy;
+
+    /// The trainer before the decision memo and the Gram matrix, kept
+    /// verbatim as the exactness reference.
+    fn train_binary_reference(
+        samples: &[Vec<f64>],
+        labels: &[f64],
+        params: &TrainParams,
+    ) -> BinaryModel {
+        let n = samples.len();
+        let mut alpha = vec![0.0f64; n];
+        let mut b = 0.0f64;
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let decision = |alpha: &[f64], b: f64, x: &[f64]| -> f64 {
+            let mut s = b;
+            for i in 0..n {
+                if alpha[i] > 0.0 {
+                    s += alpha[i] * labels[i] * params.kernel.eval(&samples[i], x);
+                }
+            }
+            s
+        };
+        let mut passes = 0usize;
+        while passes < params.max_passes {
+            let mut changed = 0usize;
+            for i in 0..n {
+                let ei = decision(&alpha, b, &samples[i]) - labels[i];
+                let violates = (labels[i] * ei < -params.tol && alpha[i] < params.c)
+                    || (labels[i] * ei > params.tol && alpha[i] > 0.0);
+                if !violates {
+                    continue;
+                }
+                // Second multiplier: random distinct index (Platt's fallback
+                // heuristic; adequate at these problem sizes).
+                let mut j = rng.gen_range(0..n - 1);
+                if j >= i {
+                    j += 1;
+                }
+                let ej = decision(&alpha, b, &samples[j]) - labels[j];
+                let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                let (lo, hi) = if (labels[i] - labels[j]).abs() > f64::EPSILON {
+                    (
+                        (alpha[j] - alpha[i]).max(0.0),
+                        (params.c + alpha[j] - alpha[i]).min(params.c),
+                    )
+                } else {
+                    (
+                        (alpha[i] + alpha[j] - params.c).max(0.0),
+                        (alpha[i] + alpha[j]).min(params.c),
+                    )
+                };
+                if hi - lo < 1e-12 {
+                    continue;
+                }
+                let kii = params.kernel.eval(&samples[i], &samples[i]);
+                let kjj = params.kernel.eval(&samples[j], &samples[j]);
+                let kij = params.kernel.eval(&samples[i], &samples[j]);
+                let eta = 2.0 * kij - kii - kjj;
+                if eta >= 0.0 {
+                    continue;
+                }
+                let mut aj = aj_old - labels[j] * (ei - ej) / eta;
+                aj = aj.clamp(lo, hi);
+                if (aj - aj_old).abs() < 1e-7 {
+                    continue;
+                }
+                let ai = ai_old + labels[i] * labels[j] * (aj_old - aj);
+                alpha[i] = ai;
+                alpha[j] = aj;
+                let b1 = b - ei - labels[i] * (ai - ai_old) * kii - labels[j] * (aj - aj_old) * kij;
+                let b2 = b - ej - labels[i] * (ai - ai_old) * kij - labels[j] * (aj - aj_old) * kjj;
+                b = if ai > 0.0 && ai < params.c {
+                    b1
+                } else if aj > 0.0 && aj < params.c {
+                    b2
+                } else {
+                    (b1 + b2) / 2.0
+                };
+                changed += 1;
+            }
+            if changed == 0 {
+                passes += 1;
+            } else {
+                passes = 0;
+            }
+        }
+        // Keep only support vectors.
+        let mut support = Vec::new();
+        let mut coeffs = Vec::new();
+        for i in 0..n {
+            if alpha[i] > 1e-9 {
+                support.push(samples[i].clone());
+                coeffs.push(alpha[i] * labels[i]);
+            }
+        }
+        BinaryModel {
+            support,
+            coeffs,
+            bias: b,
+        }
+    }
+
+    fn assert_bit_identical(got: &BinaryModel, want: &BinaryModel, what: &str) {
+        let bits = |m: &BinaryModel| {
+            let support: Vec<Vec<u64>> = m
+                .support
+                .iter()
+                .map(|x| x.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let coeffs: Vec<u64> = m.coeffs.iter().map(|v| v.to_bits()).collect();
+            (support, coeffs, m.bias.to_bits())
+        };
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// Trains every one-vs-one problem of `ds` three ways (the trainer,
+    /// the on-demand kernel path, the reference) and asserts all agree
+    /// bit for bit.
+    fn assert_matches_reference(ds: &Dataset, params: &TrainParams, what: &str) {
+        for a in 0..ds.num_classes {
+            for b in (a + 1)..ds.num_classes {
+                let (samples, labels) = class_pair(ds, a, b);
+                let want = train_binary_reference(&samples, &labels, params);
+                let what = format!("{what}, classes ({a}, {b})");
+                assert_bit_identical(&train_binary(&samples, &labels, params), &want, &what);
+                assert_bit_identical(&smo(&samples, &labels, params, None), &want, &what);
+            }
+        }
+    }
+
+    const KERNELS: [Kernel; 2] = [Kernel::Linear, Kernel::Rbf { gamma: 0.25 }];
+
+    #[test]
+    fn tenant_model_shape_matches_reference() {
+        // `ne-host`'s `tenant_model`: 3 classes x 30 x 8 dims, with its
+        // dataset and trainer seed mixing.
+        for kernel in KERNELS {
+            for seed in 0..64u64 {
+                for tenant in 0..4u64 {
+                    let ds = Dataset::synthetic(
+                        3,
+                        30,
+                        8,
+                        seed ^ tenant.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    );
+                    let params = TrainParams {
+                        kernel,
+                        seed: seed.wrapping_add(tenant),
+                        ..Default::default()
+                    };
+                    assert_matches_reference(&ds, &params, &format!("{kernel:?} {seed}/{tenant}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_v_shapes_match_reference() {
+        // Fig. 9's default scale, raw and through the case study's filter.
+        let filter = FilterPolicy {
+            drop_columns: vec![0],
+            quantize: vec![],
+        };
+        for kernel in KERNELS {
+            for ds in TableVDataset::ALL {
+                let (train_ds, _) = ds.generate_with_seed(0.005, 0);
+                let params = TrainParams {
+                    kernel,
+                    ..Default::default()
+                };
+                let what = format!("{kernel:?} {}", ds.name());
+                assert_matches_reference(&train_ds, &params, &what);
+                assert_matches_reference(&filter.anonymize(&train_ds), &params, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_problems_match_reference() {
+        for kernel in KERNELS {
+            for per_class in 1..=2 {
+                for classes in 2..=3 {
+                    for seed in 0..8 {
+                        let ds = Dataset::synthetic(classes, per_class, 4, seed);
+                        let params = TrainParams {
+                            kernel,
+                            seed,
+                            ..Default::default()
+                        };
+                        let what = format!("{kernel:?} {classes}x{per_class} seed {seed}");
+                        assert_matches_reference(&ds, &params, &what);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn trains_separable_binary() {
