@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! **ne-cluster** — sharded parallel simulation of the multi-tenant
 //! hosting server.

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-core — Nested Enclave (ISCA 2020) on the `ne-sgx` simulator
 //!

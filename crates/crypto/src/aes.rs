@@ -1,13 +1,23 @@
 //! AES-128 block cipher (FIPS 197), implemented from scratch.
 //!
 //! This is the block primitive under [`crate::gcm`], which the paper's
-//! baseline uses for software-encrypted enclave-to-enclave channels. The
-//! round function is table-driven: one 1 KiB table combines SubBytes,
-//! ShiftRows and MixColumns, so a round is 16 lookups and a handful of
-//! XORs instead of per-byte field arithmetic. Profiles of the serving
-//! benches put the previous byte-wise rounds at the top of the wall-clock
-//! ledger; the table form computes the identical permutation (the tests
-//! check it against a byte-wise reference round).
+//! baseline uses for software-encrypted enclave-to-enclave channels. Three
+//! implementations of the rounds compute the same permutation (the tests
+//! check each against the others and against the FIPS-197 and SP 800-38A
+//! vectors):
+//!
+//! * **AES-NI** (x86-64 CPUs with the `aes` feature): one `aesenc` per
+//!   round, and eight blocks interleaved for CTR mode. This is the default
+//!   wherever the CPU has it, and the one place in the workspace that uses
+//!   `unsafe`.
+//! * **T-table**, the portable fallback: one 1 KiB table combines
+//!   SubBytes, ShiftRows and MixColumns, so a round is 16 lookups and a
+//!   handful of XORs.
+//! * **Byte-wise reference**: SubBytes, ShiftRows and MixColumns as
+//!   separate per-byte passes, selected by [`crate::set_reference_impl`]
+//!   for the differential oracles.
+//!
+//! All three share one portable key expansion.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -53,7 +63,7 @@ const fn build_te0() -> [u32; 256] {
 /// AES-128 with a pre-expanded key schedule.
 ///
 /// Only encryption is provided; GCM (CTR mode) never needs the inverse
-/// cipher.
+/// cipher. The `Debug` form prints no key material.
 ///
 /// # Example
 ///
@@ -65,10 +75,40 @@ const fn build_te0() -> [u32; 256] {
 /// aes.encrypt_block(&mut block);
 /// assert_ne!(block, [0u8; 16]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys, one big-endian word per column.
+    /// Round keys, one big-endian word per column (the T-table rounds).
     rk: [[u32; 4]; 11],
+    /// The same round keys as bytes in state order, `rk_bytes[r][4c + i]`
+    /// being byte `i` of column `c` (the byte-wise and AES-NI rounds).
+    rk_bytes: [[u8; 16]; 11],
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128").finish_non_exhaustive()
+    }
+}
+
+/// The implementation of the rounds a call runs, chosen per call because
+/// [`crate::set_reference_impl`] may flip between calls.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    Reference,
+    #[cfg(target_arch = "x86_64")]
+    AesNi(ni::AesNi),
+    Table,
+}
+
+fn backend() -> Backend {
+    if crate::reference_impl() {
+        return Backend::Reference;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = ni::AesNi::detect() {
+        return Backend::AesNi(ni);
+    }
+    Backend::Table
 }
 
 impl Aes128 {
@@ -93,19 +133,41 @@ impl Aes128 {
             }
         }
         let mut rk = [[0u32; 4]; 11];
+        let mut rk_bytes = [[0u8; 16]; 11];
         for r in 0..11 {
             for c in 0..4 {
                 rk[r][c] = u32::from_be_bytes(w[4 * r + c]);
+                rk_bytes[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
         }
-        Aes128 { rk }
+        Aes128 { rk, rk_bytes }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        if crate::reference_impl() {
-            return self.encrypt_block_reference(block);
+        match backend() {
+            Backend::Reference => self.encrypt_block_reference(block),
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(ni) => ni.encrypt_block(&self.rk_bytes, block),
+            Backend::Table => self.encrypt_block_table(block),
         }
+    }
+
+    /// Encrypts eight independent blocks in place: the CTR-mode batch,
+    /// which AES-NI pipelines across the blocks.
+    pub(crate) fn encrypt_blocks(&self, blocks: &mut [[u8; 16]; 8]) {
+        match backend() {
+            Backend::Reference => blocks
+                .iter_mut()
+                .for_each(|b| self.encrypt_block_reference(b)),
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(ni) => ni.encrypt_blocks(&self.rk_bytes, blocks),
+            Backend::Table => blocks.iter_mut().for_each(|b| self.encrypt_block_table(b)),
+        }
+    }
+
+    /// The T-table rounds: the portable fallback where AES-NI is missing.
+    fn encrypt_block_table(&self, block: &mut [u8; 16]) {
         // State as one big-endian word per column; byte r of word c is the
         // state byte at row r, column c.
         let mut w = [0u32; 4];
@@ -140,28 +202,99 @@ impl Aes128 {
         }
     }
 
-    /// The byte-wise FIPS-197 rounds the T-table form was derived from:
+    /// The byte-wise FIPS-197 rounds the faster forms were derived from:
     /// SubBytes, ShiftRows and MixColumns as separate per-byte passes.
     /// Selected by [`crate::set_reference_impl`] for the differential
-    /// oracles; the tests check both forms compute the same permutation.
+    /// oracles; the tests check every form computes the same permutation.
     fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
-        let round_key = |r: usize| -> [u8; 16] {
-            let mut out = [0u8; 16];
-            for c in 0..4 {
-                out[4 * c..4 * c + 4].copy_from_slice(&self.rk[r][c].to_be_bytes());
-            }
-            out
-        };
-        add_round_key(block, &round_key(0));
+        add_round_key(block, &self.rk_bytes[0]);
         for round in 1..10 {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &round_key(round));
+            add_round_key(block, &self.rk_bytes[round]);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &round_key(10));
+        add_round_key(block, &self.rk_bytes[10]);
+    }
+}
+
+/// The AES-NI rounds: the only module in the workspace allowed `unsafe`.
+///
+/// The round keys come from the portable expansion in [`Aes128::new`], in
+/// state byte order; the `aes` instructions take the state in the same
+/// byte order as FIPS 197, so no shuffles are needed.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_storeu_si128,
+        _mm_xor_si128,
+    };
+
+    /// Proof that this CPU executes the `aes` instructions: only
+    /// [`AesNi::detect`] makes one, so holding one is what makes the calls
+    /// into the `target_feature` functions below sound.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct AesNi(());
+
+    impl AesNi {
+        /// `Some` when the CPU has AES-NI (the check is cached by `std`).
+        pub(super) fn detect() -> Option<AesNi> {
+            is_x86_feature_detected!("aes").then_some(AesNi(()))
+        }
+
+        /// Encrypts one block under the 11 round keys `rk`.
+        pub(super) fn encrypt_block(self, rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
+            // SAFETY: `self` exists only if `detect` found the `aes`
+            // feature, the one requirement `encrypt1` adds to a safe call.
+            unsafe { encrypt1(rk, block) }
+        }
+
+        /// Encrypts eight independent blocks under the round keys `rk`.
+        pub(super) fn encrypt_blocks(self, rk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]; 8]) {
+            // SAFETY: as in `encrypt_block`, `self` proves the CPU has
+            // the `aes` feature that `encrypt8` is compiled for.
+            unsafe { encrypt8(rk, blocks) }
+        }
+    }
+
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: `bytes` is 16 readable bytes, and `loadu` has no
+        // alignment requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    fn store(bytes: &mut [u8; 16], v: __m128i) {
+        // SAFETY: `bytes` is 16 writable bytes, and `storeu` has no
+        // alignment requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    #[target_feature(enable = "aes")]
+    fn encrypt1(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
+        let mut s = _mm_xor_si128(load(block), load(&rk[0]));
+        for key in &rk[1..10] {
+            s = _mm_aesenc_si128(s, load(key));
+        }
+        store(block, _mm_aesenclast_si128(s, load(&rk[10])));
+    }
+
+    /// Eight blocks in flight per round hide the `aesenc` latency that
+    /// serialises the one-block form.
+    #[target_feature(enable = "aes")]
+    fn encrypt8(rk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]; 8]) {
+        let keys = rk.each_ref().map(load);
+        let mut s = blocks.each_ref().map(|b| _mm_xor_si128(load(b), keys[0]));
+        for key in &keys[1..10] {
+            for x in s.iter_mut() {
+                *x = _mm_aesenc_si128(*x, *key);
+            }
+        }
+        for (b, x) in blocks.iter_mut().zip(s) {
+            store(b, _mm_aesenclast_si128(x, keys[10]));
+        }
     }
 }
 
@@ -258,29 +391,120 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every one-block implementation this CPU can run, with its output.
+    fn one_block_outputs(aes: &Aes128, block: &[u8; 16]) -> Vec<(&'static str, [u8; 16])> {
+        let mut out = Vec::new();
+        let mut b = *block;
+        aes.encrypt_block_reference(&mut b);
+        out.push(("reference", b));
+        let mut b = *block;
+        aes.encrypt_block_table(&mut b);
+        out.push(("table", b));
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::AesNi::detect() {
+            let mut b = *block;
+            ni.encrypt_block(&aes.rk_bytes, &mut b);
+            out.push(("aes-ni", b));
+        }
+        let mut b = *block;
+        aes.encrypt_block(&mut b);
+        out.push(("default", b));
+        out
+    }
+
+    /// Every eight-block implementation this CPU can run, with its output.
+    fn batch_outputs(aes: &Aes128, blocks: &[[u8; 16]; 8]) -> Vec<(&'static str, [[u8; 16]; 8])> {
+        let mut out = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::AesNi::detect() {
+            let mut b = *blocks;
+            ni.encrypt_blocks(&aes.rk_bytes, &mut b);
+            out.push(("aes-ni x8", b));
+        }
+        let mut b = *blocks;
+        aes.encrypt_blocks(&mut b);
+        out.push(("default x8", b));
+        out
+    }
+
     #[test]
-    fn table_rounds_match_bytewise_reference() {
+    fn every_backend_matches_bytewise_reference() {
         // Deterministic pseudorandom keys and blocks (xorshift).
         let mut s = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
+        let mut next_block = move || {
+            let mut b = [0u8; 16];
+            for half in b.chunks_mut(8) {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                half.copy_from_slice(&s.to_le_bytes());
+            }
+            b
         };
         for _ in 0..200 {
-            let mut key = [0u8; 16];
-            let mut block = [0u8; 16];
-            key[..8].copy_from_slice(&next().to_le_bytes());
-            key[8..].copy_from_slice(&next().to_le_bytes());
-            block[..8].copy_from_slice(&next().to_le_bytes());
-            block[8..].copy_from_slice(&next().to_le_bytes());
+            let key = next_block();
             let aes = Aes128::new(&key);
-            let mut fast = block;
-            aes.encrypt_block(&mut fast);
-            let mut slow = block;
-            aes.encrypt_block_reference(&mut slow);
-            assert_eq!(fast, slow, "key {key:02x?} block {block:02x?}");
+            let blocks: [[u8; 16]; 8] = std::array::from_fn(|_| next_block());
+            let mut expected = blocks;
+            for b in expected.iter_mut() {
+                aes.encrypt_block_reference(b);
+            }
+            for (block, want) in blocks.iter().zip(&expected) {
+                for (name, got) in one_block_outputs(&aes, block) {
+                    assert_eq!(got, *want, "{name}: key {key:02x?} block {block:02x?}");
+                }
+            }
+            for (name, got) in batch_outputs(&aes, &blocks) {
+                assert_eq!(got, expected, "{name}: key {key:02x?}");
+            }
         }
+    }
+
+    /// Guards the agreement tests against vacuity: where the CPU has
+    /// AES-NI, the default path must be the one that uses it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn default_backend_is_aes_ni_when_detected() {
+        if is_x86_feature_detected!("aes") {
+            assert!(matches!(backend(), Backend::AesNi(_)), "{:?}", backend());
+        } else {
+            assert!(matches!(backend(), Backend::Table), "{:?}", backend());
+        }
+    }
+
+    // NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt): the output blocks are
+    // the cipher of the incrementing counter blocks.
+    #[test]
+    fn sp800_38a_f51_ctr_output_blocks() {
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let expected: [u128; 4] = [
+            0xec8cdf7398607cb0f2d21675ea9ea1e4,
+            0x362b7c3c6773516318a077d7fc5073ae,
+            0x6a2cc3787889374fbeb4c81b17ba6c44,
+            0xe89c399ff0f198c6d40a31db156cabfe,
+        ];
+        let aes = Aes128::new(&key);
+        let counters: [[u8; 16]; 8] = std::array::from_fn(|i| {
+            (0xf0f1f2f3f4f5f6f7f8f9fafbfcfdfeffu128 + i as u128).to_be_bytes()
+        });
+        for (counter, want) in counters.iter().zip(expected) {
+            for (name, got) in one_block_outputs(&aes, counter) {
+                assert_eq!(u128::from_be_bytes(got), want, "{name}");
+            }
+        }
+        for (name, got) in batch_outputs(&aes, &counters) {
+            for (block, want) in got.iter().zip(expected) {
+                assert_eq!(u128::from_be_bytes(*block), want, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_round_key() {
+        let aes = Aes128::new(&[0x42; 16]);
+        assert_eq!(format!("{aes:?}"), "Aes128 { .. }");
     }
 }

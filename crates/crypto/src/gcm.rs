@@ -20,7 +20,8 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// AES-128-GCM cipher with a fixed key.
+/// AES-128-GCM cipher with a fixed key. The `Debug` form prints no key
+/// material.
 ///
 /// # Example
 ///
@@ -32,7 +33,7 @@ impl std::error::Error for OpenError {}
 /// assert_eq!(cipher.open(&[0; 12], &sealed, b"header").unwrap(), b"payload");
 /// assert!(cipher.open(&[0; 12], &sealed, b"tampered").is_err());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AesGcm {
     aes: Aes128,
     /// GHASH subkey H = E_K(0^128), kept as a u128 for the GF multiply.
@@ -46,6 +47,12 @@ pub struct AesGcm {
     /// function. The tables are filled by linearity from the 8 products
     /// `t^k·H`, so construction costs 8 field shifts and 255 XORs.
     mul_table: Box<[u128; 256]>,
+}
+
+impl std::fmt::Debug for AesGcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AesGcm").finish_non_exhaustive()
+    }
 }
 
 /// Reduction table for shifting a field element right by one byte:
@@ -161,18 +168,32 @@ impl AesGcm {
         Ok(out)
     }
 
-    /// CTR-mode keystream XOR starting at block counter `ctr0`.
+    /// CTR-mode keystream XOR starting at block counter `ctr0`: eight
+    /// counter blocks per [`Aes128::encrypt_blocks`] batch, then the tail
+    /// one block at a time.
     fn ctr_xor(&self, nonce: &[u8; 12], ctr0: u32, data: &mut [u8]) {
         let mut counter = ctr0;
-        for chunk in data.chunks_mut(16) {
+        let mut next_block = || {
             let mut block = [0u8; 16];
             block[..12].copy_from_slice(nonce);
             block[12..].copy_from_slice(&counter.to_be_bytes());
+            counter = counter.wrapping_add(1);
+            block
+        };
+        let mut batches = data.chunks_exact_mut(8 * 16);
+        for batch in &mut batches {
+            let mut keystream: [[u8; 16]; 8] = std::array::from_fn(|_| next_block());
+            self.aes.encrypt_blocks(&mut keystream);
+            for (b, k) in batch.iter_mut().zip(keystream.as_flattened()) {
+                *b ^= k;
+            }
+        }
+        for chunk in batches.into_remainder().chunks_mut(16) {
+            let mut block = next_block();
             self.aes.encrypt_block(&mut block);
             for (b, k) in chunk.iter_mut().zip(block.iter()) {
                 *b ^= k;
             }
-            counter = counter.wrapping_add(1);
         }
     }
 
@@ -280,6 +301,30 @@ mod tests {
         );
         assert_eq!(hex(tag), "5bc94fbc3221a5db94fae95ae7121a47");
         assert_eq!(cipher.open(&nonce, &sealed, &aad).unwrap(), pt);
+    }
+
+    /// The eight-block batches and the one-block tail must produce the
+    /// keystream of plain one-block-at-a-time CTR, across every batch
+    /// boundary and a 32-bit counter wrap.
+    #[test]
+    fn ctr_batches_match_one_block_ctr() {
+        let cipher = AesGcm::new(&[0x3cu8; 16]);
+        let nonce = [0xa5u8; 12];
+        for ctr0 in [2u32, u32::MAX - 3] {
+            for len in 0..=3 * 128 + 17 {
+                let mut batched: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+                let mut expected = batched.clone();
+                for (i, chunk) in expected.chunks_mut(16).enumerate() {
+                    let mut block = [0u8; 16];
+                    block[..12].copy_from_slice(&nonce);
+                    block[12..].copy_from_slice(&ctr0.wrapping_add(i as u32).to_be_bytes());
+                    cipher.aes.encrypt_block(&mut block);
+                    chunk.iter_mut().zip(block).for_each(|(b, k)| *b ^= k);
+                }
+                cipher.ctr_xor(&nonce, ctr0, &mut batched);
+                assert_eq!(batched, expected, "ctr0 {ctr0} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-db — a miniature SQL engine with a YCSB workload generator
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-host — a multi-tenant nested-enclave hosting server
 //!

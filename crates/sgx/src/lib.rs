@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-sgx — a cycle-accounted simulator of the Intel SGX micro-architecture
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-svm — a LibSVM-style support-vector-machine library
 //!

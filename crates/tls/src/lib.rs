@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ne-tls — a miniature TLS-like library with a HeartBleed-style bug
 //!

@@ -138,6 +138,18 @@ mod tests {
         (RecordLayer::new([9; 16]), RecordLayer::new([9; 16]))
     }
 
+    /// Round key 0 is the AES key itself, so a `{:?}` of a record layer
+    /// (or of the frame codecs that hold one) must not print the schedule.
+    #[test]
+    fn debug_prints_no_round_key() {
+        let text = format!("{:?}", RecordLayer::new([0x42; 16]));
+        assert!(text.contains("AesGcm { .. }"), "{text}");
+        // The key's word as the schedule stores it, and its bytes.
+        for word in ["1111638594", "66, 66, 66, 66"] {
+            assert!(!text.contains(word), "{text}");
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let (mut a, mut b) = pair();
