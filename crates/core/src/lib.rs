@@ -52,7 +52,6 @@
 //! ```
 
 pub mod channel;
-pub mod concurrent;
 pub mod edl;
 pub mod lifecycle;
 pub mod loader;
@@ -66,7 +65,6 @@ pub mod transitions;
 pub mod validate;
 
 pub use channel::{OuterChannel, UntrustedChannel};
-pub use concurrent::SharedApp;
 pub use edl::Edl;
 pub use lifecycle::{
     attest_chain, peek_header, seal_state, unseal_state, AttestError, LifecycleError,

@@ -126,12 +126,13 @@ impl EnclaveImage {
     }
 
     /// Seed identifying the content of code page `idx` — a function of the
-    /// enclave name and interface, so different libraries measure
+    /// enclave name and interface (`edl_digest`, the EDL's digest, hashed
+    /// once per pass by the caller), so different libraries measure
     /// differently.
-    fn code_seed(&self, idx: u64) -> u64 {
+    fn code_seed(&self, edl_digest: &Digest32, idx: u64) -> u64 {
         let mut h = ne_crypto::sha256::Sha256::new();
         h.update(self.name.as_bytes());
-        h.update(&self.edl.digest());
+        h.update(edl_digest);
         h.update(&idx.to_le_bytes());
         let d = h.finalize();
         u64::from_le_bytes(d[..8].try_into().expect("8 bytes"))
@@ -147,12 +148,13 @@ impl EnclaveImage {
         // TCS page: EADD only, matching `Machine::add_tcs`.
         m.eadd(offset, 1, perm_bits(PagePerms::RW));
         offset += PAGE_SIZE as u64;
+        let edl_digest = self.edl.digest();
         for i in 0..self.code_pages {
             m.eadd(offset, 2, perm_bits(PagePerms::RX));
             m.eextend(
                 offset,
                 &PageSource::Opaque {
-                    seed: self.code_seed(i),
+                    seed: self.code_seed(&edl_digest, i),
                 }
                 .content_digest(),
             );
@@ -223,13 +225,14 @@ pub fn load_image(
     let entry = base.add(PAGE_SIZE as u64);
     machine.add_tcs(eid, va, entry)?;
     va = va.add(PAGE_SIZE as u64);
+    let edl_digest = image.edl.digest();
     for i in 0..image.code_pages {
         machine.eadd(
             eid,
             va,
             PageType::Reg,
             PageSource::Opaque {
-                seed: image.code_seed(i),
+                seed: image.code_seed(&edl_digest, i),
             },
             PagePerms::RX,
         )?;

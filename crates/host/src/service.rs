@@ -290,11 +290,14 @@ pub fn service_handlers(kind: ServiceKind, tenant: usize, seed: u64) -> Vec<(Str
                 cx.charge(gcm_cost(cx.machine.config(), wire.len()));
                 // Each request is a self-contained record exchange (both
                 // sides start at sequence 0), so rejected or shed requests
-                // never desynchronize the stream.
-                let (_, payload) = RecordLayer::new(key)
+                // never desynchronize the stream. One layer serves both
+                // directions: `open` advances only the receive sequence,
+                // so the reply is still sealed at send sequence 0.
+                let mut layer = RecordLayer::new(key);
+                let (_, payload) = layer
                     .open(wire)
                     .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-                let reply = RecordLayer::new(key).seal(ContentType::Data, &payload);
+                let reply = layer.seal(ContentType::Data, &payload);
                 cx.charge(gcm_cost(cx.machine.config(), payload.len()));
                 Ok(reply)
             });

@@ -633,7 +633,7 @@ impl Machine {
         self.epcm_mut().remove(pte.ppn);
         self.dram_mut().clear_page(pte.ppn);
         self.os_unmap(pid, va.vpn());
-        self.free_epc.push(pte.ppn);
+        self.free_epc(pte.ppn);
         let cost = self.config().cost.ewb_page;
         // Paging runs in the (untrusted) driver but on behalf of the page's
         // owner enclave — attribute it there for the hierarchy report.
@@ -780,7 +780,7 @@ impl Machine {
                 self.os_unmap(pid, entry.vpn);
             }
             self.dram_mut().clear_page(ppn);
-            self.free_epc.push(ppn);
+            self.free_epc(ppn);
         }
         self.tcs_table.retain(|(e, _), _| *e != eid.0);
         self.pending_digests.retain(|(e, _), _| *e != eid.0);
@@ -1020,6 +1020,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Ppn;
     use crate::config::HwConfig;
     use crate::error::FaultKind;
 
@@ -1462,5 +1463,122 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, SgxError::EpcFull);
+    }
+
+    /// One enclave of the allocator model test: where its next EADD goes,
+    /// its resident REG pages and the blobs of its evicted ones.
+    struct ModelEnclave {
+        eid: EnclaveId,
+        next_va: VirtAddr,
+        resident: Vec<VirtAddr>,
+        evicted: Vec<EvictedPage>,
+    }
+
+    /// Checks one allocating instruction against the reference free list:
+    /// the instruction must succeed with the PPN the list pops, or fail
+    /// with `EpcFull` exactly when the list is empty. Returns whether the
+    /// EPC is now exhausted.
+    fn expect_alloc(model: &mut Vec<Ppn>, got: Result<Ppn>, step: usize) -> bool {
+        match (model.pop(), got) {
+            (Some(want), Ok(ppn)) => {
+                assert_eq!(ppn, want, "step {step}: PPN");
+                false
+            }
+            (None, Err(SgxError::EpcFull)) => true,
+            (want, got) => panic!("step {step}: reference {want:?}, machine {got:?}"),
+        }
+    }
+
+    /// The on-demand EPC allocator against the pre-filled free list it
+    /// replaced (every PRM page in a `Vec`, reversed, popped for each
+    /// allocation, freed pages pushed). Random ECREATE/EADD/EWB/ELDU/
+    /// EREMOVE sequences run until the EPC is full; every step must hand
+    /// out the same PPN and report the same `free_epc_pages()`, and
+    /// `EpcFull` must come at the same step.
+    #[test]
+    fn epc_allocator_matches_prefilled_free_list() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ELRANGE_PAGES: u64 = 2048;
+        let pid = ProcessId(0);
+        for seed in 0..4u64 {
+            let mut m = machine();
+            let mut model: Vec<Ppn> = (m.config().prm_start()..m.config().dram_pages)
+                .map(Ppn)
+                .collect();
+            model.reverse();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut enclaves: Vec<ModelEnclave> = Vec::new();
+            let mut next_base = 0x1000_0000u64;
+            let mut exhausted = false;
+            for step in 0..20_000 {
+                let roll = rng.gen_range(0..100u32);
+                let pick = rng.gen_range(0..enclaves.len().max(1));
+                if enclaves.is_empty() || roll < 2 {
+                    let base = VirtAddr(next_base);
+                    next_base += ELRANGE_PAGES * PAGE_SIZE as u64;
+                    let range = VirtRange::new(base, ELRANGE_PAGES * PAGE_SIZE as u64);
+                    let got = m.ecreate(pid, range).map(|eid| {
+                        enclaves.push(ModelEnclave {
+                            eid,
+                            next_va: base,
+                            resident: Vec::new(),
+                            evicted: Vec::new(),
+                        });
+                        m.epcm()
+                            .iter()
+                            .find(|(_, e)| e.eid == eid && e.page_type == PageType::Secs)
+                            .expect("SECS page")
+                            .0
+                    });
+                    exhausted = expect_alloc(&mut model, got, step);
+                } else if roll < 62 {
+                    let e = &mut enclaves[pick];
+                    let va = e.next_va;
+                    let got = m
+                        .eadd(e.eid, va, PageType::Reg, PageSource::Zeros, PagePerms::RW)
+                        .map(|()| m.os_lookup(pid, va.vpn()).expect("mapped").ppn);
+                    if got.is_ok() {
+                        e.next_va = va.add(PAGE_SIZE as u64);
+                        e.resident.push(va);
+                    }
+                    exhausted = expect_alloc(&mut model, got, step);
+                } else if roll < 82 {
+                    let e = &mut enclaves[pick];
+                    if e.resident.is_empty() {
+                        continue;
+                    }
+                    let va = e.resident.swap_remove(rng.gen_range(0..e.resident.len()));
+                    let ppn = m.os_lookup(pid, va.vpn()).expect("resident").ppn;
+                    e.evicted.push(m.ewb(e.eid, va).unwrap());
+                    model.push(ppn);
+                } else if roll < 99 {
+                    let e = &mut enclaves[pick];
+                    if e.evicted.is_empty() {
+                        continue;
+                    }
+                    let blob = e.evicted.swap_remove(rng.gen_range(0..e.evicted.len()));
+                    let va = blob.vpn.base();
+                    let got = m
+                        .eldu(&blob)
+                        .map(|()| m.os_lookup(pid, blob.vpn).expect("reloaded").ppn);
+                    if got.is_ok() {
+                        e.resident.push(va);
+                    }
+                    exhausted = expect_alloc(&mut model, got, step);
+                } else {
+                    let e = enclaves.swap_remove(pick);
+                    let pages = m.epcm().pages_of(e.eid);
+                    m.eremove(e.eid).unwrap();
+                    model.extend(pages);
+                }
+                assert_eq!(m.free_epc_pages(), model.len(), "seed {seed} step {step}");
+                if exhausted {
+                    break;
+                }
+            }
+            assert!(exhausted, "seed {seed}: the EPC never filled");
+            m.audit_epcm().unwrap();
+        }
     }
 }

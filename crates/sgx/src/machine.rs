@@ -119,7 +119,12 @@ pub struct Machine {
     next_span_id: u64,
     /// Per-core stack of open spans (parents for nested spans).
     span_stacks: Vec<Vec<OpenSpan>>,
-    pub(crate) free_epc: Vec<Ppn>,
+    /// EPC pages given back by EWB/EREMOVE, handed out again last-in
+    /// first-out before any fresh page.
+    recycled_epc: Vec<Ppn>,
+    /// Lowest PRM page never handed out; every page from here to
+    /// `dram_pages` is free.
+    next_fresh_epc: u64,
     next_ram_ppn: u64,
     pub(crate) platform_secret: [u8; 32],
     /// EADD-time page content digests awaiting EEXTEND, keyed by (eid, vpn).
@@ -177,8 +182,6 @@ impl Machine {
     /// Boots a machine with a custom TLB-miss validator (how the
     /// nested-enclave "microcode" is installed).
     pub fn with_validator(cfg: HwConfig, validator: Box<dyn TlbValidator>) -> Machine {
-        let mut free_epc: Vec<Ppn> = (cfg.prm_start()..cfg.dram_pages).map(Ppn).collect();
-        free_epc.reverse(); // pop() hands out low PRM pages first
         let cores = (0..cfg.num_cores)
             .map(|_| Core {
                 mode: CoreMode::NonEnclave,
@@ -210,7 +213,8 @@ impl Machine {
             profile: Profile::new(),
             next_span_id: 0,
             span_stacks: vec![Vec::new(); cfg.num_cores],
-            free_epc,
+            recycled_epc: Vec::new(),
+            next_fresh_epc: cfg.prm_start(),
             next_ram_ppn: 1,
             platform_secret,
             pending_digests: HashMap::new(),
@@ -513,9 +517,12 @@ impl Machine {
         &mut self.epcm
     }
 
-    /// Free EPC pages remaining.
+    /// Free EPC pages remaining: the recycled pages plus the PRM pages
+    /// never handed out.
     pub fn free_epc_pages(&self) -> usize {
-        self.free_epc.len()
+        let fresh = usize::try_from(self.cfg.dram_pages - self.next_fresh_epc)
+            .expect("PRM page count fits in usize");
+        self.recycled_epc.len() + fresh
     }
 
     /// TCS bookkeeping lookup.
@@ -619,9 +626,25 @@ impl Machine {
         VirtAddr(base)
     }
 
-    /// Pops a free EPC page.
+    /// Hands out a free EPC page on demand: the most recently recycled
+    /// page if there is one, else the lowest PRM page never handed out.
+    /// This is the order a pre-filled, ascending free list popped from
+    /// its low end would give, without building that list.
     pub(crate) fn alloc_epc(&mut self) -> Result<Ppn> {
-        self.free_epc.pop().ok_or(SgxError::EpcFull)
+        if let Some(ppn) = self.recycled_epc.pop() {
+            return Ok(ppn);
+        }
+        if self.next_fresh_epc == self.cfg.dram_pages {
+            return Err(SgxError::EpcFull);
+        }
+        let ppn = Ppn(self.next_fresh_epc);
+        self.next_fresh_epc += 1;
+        Ok(ppn)
+    }
+
+    /// Returns an EPC page (evicted or removed) to the allocator.
+    pub(crate) fn free_epc(&mut self, ppn: Ppn) {
+        self.recycled_epc.push(ppn);
     }
 
     // ----- translation and data access --------------------------------------
@@ -1190,6 +1213,16 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(HwConfig::small())
+    }
+
+    /// A machine pays only for the EPC it uses: booting the 4 GiB-PRM
+    /// testbed builds no free list, yet reports every PRM page free.
+    #[test]
+    fn testbed_boots_with_no_prefilled_epc_list() {
+        let m = Machine::new(HwConfig::testbed());
+        assert_eq!(m.free_epc_pages() as u64, m.config().prm_pages);
+        assert!(m.recycled_epc.is_empty());
+        assert_eq!(m.recycled_epc.capacity(), 0);
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //!   demand, as LibSVM bounds its kernel cache. `Kernel::eval` is
 //!   symmetric bit for bit (IEEE `*` commutes, `(a-b)² == (b-a)²`, and
 //!   dimensions are summed in the same order), so one triangle serves
-//!   both. The decision sum keeps its ascending order, its `alpha > 0`
-//!   skip and its `alpha * y * K` expression, so no rounding changes.
+//!   both.
+//! * **Support set.** A decision sum walks the ascending indices with
+//!   `alpha > 0` (a sorted list, updated for `i` and `j` after each
+//!   accepted step) instead of testing all `n` samples. It adds the same
+//!   terms from the same start value `b`, in the same order and by the
+//!   same `alpha * y * K` expression, so no rounding changes.
 
 use crate::data::Dataset;
 use crate::kernel::Kernel;
@@ -130,22 +134,23 @@ fn smo(
             None => params.kernel.eval(&samples[x], &samples[y]),
         }
     };
-    let decision = |alpha: &[f64], b: f64, x: usize| -> f64 {
+    let decision = |alpha: &[f64], support: &[usize], b: f64, x: usize| -> f64 {
         let mut s = b;
-        for k in 0..n {
-            if alpha[k] > 0.0 {
-                s += alpha[k] * labels[k] * kernel(k, x);
-            }
+        for &k in support {
+            s += alpha[k] * labels[k] * kernel(k, x);
         }
         s
     };
+    // Ascending indices `k` with `alpha[k] > 0.0`: the only non-zero
+    // terms of a decision sum.
+    let mut support: Vec<usize> = Vec::new();
     // Decision value of each sample under the current `(alpha, b)`.
     let mut memo: Vec<Option<f64>> = vec![None; n];
     let mut passes = 0usize;
     while passes < params.max_passes {
         let mut changed = 0usize;
         for i in 0..n {
-            let ei = *memo[i].get_or_insert_with(|| decision(&alpha, b, i)) - labels[i];
+            let ei = *memo[i].get_or_insert_with(|| decision(&alpha, &support, b, i)) - labels[i];
             let violates = (labels[i] * ei < -params.tol && alpha[i] < params.c)
                 || (labels[i] * ei > params.tol && alpha[i] > 0.0);
             if !violates {
@@ -157,7 +162,7 @@ fn smo(
             if j >= i {
                 j += 1;
             }
-            let ej = *memo[j].get_or_insert_with(|| decision(&alpha, b, j)) - labels[j];
+            let ej = *memo[j].get_or_insert_with(|| decision(&alpha, &support, b, j)) - labels[j];
             let (ai_old, aj_old) = (alpha[i], alpha[j]);
             let (lo, hi) = if (labels[i] - labels[j]).abs() > f64::EPSILON {
                 (
@@ -188,6 +193,15 @@ fn smo(
             let ai = ai_old + labels[i] * labels[j] * (aj_old - aj);
             alpha[i] = ai;
             alpha[j] = aj;
+            for k in [i, j] {
+                match (alpha[k] > 0.0, support.binary_search(&k)) {
+                    (true, Err(at)) => support.insert(at, k),
+                    (false, Ok(at)) => {
+                        support.remove(at);
+                    }
+                    _ => {}
+                }
+            }
             let b1 = b - ei - labels[i] * (ai - ai_old) * kii - labels[j] * (aj - aj_old) * kij;
             let b2 = b - ej - labels[i] * (ai - ai_old) * kij - labels[j] * (aj - aj_old) * kjj;
             b = if ai > 0.0 && ai < params.c {
