@@ -1,23 +1,20 @@
 //! AES-128 block cipher (FIPS 197), implemented from scratch.
 //!
 //! This is the block primitive under [`crate::gcm`], which the paper's
-//! baseline uses for software-encrypted enclave-to-enclave channels. Three
-//! implementations of the rounds compute the same permutation (the tests
-//! check each against the others and against the FIPS-197 and SP 800-38A
-//! vectors):
+//! baseline uses for software-encrypted enclave-to-enclave channels. Two
+//! forms of the rounds compute the same permutation (the tests check both
+//! against each other and against the FIPS-197 and SP 800-38A vectors):
 //!
 //! * **AES-NI** (x86-64 CPUs with the `aes` feature): one `aesenc` per
-//!   round, and eight blocks interleaved for CTR mode. This is the default
-//!   wherever the CPU has it, and the one place in the workspace that uses
-//!   `unsafe`.
-//! * **T-table**, the portable fallback: one 1 KiB table combines
-//!   SubBytes, ShiftRows and MixColumns, so a round is 16 lookups and a
-//!   handful of XORs.
+//!   round, and eight blocks interleaved for CTR mode.
+//!   [`Aes128::encrypt_block`] takes it wherever the CPU has it, and it is
+//!   the one place in the workspace that uses `unsafe`.
 //! * **Byte-wise reference**: SubBytes, ShiftRows and MixColumns as
-//!   separate per-byte passes, selected by [`crate::set_reference_impl`]
-//!   for the differential oracles.
+//!   separate per-byte passes. [`Aes128::encrypt_block`] falls back to it
+//!   on CPUs without AES-NI, and [`Aes128::encrypt_block_reference`] runs
+//!   it on every CPU, for tests.
 //!
-//! All three share one portable key expansion.
+//! Both share one portable key expansion.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -41,25 +38,6 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// Combined SubBytes + MixColumns table for a row-0 byte: packs the column
-/// `(2·S[x], S[x], S[x], 3·S[x])` into a big-endian word. The tables for
-/// rows 1–3 are byte rotations of this one (the MixColumns matrix is
-/// circulant), so `TE0[x].rotate_right(8·r)` serves every row.
-static TE0: [u32; 256] = build_te0();
-
-const fn build_te0() -> [u32; 256] {
-    let mut t = [0u32; 256];
-    let mut x = 0usize;
-    while x < 256 {
-        let s = SBOX[x] as u32;
-        let s2 = ((s << 1) ^ (if s & 0x80 != 0 { 0x1b } else { 0 })) & 0xff;
-        let s3 = s2 ^ s;
-        t[x] = (s2 << 24) | (s << 16) | (s << 8) | s3;
-        x += 1;
-    }
-    t
-}
-
 /// AES-128 with a pre-expanded key schedule.
 ///
 /// Only encryption is provided; GCM (CTR mode) never needs the inverse
@@ -77,11 +55,9 @@ const fn build_te0() -> [u32; 256] {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys, one big-endian word per column (the T-table rounds).
-    rk: [[u32; 4]; 11],
-    /// The same round keys as bytes in state order, `rk_bytes[r][4c + i]`
-    /// being byte `i` of column `c` (the byte-wise and AES-NI rounds).
-    rk_bytes: [[u8; 16]; 11],
+    /// Round keys as bytes in state order, `rk[r][4c + i]` being byte `i`
+    /// of column `c`.
+    rk: [[u8; 16]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -90,25 +66,20 @@ impl std::fmt::Debug for Aes128 {
     }
 }
 
-/// The implementation of the rounds a call runs, chosen per call because
-/// [`crate::set_reference_impl`] may flip between calls.
+/// The form of the rounds a call runs: the CPU decides, nothing else.
 #[derive(Debug, Clone, Copy)]
 enum Backend {
-    Reference,
     #[cfg(target_arch = "x86_64")]
     AesNi(ni::AesNi),
-    Table,
+    Bytewise,
 }
 
 fn backend() -> Backend {
-    if crate::reference_impl() {
-        return Backend::Reference;
-    }
     #[cfg(target_arch = "x86_64")]
     if let Some(ni) = ni::AesNi::detect() {
         return Backend::AesNi(ni);
     }
-    Backend::Table
+    Backend::Bytewise
 }
 
 impl Aes128 {
@@ -132,24 +103,20 @@ impl Aes128 {
                 w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut rk = [[0u32; 4]; 11];
-        let mut rk_bytes = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                rk[r][c] = u32::from_be_bytes(w[4 * r + c]);
-                rk_bytes[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
+        let mut rk = [[0u8; 16]; 11];
+        for (r, round_key) in rk.iter_mut().enumerate() {
+            round_key.copy_from_slice(w[4 * r..4 * r + 4].as_flattened());
         }
-        Aes128 { rk, rk_bytes }
+        Aes128 { rk }
     }
 
-    /// Encrypts one 16-byte block in place.
+    /// Encrypts one 16-byte block in place, on AES-NI where the CPU has it
+    /// and on the byte-wise rounds otherwise.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         match backend() {
-            Backend::Reference => self.encrypt_block_reference(block),
             #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(ni) => ni.encrypt_block(&self.rk_bytes, block),
-            Backend::Table => self.encrypt_block_table(block),
+            Backend::AesNi(ni) => ni.encrypt_block(&self.rk, block),
+            Backend::Bytewise => self.encrypt_block_reference(block),
         }
     }
 
@@ -157,66 +124,28 @@ impl Aes128 {
     /// which AES-NI pipelines across the blocks.
     pub(crate) fn encrypt_blocks(&self, blocks: &mut [[u8; 16]; 8]) {
         match backend() {
-            Backend::Reference => blocks
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(ni) => ni.encrypt_blocks(&self.rk, blocks),
+            Backend::Bytewise => blocks
                 .iter_mut()
                 .for_each(|b| self.encrypt_block_reference(b)),
-            #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(ni) => ni.encrypt_blocks(&self.rk_bytes, blocks),
-            Backend::Table => blocks.iter_mut().for_each(|b| self.encrypt_block_table(b)),
         }
     }
 
-    /// The T-table rounds: the portable fallback where AES-NI is missing.
-    fn encrypt_block_table(&self, block: &mut [u8; 16]) {
-        // State as one big-endian word per column; byte r of word c is the
-        // state byte at row r, column c.
-        let mut w = [0u32; 4];
-        for c in 0..4 {
-            w[c] = u32::from_be_bytes([
-                block[4 * c],
-                block[4 * c + 1],
-                block[4 * c + 2],
-                block[4 * c + 3],
-            ]) ^ self.rk[0][c];
-        }
-        for round in 1..10 {
-            let mut t = [0u32; 4];
-            for c in 0..4 {
-                // ShiftRows selects row r from column (c + r) mod 4; the
-                // rotated TE0 lookup applies SubBytes + MixColumns for it.
-                t[c] = TE0[(w[c] >> 24) as usize]
-                    ^ TE0[((w[(c + 1) % 4] >> 16) & 0xff) as usize].rotate_right(8)
-                    ^ TE0[((w[(c + 2) % 4] >> 8) & 0xff) as usize].rotate_right(16)
-                    ^ TE0[(w[(c + 3) % 4] & 0xff) as usize].rotate_right(24)
-                    ^ self.rk[round][c];
-            }
-            w = t;
-        }
-        // Final round: SubBytes + ShiftRows only, no MixColumns.
-        for c in 0..4 {
-            let t = ((SBOX[(w[c] >> 24) as usize] as u32) << 24)
-                | ((SBOX[((w[(c + 1) % 4] >> 16) & 0xff) as usize] as u32) << 16)
-                | ((SBOX[((w[(c + 2) % 4] >> 8) & 0xff) as usize] as u32) << 8)
-                | (SBOX[(w[(c + 3) % 4] & 0xff) as usize] as u32);
-            block[4 * c..4 * c + 4].copy_from_slice(&(t ^ self.rk[10][c]).to_be_bytes());
-        }
-    }
-
-    /// The byte-wise FIPS-197 rounds the faster forms were derived from:
-    /// SubBytes, ShiftRows and MixColumns as separate per-byte passes.
-    /// Selected by [`crate::set_reference_impl`] for the differential
-    /// oracles; the tests check every form computes the same permutation.
-    fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.rk_bytes[0]);
+    /// The byte-wise FIPS-197 rounds, on every CPU: SubBytes, ShiftRows
+    /// and MixColumns as separate per-byte passes. This is the reference
+    /// form the tests hold [`Aes128::encrypt_block`] to.
+    pub fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
+        add_round_key(block, &self.rk[0]);
         for round in 1..10 {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &self.rk_bytes[round]);
+            add_round_key(block, &self.rk[round]);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &self.rk_bytes[10]);
+        add_round_key(block, &self.rk[10]);
     }
 }
 
@@ -353,32 +282,23 @@ mod tests {
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
         ];
-        let mut block = [
+        let block = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
-        Aes128::new(&key).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-                0x0b, 0x32,
-            ]
-        );
+        let want = 0x3925841d02dc09fbdc118597196a0b32;
+        for (name, got) in one_block_outputs(&Aes128::new(&key), &block) {
+            assert_eq!(u128::from_be_bytes(got), want, "{name}");
+        }
     }
 
     // NIST AESAVS known-answer: all-zero key, all-zero plaintext.
     #[test]
     fn zero_key_zero_block() {
-        let mut block = [0u8; 16];
-        Aes128::new(&[0u8; 16]).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x66, 0xe9, 0x4b, 0xd4, 0xef, 0x8a, 0x2c, 0x3b, 0x88, 0x4c, 0xfa, 0x59, 0xca, 0x34,
-                0x2b, 0x2e,
-            ]
-        );
+        let want = 0x66e94bd4ef8a2c3b884cfa59ca342b2e;
+        for (name, got) in one_block_outputs(&Aes128::new(&[0u8; 16]), &[0u8; 16]) {
+            assert_eq!(u128::from_be_bytes(got), want, "{name}");
+        }
     }
 
     #[test]
@@ -391,19 +311,16 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Every one-block implementation this CPU can run, with its output.
+    /// Every one-block form this CPU can run, with its output.
     fn one_block_outputs(aes: &Aes128, block: &[u8; 16]) -> Vec<(&'static str, [u8; 16])> {
         let mut out = Vec::new();
         let mut b = *block;
         aes.encrypt_block_reference(&mut b);
         out.push(("reference", b));
-        let mut b = *block;
-        aes.encrypt_block_table(&mut b);
-        out.push(("table", b));
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ni::AesNi::detect() {
             let mut b = *block;
-            ni.encrypt_block(&aes.rk_bytes, &mut b);
+            ni.encrypt_block(&aes.rk, &mut b);
             out.push(("aes-ni", b));
         }
         let mut b = *block;
@@ -412,13 +329,16 @@ mod tests {
         out
     }
 
-    /// Every eight-block implementation this CPU can run, with its output.
+    /// Every eight-block form this CPU can run, with its output.
     fn batch_outputs(aes: &Aes128, blocks: &[[u8; 16]; 8]) -> Vec<(&'static str, [[u8; 16]; 8])> {
         let mut out = Vec::new();
+        let mut b = *blocks;
+        b.iter_mut().for_each(|b| aes.encrypt_block_reference(b));
+        out.push(("reference x8", b));
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ni::AesNi::detect() {
             let mut b = *blocks;
-            ni.encrypt_blocks(&aes.rk_bytes, &mut b);
+            ni.encrypt_blocks(&aes.rk, &mut b);
             out.push(("aes-ni x8", b));
         }
         let mut b = *blocks;
@@ -460,16 +380,17 @@ mod tests {
         }
     }
 
-    /// Guards the agreement tests against vacuity: where the CPU has
-    /// AES-NI, the default path must be the one that uses it.
-    #[cfg(target_arch = "x86_64")]
+    /// Guards the agreement tests against vacuity: the CPU alone picks
+    /// the default form, AES-NI where detected and the byte-wise rounds
+    /// otherwise.
     #[test]
-    fn default_backend_is_aes_ni_when_detected() {
+    fn default_backend_is_aes_ni_where_detected_else_bytewise() {
+        #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("aes") {
             assert!(matches!(backend(), Backend::AesNi(_)), "{:?}", backend());
-        } else {
-            assert!(matches!(backend(), Backend::Table), "{:?}", backend());
+            return;
         }
+        assert!(matches!(backend(), Backend::Bytewise), "{:?}", backend());
     }
 
     // NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt): the output blocks are

@@ -4,6 +4,12 @@
 //! authenticated-encryption baseline that monolithic enclaves must run to
 //! communicate through untrusted memory. Nested enclaves avoid it by
 //! communicating through the MEE-protected outer enclave instead.
+//!
+//! [`AesGcm::seal`] / [`AesGcm::open`] run the fast form: AES on the
+//! rounds [`Aes128::encrypt_block`] picks for the CPU, GHASH on Shoup's
+//! byte tables. [`AesGcm::seal_reference`] / [`AesGcm::open_reference`] run
+//! the same mode code on the byte-wise AES rounds and the bit-loop
+//! `gf_mult`, for the tests to hold the fast form to.
 
 use crate::aes::Aes128;
 use crate::ct::ct_eq;
@@ -37,6 +43,7 @@ impl std::error::Error for OpenError {}
 pub struct AesGcm {
     aes: Aes128,
     /// GHASH subkey H = E_K(0^128), kept as a u128 for the GF multiply.
+    /// Both forms share it; it is derived once, in [`AesGcm::new`].
     h: u128,
     /// Shoup 8-bit multiplication table: `mul_table[b]` is the product
     /// `(b·t⁰…t⁷)·H`, i.e. the byte `b` placed at the top of a field
@@ -94,6 +101,15 @@ const fn build_shift8_reduce() -> [u128; 256] {
 /// Size of the GCM authentication tag appended to every sealed message.
 pub const TAG_LEN: usize = 16;
 
+/// Which form of the primitives a GCM call runs on.
+#[derive(Clone, Copy)]
+enum Form {
+    /// AES as the CPU picks it, GHASH on the Shoup tables.
+    Fast,
+    /// Byte-wise AES rounds and the bit-loop [`gf_mult`].
+    Reference,
+}
+
 impl AesGcm {
     /// Creates a cipher for the 128-bit `key`.
     pub fn new(key: &[u8; 16]) -> Self {
@@ -118,13 +134,12 @@ impl AesGcm {
         AesGcm { aes, h, mul_table }
     }
 
-    /// Multiplies `z` by the subkey H via the byte table: Horner over the
-    /// 16 bytes of `z`, least-significant (highest-degree) byte first.
-    /// Architecturally identical to `gf_mult(z, self.h)`, which the tests
-    /// verify and which [`crate::set_reference_impl`] selects at runtime
-    /// for the differential oracles.
-    fn mul_h(&self, z: u128) -> u128 {
-        if crate::reference_impl() {
+    /// Multiplies `z` by the subkey H. The fast form walks the byte
+    /// table: Horner over the 16 bytes of `z`, least-significant
+    /// (highest-degree) byte first. The reference form is
+    /// `gf_mult(z, self.h)`; the tests check the two agree.
+    fn mul_h(&self, form: Form, z: u128) -> u128 {
+        if let Form::Reference = form {
             return gf_mult(z, self.h);
         }
         let mut acc = 0u128;
@@ -140,9 +155,33 @@ impl AesGcm {
     ///
     /// The caller must never reuse a `nonce` with the same key.
     pub fn seal(&self, nonce: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        self.seal_as(Form::Fast, nonce, plaintext, aad)
+    }
+
+    /// [`AesGcm::seal`] on the reference forms (byte-wise AES rounds,
+    /// bit-loop GHASH multiply): the same bytes, on every CPU.
+    pub fn seal_reference(&self, nonce: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        self.seal_as(Form::Reference, nonce, plaintext, aad)
+    }
+
+    /// [`AesGcm::open`] on the reference forms, as [`AesGcm::seal_reference`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open`].
+    pub fn open_reference(
+        &self,
+        nonce: &[u8; 12],
+        sealed: &[u8],
+        aad: &[u8],
+    ) -> Result<Vec<u8>, OpenError> {
+        self.open_as(Form::Reference, nonce, sealed, aad)
+    }
+
+    fn seal_as(&self, form: Form, nonce: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let mut out = plaintext.to_vec();
-        self.ctr_xor(nonce, 2, &mut out);
-        let tag = self.tag(nonce, aad, &out);
+        self.ctr_xor(form, nonce, 2, &mut out);
+        let tag = self.tag(form, nonce, aad, &out);
         out.extend_from_slice(&tag);
         out
     }
@@ -155,23 +194,41 @@ impl AesGcm {
     /// Returns [`OpenError`] if `sealed` is shorter than a tag or the tag
     /// does not verify (wrong key, nonce, AAD, or tampered ciphertext).
     pub fn open(&self, nonce: &[u8; 12], sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, OpenError> {
+        self.open_as(Form::Fast, nonce, sealed, aad)
+    }
+
+    fn open_as(
+        &self,
+        form: Form,
+        nonce: &[u8; 12],
+        sealed: &[u8],
+        aad: &[u8],
+    ) -> Result<Vec<u8>, OpenError> {
         if sealed.len() < TAG_LEN {
             return Err(OpenError);
         }
         let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = self.tag(nonce, aad, ct);
+        let expected = self.tag(form, nonce, aad, ct);
         if !ct_eq(&expected, tag) {
             return Err(OpenError);
         }
         let mut out = ct.to_vec();
-        self.ctr_xor(nonce, 2, &mut out);
+        self.ctr_xor(form, nonce, 2, &mut out);
         Ok(out)
+    }
+
+    /// Encrypts one block on `form`'s AES rounds.
+    fn encrypt_block(&self, form: Form, block: &mut [u8; 16]) {
+        match form {
+            Form::Fast => self.aes.encrypt_block(block),
+            Form::Reference => self.aes.encrypt_block_reference(block),
+        }
     }
 
     /// CTR-mode keystream XOR starting at block counter `ctr0`: eight
     /// counter blocks per [`Aes128::encrypt_blocks`] batch, then the tail
     /// one block at a time.
-    fn ctr_xor(&self, nonce: &[u8; 12], ctr0: u32, data: &mut [u8]) {
+    fn ctr_xor(&self, form: Form, nonce: &[u8; 12], ctr0: u32, data: &mut [u8]) {
         let mut counter = ctr0;
         let mut next_block = || {
             let mut block = [0u8; 16];
@@ -183,49 +240,55 @@ impl AesGcm {
         let mut batches = data.chunks_exact_mut(8 * 16);
         for batch in &mut batches {
             let mut keystream: [[u8; 16]; 8] = std::array::from_fn(|_| next_block());
-            self.aes.encrypt_blocks(&mut keystream);
+            match form {
+                Form::Fast => self.aes.encrypt_blocks(&mut keystream),
+                Form::Reference => keystream
+                    .iter_mut()
+                    .for_each(|b| self.aes.encrypt_block_reference(b)),
+            }
             for (b, k) in batch.iter_mut().zip(keystream.as_flattened()) {
                 *b ^= k;
             }
         }
         for chunk in batches.into_remainder().chunks_mut(16) {
             let mut block = next_block();
-            self.aes.encrypt_block(&mut block);
+            self.encrypt_block(form, &mut block);
             for (b, k) in chunk.iter_mut().zip(block.iter()) {
                 *b ^= k;
             }
         }
     }
 
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    fn tag(&self, form: Form, nonce: &[u8; 12], aad: &[u8], ct: &[u8]) -> [u8; 16] {
         let mut ghash = 0u128;
-        self.ghash_update(&mut ghash, aad);
-        self.ghash_update(&mut ghash, ct);
+        self.ghash_update(form, &mut ghash, aad);
+        self.ghash_update(form, &mut ghash, ct);
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&((ct.len() as u64) * 8).to_be_bytes());
-        ghash = self.mul_h(ghash ^ u128::from_be_bytes(len_block));
+        ghash = self.mul_h(form, ghash ^ u128::from_be_bytes(len_block));
 
         // E_K(J0) where J0 = nonce || 0^31 || 1.
         let mut j0 = [0u8; 16];
         j0[..12].copy_from_slice(nonce);
         j0[15] = 1;
-        self.aes.encrypt_block(&mut j0);
+        self.encrypt_block(form, &mut j0);
         (ghash ^ u128::from_be_bytes(j0)).to_be_bytes()
     }
-    fn ghash_update(&self, acc: &mut u128, data: &[u8]) {
+
+    fn ghash_update(&self, form: Form, acc: &mut u128, data: &[u8]) {
         for chunk in data.chunks(16) {
             let mut block = [0u8; 16];
             block[..chunk.len()].copy_from_slice(chunk);
-            *acc = self.mul_h(*acc ^ u128::from_be_bytes(block));
+            *acc = self.mul_h(form, *acc ^ u128::from_be_bytes(block));
         }
     }
 }
 
 /// Carry-less multiply in GF(2^128) with the GCM reduction polynomial: the
-/// bit-by-bit reference implementation that [`AesGcm::mul_h`]'s table walk
-/// must agree with (tested below, and selectable at runtime via
-/// [`crate::set_reference_impl`]).
+/// bit-by-bit reference form of GHASH's multiply, which
+/// [`AesGcm::seal_reference`] / [`AesGcm::open_reference`] run and which
+/// the fast form's table walk is tested against.
 fn gf_mult(x: u128, y: u128) -> u128 {
     const R: u128 = 0xe100_0000_0000_0000_0000_0000_0000_0000;
     let mut z = 0u128;
@@ -251,23 +314,37 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    type Seal = fn(&AesGcm, &[u8; 12], &[u8], &[u8]) -> Vec<u8>;
+    type Open = fn(&AesGcm, &[u8; 12], &[u8], &[u8]) -> Result<Vec<u8>, OpenError>;
+
+    /// Both forms of the cipher, named, for the known-answer tests.
+    const FORMS: [(&str, Seal, Open); 2] = [
+        ("fast", AesGcm::seal, AesGcm::open),
+        ("reference", AesGcm::seal_reference, AesGcm::open_reference),
+    ];
+
     // NIST GCM test case 1: empty plaintext, empty AAD, zero key/IV.
     #[test]
     fn nist_case1_empty() {
         let cipher = AesGcm::new(&[0u8; 16]);
-        let sealed = cipher.seal(&[0u8; 12], b"", b"");
-        assert_eq!(hex(&sealed), "58e2fccefa7e3061367f1d57a4e7455a");
+        for (name, seal, _) in FORMS {
+            let sealed = seal(&cipher, &[0u8; 12], b"", b"");
+            assert_eq!(hex(&sealed), "58e2fccefa7e3061367f1d57a4e7455a", "{name}");
+        }
     }
 
     // NIST GCM test case 2: single zero block.
     #[test]
     fn nist_case2_zero_block() {
         let cipher = AesGcm::new(&[0u8; 16]);
-        let sealed = cipher.seal(&[0u8; 12], &[0u8; 16], b"");
-        assert_eq!(
-            hex(&sealed),
-            "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"
-        );
+        for (name, seal, _) in FORMS {
+            let sealed = seal(&cipher, &[0u8; 12], &[0u8; 16], b"");
+            assert_eq!(
+                hex(&sealed),
+                "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf",
+                "{name}"
+            );
+        }
     }
 
     // NIST GCM test case 4: 60-byte plaintext with 20-byte AAD.
@@ -292,15 +369,18 @@ mod tests {
             0xbe, 0xef, 0xab, 0xad, 0xda, 0xd2,
         ];
         let cipher = AesGcm::new(&key);
-        let sealed = cipher.seal(&nonce, &pt, &aad);
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        assert_eq!(
-            hex(ct),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
-        );
-        assert_eq!(hex(tag), "5bc94fbc3221a5db94fae95ae7121a47");
-        assert_eq!(cipher.open(&nonce, &sealed, &aad).unwrap(), pt);
+        for (name, seal, open) in FORMS {
+            let sealed = seal(&cipher, &nonce, &pt, &aad);
+            let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+            assert_eq!(
+                hex(ct),
+                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                 21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+                "{name}"
+            );
+            assert_eq!(hex(tag), "5bc94fbc3221a5db94fae95ae7121a47", "{name}");
+            assert_eq!(open(&cipher, &nonce, &sealed, &aad).unwrap(), pt, "{name}");
+        }
     }
 
     /// The eight-block batches and the one-block tail must produce the
@@ -321,7 +401,7 @@ mod tests {
                     cipher.aes.encrypt_block(&mut block);
                     chunk.iter_mut().zip(block).for_each(|(b, k)| *b ^= k);
                 }
-                cipher.ctr_xor(&nonce, ctr0, &mut batched);
+                cipher.ctr_xor(Form::Fast, &nonce, ctr0, &mut batched);
                 assert_eq!(batched, expected, "ctr0 {ctr0} len {len}");
             }
         }
@@ -336,10 +416,18 @@ mod tests {
             s ^= s << 29;
             s ^= s >> 51;
             s ^= s << 13;
-            assert_eq!(cipher.mul_h(s), gf_mult(s, cipher.h), "z = {s:032x}");
+            assert_eq!(
+                cipher.mul_h(Form::Fast, s),
+                gf_mult(s, cipher.h),
+                "z = {s:032x}"
+            );
         }
-        assert_eq!(cipher.mul_h(0), 0);
-        assert_eq!(cipher.mul_h(1 << 127), cipher.h, "top bit is identity");
+        assert_eq!(cipher.mul_h(Form::Fast, 0), 0);
+        assert_eq!(
+            cipher.mul_h(Form::Fast, 1 << 127),
+            cipher.h,
+            "top bit is identity"
+        );
     }
 
     #[test]

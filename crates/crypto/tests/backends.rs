@@ -1,26 +1,10 @@
-//! Seal/open on the default AES-GCM path (AES-NI where the CPU has it,
-//! T-table rounds otherwise, Shoup-table GHASH) against the byte-wise
-//! reference path that [`ne_crypto::set_reference_impl`] selects: same
-//! key, nonce, AAD and plaintext must give the same sealed bytes, and each
-//! path must open what the other sealed.
-
-use std::sync::{Mutex, PoisonError};
+//! Seal/open on the fast AES-GCM forms (AES-NI where the CPU has it,
+//! byte-wise rounds otherwise, Shoup-table GHASH) against the reference
+//! forms [`AesGcm::seal_reference`] / [`AesGcm::open_reference`] (byte-wise
+//! rounds, bit-loop GHASH): same key, nonce, AAD and plaintext must give
+//! the same sealed bytes, and each form must open what the other sealed.
 
 use ne_crypto::gcm::AesGcm;
-
-/// The reference toggle is process-global and every test here flips it,
-/// so one path's run must not interleave with another test's.
-static CRYPTO_PATH: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the reference implementation on or off, then restores the
-/// default path.
-fn on_path<T>(reference: bool, f: impl FnOnce() -> T) -> T {
-    let _serial = CRYPTO_PATH.lock().unwrap_or_else(PoisonError::into_inner);
-    ne_crypto::set_reference_impl(reference);
-    let out = f();
-    ne_crypto::set_reference_impl(false);
-    out
-}
 
 /// Deterministic xorshift stream for keys, nonces, AADs and plaintexts.
 struct Rng(u64);
@@ -42,7 +26,7 @@ impl Rng {
     }
 }
 
-/// Seals and opens one random message of `len` bytes on both paths and
+/// Seals and opens one random message of `len` bytes on both forms and
 /// checks they agree byte for byte, including on a tampered tag.
 fn check_agreement(rng: &mut Rng, len: usize) {
     let key: [u8; 16] = rng.bytes();
@@ -53,17 +37,17 @@ fn check_agreement(rng: &mut Rng, len: usize) {
     let cipher = AesGcm::new(&key);
     let ctx = format!("len {len} aad {aad_len}");
 
-    let fast = on_path(false, || cipher.seal(&nonce, &plaintext, &aad));
-    let reference = on_path(true, || cipher.seal(&nonce, &plaintext, &aad));
+    let fast = cipher.seal(&nonce, &plaintext, &aad);
+    let reference = cipher.seal_reference(&nonce, &plaintext, &aad);
     assert_eq!(fast, reference, "sealed bytes differ: {ctx}");
     assert_eq!(fast.len(), len + ne_crypto::gcm::TAG_LEN, "{ctx}");
 
-    for reference_open in [false, true] {
-        let opened = on_path(reference_open, || cipher.open(&nonce, &fast, &aad));
+    for open in [AesGcm::open, AesGcm::open_reference] {
+        let opened = open(&cipher, &nonce, &fast, &aad);
         assert_eq!(opened.as_deref(), Ok(&plaintext[..]), "{ctx}");
         let mut tampered = fast.clone();
         *tampered.last_mut().expect("a tag is never empty") ^= 1;
-        let rejected = on_path(reference_open, || cipher.open(&nonce, &tampered, &aad));
+        let rejected = open(&cipher, &nonce, &tampered, &aad);
         assert!(rejected.is_err(), "tampered tag accepted: {ctx}");
     }
 }

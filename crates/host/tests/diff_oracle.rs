@@ -1,24 +1,17 @@
 //! Host-level differential oracle: two multi-tenant servers serve the same
 //! closed-loop traffic — with and without a chaos plan — one on the
-//! optimized paths, one on the reference forms of both the memory pipeline
-//! ([`HwConfig::reference_path`]) and the crypto primitives
-//! ([`ne_crypto::set_reference_impl`]). They must finish with byte-identical
+//! optimized memory pipeline, one on its reference form
+//! ([`HwConfig::reference_path`]). They must finish with byte-identical
 //! machine metrics exports, identical completion/shed accounting, the same
-//! serving clock, and byte-identical replies (sealed echo records carry the
-//! crypto's output bytes). This is the end-to-end leg of the oracle; the
-//! structure-level legs live in `ne-sgx`'s `hot_path_props`/`diff_oracle`
-//! suites.
-
-use std::sync::{Mutex, PoisonError};
+//! serving clock, and byte-identical replies. This is the end-to-end leg of
+//! the oracle; the structure-level legs live in `ne-sgx`'s
+//! `hot_path_props`/`diff_oracle` suites, and the crypto's fast forms are
+//! held to its reference forms by `ne-crypto`'s own tests.
 
 use ne_host::{HostConfig, HostServer, RequestFactory, ServiceKind, TenantSpec};
 use ne_sgx::fault::FaultPlan;
 
 const SEED: u64 = 0xD1FF;
-
-/// The crypto toggle is process-global and every test here flips it, so
-/// one comparison's runs must not interleave with another's.
-static CRYPTO_PATH: Mutex<()> = Mutex::new(());
 
 fn build_server(reference: bool, chaos: Option<&str>) -> HostServer {
     let specs: Vec<TenantSpec> = (0..3)
@@ -41,11 +34,9 @@ fn build_server(reference: bool, chaos: Option<&str>) -> HostServer {
 }
 
 /// Serves `requests` per (tenant, service) pair in a closed loop, on the
-/// reference paths when `reference` is set, and returns (metrics JSON,
-/// summary line).
+/// reference memory pipeline when `reference` is set, and returns (metrics
+/// JSON, summary line).
 fn serve(reference: bool, chaos: Option<&str>, requests: usize) -> (String, String) {
-    let _serial = CRYPTO_PATH.lock().unwrap_or_else(PoisonError::into_inner);
-    ne_crypto::set_reference_impl(reference);
     let mut server = build_server(reference, chaos);
     let mut factories: Vec<Vec<RequestFactory>> = (0..3)
         .map(|t| {
@@ -78,7 +69,6 @@ fn serve(reference: bool, chaos: Option<&str>, requests: usize) -> (String, Stri
         }
     }
     server.drain().expect("drain");
-    ne_crypto::set_reference_impl(false);
     let metrics = server.app.machine.metrics().to_json();
     let mut replies = Vec::new();
     for c in server.completions() {

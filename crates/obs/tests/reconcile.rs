@@ -195,16 +195,14 @@ fn chaos_run_reconciles_and_reports_an_incident() {
     assert!(report.contains("incident tenant"));
 }
 
-/// The second run takes the reference memory pipeline and the reference
-/// crypto, so this is also the optimized-vs-reference oracle for the
-/// observability plane: windows, SLO states, incidents and the reply
-/// checkpoints (digests over sealed echo records) must not move a byte.
+/// The second run takes the reference memory pipeline, so this is also the
+/// optimized-vs-reference oracle for the observability plane: windows, SLO
+/// states, incidents and the reply checkpoints (digests over sealed echo
+/// records) must not move a byte.
 #[test]
 fn export_is_byte_deterministic_across_runs() {
     let (_, a) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000, false);
-    ne_crypto::set_reference_impl(true);
     let (_, b) = run_closed_loop(3, 2, 6, 42, Some("aex+evict"), 1_000_000, true);
-    ne_crypto::set_reference_impl(false);
     assert_eq!(to_jsonl(&a, "det"), to_jsonl(&b, "det"));
 }
 

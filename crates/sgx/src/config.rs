@@ -31,7 +31,9 @@ pub struct HwConfig {
     /// Run the naive (pre-optimization) translate/data-access pipeline
     /// instead of the fast one. Both produce byte-identical architectural
     /// outputs; the reference path exists as the differential oracle the
-    /// optimized path is property-tested against.
+    /// optimized path is property-tested against. It selects only the
+    /// machine's path: `ne-crypto` has no switch, and its tests call its
+    /// reference forms by name.
     pub reference_path: bool,
 }
 

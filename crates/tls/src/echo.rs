@@ -45,9 +45,11 @@ pub struct EchoConfig {
     /// (Chrome Trace JSON + folded flamegraph stacks). Off by default in
     /// the sweeps — tracing is cheap but not free.
     pub trace: bool,
-    /// Run on the naive reference memory pipeline instead of the optimized
-    /// one (see [`HwConfig::reference_path`]). Architecturally identical;
-    /// used by the differential oracle.
+    /// Run the machine on its naive reference memory pipeline instead of
+    /// the optimized one (see [`HwConfig::reference_path`]). It selects
+    /// only the machine's path: the record crypto runs on `ne-crypto`'s
+    /// fast forms either way. Architecturally identical; used by the
+    /// differential oracle.
     pub reference: bool,
 }
 
