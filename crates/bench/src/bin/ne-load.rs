@@ -137,11 +137,11 @@ fn tenant_table(report: &ClusterReport, shards: usize) -> Table {
             r.name.clone(),
             r.priority.to_string(),
             if r.loaded { "yes" } else { "SHED" }.to_string(),
-            r.accepted.to_string(),
-            r.rejected_full.to_string(),
-            r.rejected_shed.to_string(),
-            r.completed.to_string(),
-            r.shed_requests.to_string(),
+            r.traffic.accepted.to_string(),
+            r.traffic.rejected_full.to_string(),
+            r.traffic.rejected_shed.to_string(),
+            r.traffic.completed.to_string(),
+            r.traffic.shed_requests.to_string(),
             if r.breaker_open {
                 format!("{}!", r.respawns)
             } else {

@@ -142,17 +142,23 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// Total completions across tenants.
     pub fn completed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.report.completed).sum()
+        self.tenants
+            .iter()
+            .map(|t| t.report.traffic.completed)
+            .sum()
     }
 
     /// Total accepted across tenants.
     pub fn accepted(&self) -> u64 {
-        self.tenants.iter().map(|t| t.report.accepted).sum()
+        self.tenants.iter().map(|t| t.report.traffic.accepted).sum()
     }
 
     /// Total explicit sheds across tenants.
     pub fn shed_requests(&self) -> u64 {
-        self.tenants.iter().map(|t| t.report.shed_requests).sum()
+        self.tenants
+            .iter()
+            .map(|t| t.report.traffic.shed_requests)
+            .sum()
     }
 
     /// Total enclave respawns across tenants.
@@ -571,11 +577,11 @@ impl Cluster {
                 "tenant {g} name {} accepted {} rejected_full {} rejected_shed {} \
                  completed {} shed {} replies sha256:{hex}\n",
                 t.spec.name,
-                t.accepted,
-                t.rejected_full,
-                t.rejected_shed,
-                t.completed,
-                t.shed_requests,
+                t.traffic.accepted,
+                t.traffic.rejected_full,
+                t.traffic.rejected_shed,
+                t.traffic.completed,
+                t.traffic.shed_requests,
             ));
         }
         out

@@ -243,7 +243,7 @@ impl Cluster {
     fn migratable(&self, global: usize) -> bool {
         let (s, l) = self.assignment[global];
         let server = &self.shards[s].server;
-        server.tenants()[l].loaded && !server.recovery_states()[l].breaker_open
+        server.tenants()[l].loaded && !server.tenants()[l].recovery.breaker_open
     }
 
     /// Collects this barrier's moves in deterministic order: planned

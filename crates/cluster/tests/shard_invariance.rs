@@ -319,7 +319,11 @@ fn observed_runs_leave_the_simulation_untouched() {
         let (cycles, _, _) = timeline.total();
         assert_eq!(cycles, merged.total_cycles, "timeline cycles must match");
         assert_eq!(
-            timeline.totals.iter().map(|t| t.completed).sum::<u64>(),
+            timeline
+                .totals
+                .iter()
+                .map(|t| t.traffic.completed)
+                .sum::<u64>(),
             observed.report().completed(),
             "timeline totals must match the cluster report"
         );

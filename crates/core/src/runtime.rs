@@ -358,7 +358,6 @@ impl NestedApp {
     pub fn untrusted<R>(&mut self, core: usize, f: impl FnOnce(&mut UntrustedCtx<'_>) -> R) -> R {
         let mut cx = UntrustedCtx {
             machine: &mut self.machine,
-            registry: &self.registry,
             core,
         };
         f(&mut cx)
@@ -538,7 +537,6 @@ impl<'a> EnclaveCtx<'a> {
         self.machine.eexit(self.core)?;
         let mut ucx = UntrustedCtx {
             machine: self.machine,
-            registry: self.registry,
             core: self.core,
         };
         let result = f(&mut ucx, args);
@@ -587,7 +585,6 @@ impl<'a> EnclaveCtx<'a> {
             .clone();
         let mut ucx = UntrustedCtx {
             machine: self.machine,
-            registry: self.registry,
             core,
         };
         f(&mut ucx, args)
@@ -733,7 +730,6 @@ impl<'a> EnclaveCtx<'a> {
 pub struct UntrustedCtx<'a> {
     /// The machine.
     pub machine: &'a mut Machine,
-    registry: &'a Registry,
     core: usize,
 }
 
@@ -770,53 +766,6 @@ impl<'a> UntrustedCtx<'a> {
     /// Charges software work to the core.
     pub fn charge(&mut self, cycles: u64) {
         self.machine.charge(self.core, cycles);
-    }
-
-    /// Dispatches an ecall from untrusted context (used by baseline
-    /// monolithic flows that route data between enclaves).
-    ///
-    /// # Errors
-    ///
-    /// See [`NestedApp::ecall`].
-    pub fn ecall(&mut self, enclave: &str, func: &str, args: &[u8]) -> Result<Vec<u8>> {
-        let (eid, tcs, f) = {
-            let rt = self.registry.enclave(enclave)?;
-            if !rt.edl.ecalls.contains(func) {
-                return Err(SgxError::GeneralProtection(format!(
-                    "'{func}' is not a declared ecall of '{enclave}'"
-                )));
-            }
-            let f = rt.funcs.get(func).ok_or_else(|| {
-                SgxError::GeneralProtection(format!("'{enclave}' has no body for '{func}'"))
-            })?;
-            (rt.layout.eid, rt.layout.base, f.clone())
-        };
-        let span =
-            self.machine
-                .span_begin(self.core, SpanKind::Ecall, &format!("{enclave}::{func}"));
-        if let Err(e) = self.machine.eenter(self.core, eid, tcs) {
-            self.machine.span_end(self.core, span);
-            return Err(e);
-        }
-        let mut cx = EnclaveCtx {
-            machine: self.machine,
-            registry: self.registry,
-            core: self.core,
-            eid,
-            name: enclave.to_string(),
-        };
-        let result = f(&mut cx, args);
-        self.machine.eexit(self.core)?;
-        let extra = self
-            .machine
-            .config()
-            .cost
-            .ecall
-            .saturating_sub(2 * self.machine.config().cost.tlb_flush);
-        self.machine
-            .charge_cat(self.core, CycleCategory::Transition, extra);
-        self.machine.span_end(self.core, span);
-        result
     }
 }
 

@@ -18,7 +18,7 @@
 //! closes the front door, and the scheduler drains whatever admission let
 //! in. Under fault injection an accepted request may still terminate as
 //! an *explicit* shed counted in
-//! [`crate::tenant::TenantState::shed_requests`] (attempt budget or
+//! [`crate::tenant::Traffic::shed_requests`] (attempt budget or
 //! deadline exhausted, or the tenant's circuit breaker opened — see
 //! [`crate::recovery`]); the invariant the property tests hold is
 //! reply-or-shed: `accepted == completed + shed_requests`.
@@ -64,16 +64,16 @@ pub fn offer(
     payload: Vec<u8>,
 ) -> Admission {
     if tenant.shed {
-        tenant.rejected_shed += 1;
+        tenant.traffic.rejected_shed += 1;
         return Admission::RejectedShed;
     }
     if tenant.queue.len() >= tenant.spec.queue_capacity {
-        tenant.rejected_full += 1;
+        tenant.traffic.rejected_full += 1;
         return Admission::RejectedFull;
     }
     let seq = tenant.next_seq;
     tenant.next_seq += 1;
-    tenant.accepted += 1;
+    tenant.traffic.accepted += 1;
     tenant.queue.push_back(Request {
         tenant: tenant_idx,
         service,
@@ -121,7 +121,7 @@ mod tests {
         assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
         assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
         assert_eq!(offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedFull);
-        assert_eq!((t.accepted, t.rejected_full), (2, 1));
+        assert_eq!((t.traffic.accepted, t.traffic.rejected_full), (2, 1));
         // Draining one slot re-opens the queue.
         t.queue.pop_front();
         assert!(offer(&mut t, 0, 0, 0, vec![]).is_accepted());
@@ -132,8 +132,8 @@ mod tests {
         let mut t = tenant(1, 8, true);
         t.shed = true;
         assert_eq!(offer(&mut t, 0, 0, 0, vec![]), Admission::RejectedShed);
-        assert_eq!(t.rejected_shed, 1);
-        assert_eq!(t.accepted, 0);
+        assert_eq!(t.traffic.rejected_shed, 1);
+        assert_eq!(t.traffic.accepted, 0);
     }
 
     #[test]

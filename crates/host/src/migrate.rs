@@ -59,12 +59,12 @@ use crate::error::{HostError, HostResult};
 use crate::recovery::{
     backoff_cycles, MigratePhase, RecoveryEventKind, RecoveryState, ShedReason, MAX_ATTEMPTS,
 };
-use crate::server::{gate_dispatch, gate_image, tenant_epc_pages, HostServer};
+use crate::server::HostServer;
 use crate::service::{
-    decode_restore_reply, encode_restore_args, encode_seal_args, install_service,
-    service_enclave_name, RestoreOutcome, ServiceKind,
+    decode_restore_reply, encode_restore_args, encode_seal_args, service_enclave_name,
+    RestoreOutcome, ServiceKind,
 };
-use crate::tenant::{Completion, Request, TenantSpec, TenantState};
+use crate::tenant::{Completion, Request, TenantSpec, TenantState, Traffic};
 
 /// Bound on the number of already-admitted requests a live migration
 /// parks while the tenant's enclaves are torn down and rebuilt. Parked
@@ -95,17 +95,9 @@ pub struct TenantSnapshot {
     /// Whether the tenant was shed at extraction time (carried, so a
     /// pressure-shed tenant does not silently un-shed by migrating).
     pub shed: bool,
-    /// Requests accepted by admission control so far.
-    pub accepted: u64,
-    /// Rejections due to a full queue.
-    pub rejected_full: u64,
-    /// Rejections due to shedding.
-    pub rejected_shed: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Accepted requests explicitly shed (including any quiesce
-    /// overflow shed by the extraction itself).
-    pub shed_requests: u64,
+    /// Traffic counters so far; `shed_requests` includes any quiesce
+    /// overflow shed by the extraction itself.
+    pub traffic: Traffic,
     /// Next per-tenant sequence number to assign.
     pub next_seq: u64,
     /// Highest completed sequence number, if any.
@@ -149,11 +141,7 @@ impl HostServer {
         tenant: usize,
         counter: u64,
     ) -> HostResult<Vec<(ServiceKind, Vec<u8>)>> {
-        let Some(core) = self.idle_core() else {
-            return Err(HostError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for seal".into(),
-            )));
-        };
+        let core = self.idle_core_for("seal")?;
         let identity = spec.seed_index.unwrap_or(tenant) as u64;
         let args = encode_seal_args(identity, counter);
         spec.services
@@ -185,7 +173,7 @@ impl HostServer {
                 "no loaded tenant at index {tenant}"
             )));
         }
-        if self.recovery[tenant].breaker_open {
+        if self.tenants[tenant].recovery.breaker_open {
             return Err(HostError::BadRequest(format!(
                 "tenant {tenant} has an open breaker; migration needs healthy enclaves"
             )));
@@ -209,26 +197,28 @@ impl HostServer {
         let mut parked: Vec<Request> = self.tenants[tenant].queue.drain(..).collect();
         let overflow = parked.split_off(parked.len().min(MIGRATE_PARK_CAPACITY));
         if !overflow.is_empty() {
-            self.tenants[tenant].shed_requests += overflow.len() as u64;
+            self.tenants[tenant].traffic.shed_requests += overflow.len() as u64;
             let now = self.now();
             self.log_event_at(now, tenant, RecoveryEventKind::Shed(ShedReason::Migrating));
         }
-        if let Err(e) = self.phase_guard(&spec.name, MigratePhase::Quiesce, quiesce_start) {
-            self.tenants[tenant].queue = parked.into_iter().collect();
-            return Err(e);
-        }
-
         // Seal: counter-stamp this migration's blobs one past the last
         // seal, so a replay of any earlier extraction is refused at
         // restore.
-        let seal_start = self.now();
-        self.log_event_at(
-            seal_start,
-            tenant,
-            RecoveryEventKind::Migrate(MigratePhase::Seal),
-        );
-        let counter = self.seal_counters[tenant] + 1;
-        let sealed = match self.seal_services(&spec, tenant, counter) {
+        let counter = self.tenants[tenant].seal_counter + 1;
+        let sealed = self
+            .phase_guard(&spec.name, MigratePhase::Quiesce, quiesce_start)
+            .and_then(|()| {
+                let seal_start = self.now();
+                self.log_event_at(
+                    seal_start,
+                    tenant,
+                    RecoveryEventKind::Migrate(MigratePhase::Seal),
+                );
+                let sealed = self.seal_services(&spec, tenant, counter)?;
+                self.phase_guard(&spec.name, MigratePhase::Seal, seal_start)?;
+                Ok(sealed)
+            });
+        let sealed = match sealed {
             Ok(sealed) => sealed,
             Err(e) => {
                 // Un-quiesce: the tenant keeps serving at the source.
@@ -236,11 +226,7 @@ impl HostServer {
                 return Err(e);
             }
         };
-        if let Err(e) = self.phase_guard(&spec.name, MigratePhase::Seal, seal_start) {
-            self.tenants[tenant].queue = parked.into_iter().collect();
-            return Err(e);
-        }
-        self.seal_counters[tenant] = counter;
+        self.tenants[tenant].seal_counter = counter;
 
         // Remove: EREMOVE services first, gate last; EPC pages free here.
         let remove_start = self.now();
@@ -249,10 +235,8 @@ impl HostServer {
             tenant,
             RecoveryEventKind::Migrate(MigratePhase::Remove),
         );
-        let mut names = self.tenant_enclave_names(tenant);
-        names.reverse();
-        for name in names {
-            self.app.unload(&name)?;
+        for name in spec.enclave_names().iter().rev() {
+            self.app.unload(name)?;
         }
 
         let completions: Vec<Completion> = self
@@ -261,43 +245,31 @@ impl HostServer {
             .filter(|c| c.tenant == tenant)
             .cloned()
             .collect();
-        let respawns = self.recovery[tenant].respawns;
-        let attest_failures = std::mem::take(&mut self.attest_failures[tenant]);
-        let snap = {
-            let ts = &self.tenants[tenant];
-            TenantSnapshot {
-                spec,
-                shed: ts.shed,
-                accepted: ts.accepted,
-                rejected_full: ts.rejected_full,
-                rejected_shed: ts.rejected_shed,
-                completed: ts.completed,
-                shed_requests: ts.shed_requests,
-                next_seq: ts.next_seq,
-                last_completed_seq: ts.last_completed_seq,
-                parked,
-                sealed,
-                seal_counter: counter,
-                completions,
-                respawns,
-                attest_failures,
-            }
+        let ts = &mut self.tenants[tenant];
+        let snap = TenantSnapshot {
+            spec,
+            shed: ts.shed,
+            traffic: ts.traffic,
+            next_seq: ts.next_seq,
+            last_completed_seq: ts.last_completed_seq,
+            parked,
+            sealed,
+            seal_counter: counter,
+            completions,
+            respawns: ts.recovery.respawns,
+            attest_failures: std::mem::take(&mut ts.attest_failures),
         };
         // Freeze the slot: a dead stub that rejects at the front door and
         // contributes nothing to reports (its counters travel inside the
         // snapshot; leaving them here would double-count after a
         // same-host round trip).
-        let ts = &mut self.tenants[tenant];
         ts.loaded = false;
         ts.shed = true;
-        ts.accepted = 0;
-        ts.rejected_full = 0;
-        ts.rejected_shed = 0;
-        ts.completed = 0;
-        ts.shed_requests = 0;
+        ts.traffic = Traffic::default();
+        ts.recovery.respawns = 0;
         ts.next_seq = 0;
         ts.last_completed_seq = None;
-        self.attested[tenant] = false;
+        ts.attested = false;
         Ok(snap)
     }
 
@@ -356,9 +328,8 @@ impl HostServer {
                 spec.name
             )));
         }
-        let need = tenant_epc_pages(&spec);
         let headroom = if rollback { 0 } else { EPC_LOW_WATER };
-        if (self.app.machine.free_epc_pages() as u64) < need + headroom {
+        if !self.epc_fits(&spec, headroom) {
             return Err(HostError::Sgx(SgxError::EpcFull));
         }
 
@@ -377,14 +348,14 @@ impl HostServer {
         // failed attempt tears the rebuilt enclaves down, so a retry and
         // a final failure both start from a clean target; typed
         // refusals (a replayed or forged blob) are final.
-        let identity = spec.seed_index.unwrap_or(local);
+        let identity = spec.seed_index.unwrap_or(local) as u64;
         let min_counter = floor.max(snap.seal_counter);
         let mut attempt: u32 = 0;
         loop {
-            let result = match self.build_tenant_enclaves(&spec, identity, local) {
+            let result = match self.load_tenant(&spec, local) {
                 Ok(()) => self.finish_adoption(
                     &spec,
-                    identity as u64,
+                    identity,
                     snap,
                     min_counter,
                     phase,
@@ -418,13 +389,9 @@ impl HostServer {
         }
 
         // Commit: the tenant exists on this host from here on.
-        let mut ts = TenantState::new(spec.clone(), true);
+        let mut ts = TenantState::new(spec, true);
         ts.shed = snap.shed;
-        ts.accepted = snap.accepted;
-        ts.rejected_full = snap.rejected_full;
-        ts.rejected_shed = snap.rejected_shed;
-        ts.completed = snap.completed;
-        ts.shed_requests = snap.shed_requests;
+        ts.traffic = snap.traffic;
         ts.next_seq = snap.next_seq;
         ts.last_completed_seq = snap.last_completed_seq;
         for r in &snap.parked {
@@ -432,17 +399,16 @@ impl HostServer {
             r.tenant = local;
             ts.queue.push_back(r);
         }
-        self.tenants.push(ts);
-        self.sched.add_tenant(local);
-        self.recovery.push(RecoveryState {
+        ts.recovery = RecoveryState {
             respawns: snap.respawns,
             ..RecoveryState::default()
-        });
-        self.breaker_logged.push(false);
-        self.attested.push(true);
-        self.attest_failures.push(snap.attest_failures.clone());
-        self.attest_epoch.push(1);
-        self.seal_counters.push(snap.seal_counter);
+        };
+        ts.attested = true;
+        ts.attest_failures = snap.attest_failures.clone();
+        ts.attest_epoch = 1;
+        ts.seal_counter = snap.seal_counter;
+        self.tenants.push(ts);
+        self.sched.add_tenant(local);
         for c in &snap.completions {
             let mut c = c.clone();
             c.tenant = local;
@@ -451,71 +417,12 @@ impl HostServer {
         Ok(local)
     }
 
-    /// Loads the gate and service enclaves for an adoption, registering
-    /// their eids under `local`. On failure the caller tears down
-    /// whatever was partially built.
-    fn build_tenant_enclaves(
-        &mut self,
-        spec: &TenantSpec,
-        identity: usize,
-        local: usize,
-    ) -> Result<(), SgxError> {
-        let gate_name = spec.gate_name();
-        let names: Vec<String> = spec
-            .services
-            .iter()
-            .map(|&k| service_enclave_name(&spec.name, k))
-            .collect();
-        self.app.load(
-            gate_image(&gate_name),
-            [(
-                "dispatch".to_string(),
-                gate_dispatch(
-                    names,
-                    self.switchless_handle.clone(),
-                    self.degraded_replies.clone(),
-                ),
-            )],
-        )?;
-        for &kind in &spec.services {
-            install_service(
-                &mut self.app,
-                &spec.name,
-                &gate_name,
-                identity,
-                kind,
-                self.seed,
-            )?;
-        }
-        for name in self.tenant_names_of(spec) {
-            if let Ok(eid) = self.app.eid(&name) {
-                self.eid_owner.insert(eid.0, local);
-            }
-        }
-        Ok(())
-    }
-
-    /// Gate-first enclave names of a spec (the adoption path cannot use
-    /// [`HostServer::tenant_enclave_names`] — the slot does not exist
-    /// yet).
-    fn tenant_names_of(&self, spec: &TenantSpec) -> Vec<String> {
-        let mut names = vec![spec.gate_name()];
-        names.extend(
-            spec.services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k)),
-        );
-        names
-    }
-
     /// Unloads whatever subset of the spec's enclaves exists, ignoring
     /// errors (cleanup of a partial build).
     fn teardown_enclaves(&mut self, spec: &TenantSpec) {
-        let mut names = self.tenant_names_of(spec);
-        names.reverse();
-        for name in names {
-            if self.app.eid(&name).is_ok() {
-                let _ = self.app.unload(&name);
+        for name in spec.enclave_names().iter().rev() {
+            if self.app.eid(name).is_ok() {
+                let _ = self.app.unload(name);
             }
         }
     }
@@ -539,11 +446,7 @@ impl HostServer {
         // before any sealed state (or later, traffic) lands. The epoch's
         // top bit keeps adoption nonces disjoint from the per-slot
         // attestation epochs.
-        let Some(core) = self.idle_core() else {
-            return Err(HostError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for attestation".into(),
-            )));
-        };
+        let core = self.idle_core_for("attestation")?;
         let gate = spec.gate_name();
         for &kind in &spec.services {
             let svc = service_enclave_name(&spec.name, kind);
@@ -577,14 +480,10 @@ impl HostServer {
         for (kind, blob) in &snap.sealed {
             let name = service_enclave_name(&spec.name, *kind);
             let args = encode_restore_args(identity, min_counter, blob);
-            let Some(core) = self.idle_core() else {
-                return Err(HostError::Sgx(SgxError::GeneralProtection(
-                    "no serving core out of enclave mode for restore".into(),
-                )));
-            };
+            let core = self.idle_core_for("restore")?;
             let reply = self.app.ecall(core, &name, "restore", &args)?;
-            match decode_restore_reply(&reply) {
-                Some(RestoreOutcome::Ok { .. }) => {}
+            let reason = match decode_restore_reply(&reply) {
+                Some(RestoreOutcome::Ok { .. }) => continue,
                 Some(RestoreOutcome::Rollback {
                     presented,
                     expected,
@@ -595,30 +494,19 @@ impl HostServer {
                         expected,
                     });
                 }
-                Some(RestoreOutcome::BadMac) => {
-                    return Err(HostError::SealedState {
-                        tenant: spec.name.clone(),
-                        reason: "sealed blob failed authentication".into(),
-                    });
-                }
-                Some(RestoreOutcome::Malformed) => {
-                    return Err(HostError::SealedState {
-                        tenant: spec.name.clone(),
-                        reason: "sealed blob malformed".into(),
-                    });
-                }
-                Some(RestoreOutcome::BadPayload) => {
-                    return Err(HostError::SealedState {
-                        tenant: spec.name.clone(),
-                        reason: "authenticated payload rejected by the service".into(),
-                    });
-                }
+                Some(RestoreOutcome::BadMac) => "sealed blob failed authentication",
+                Some(RestoreOutcome::Malformed) => "sealed blob malformed",
+                Some(RestoreOutcome::BadPayload) => "authenticated payload rejected by the service",
                 None => {
                     return Err(HostError::Internal(format!(
                         "unintelligible restore reply from {name}"
                     )));
                 }
-            }
+            };
+            return Err(HostError::SealedState {
+                tenant: spec.name.clone(),
+                reason: reason.into(),
+            });
         }
         self.phase_guard(&spec.name, MigratePhase::Resume, resume_start)
     }
@@ -683,9 +571,13 @@ mod tests {
 
         let snap = server.extract_tenant(0).unwrap();
         assert_eq!(snap.seal_counter, 1);
-        assert_eq!(snap.completed, 4);
+        assert_eq!(snap.traffic.completed, 4);
         assert!(!server.tenants()[0].loaded, "source slot is a dead stub");
-        assert_eq!(server.tenants()[0].accepted, 0, "counters travel, not stay");
+        assert_eq!(
+            server.tenants()[0].traffic.accepted,
+            0,
+            "counters travel, not stay"
+        );
 
         let local = server.adopt_tenant(&snap, snap.seal_counter).unwrap();
         assert_eq!(local, 2);
@@ -732,12 +624,12 @@ mod tests {
         // Mid-migration: the queue is parked into the snapshot, not lost.
         let snap = server.extract_tenant(0).unwrap();
         assert_eq!(snap.parked.len(), 5);
-        assert_eq!(snap.accepted, 5);
-        assert_eq!(snap.completed, 0);
+        assert_eq!(snap.traffic.accepted, 5);
+        assert_eq!(snap.traffic.completed, 0);
         let local = server.adopt_tenant(&snap, snap.seal_counter).unwrap();
         assert_eq!(server.pending(), 5, "parked requests re-queued at resume");
         server.drain().unwrap();
-        let t = &server.tenants()[local];
+        let t = &server.tenants()[local].traffic;
         assert_eq!(t.accepted, t.completed + t.shed_requests, "reply-or-shed");
         assert_eq!((t.completed, t.shed_requests), (5, 0), "zero drops");
     }
@@ -758,7 +650,7 @@ mod tests {
             MIGRATE_PARK_CAPACITY,
             "bounded park buffer"
         );
-        assert_eq!(snap.shed_requests, 3, "overflow shed, counted");
+        assert_eq!(snap.traffic.shed_requests, 3, "overflow shed, counted");
         assert!(
             server
                 .recovery_events()
@@ -768,7 +660,7 @@ mod tests {
         );
         let local = server.adopt_tenant(&snap, snap.seal_counter).unwrap();
         server.drain().unwrap();
-        let t = &server.tenants()[local];
+        let t = &server.tenants()[local].traffic;
         assert_eq!(t.accepted, t.completed + t.shed_requests, "reply-or-shed");
         assert_eq!(
             (t.completed, t.shed_requests),
@@ -802,7 +694,7 @@ mod tests {
         // The refusal left the host clean: the fresh snapshot still lands.
         let local = server.adopt_tenant(&fresh, fresh.seal_counter).unwrap();
         run_segment(&mut server, &[local], &mut factories, 2);
-        let t = &server.tenants()[local];
+        let t = &server.tenants()[local].traffic;
         assert_eq!(t.accepted, t.completed + t.shed_requests, "reply-or-shed");
     }
 
@@ -818,7 +710,7 @@ mod tests {
             assert!(server.submit(0, 0, 0, f.next_request()).is_accepted());
         }
         let snap = server.extract_tenant(0).unwrap();
-        let need = tenant_epc_pages(&snap.spec);
+        let need = crate::server::tenant_epc_pages(&snap.spec);
 
         // Size the target's PRM so that, with its own tenant loaded,
         // `need <= free < need + EPC_LOW_WATER`: the pages fit, but the
@@ -847,7 +739,7 @@ mod tests {
             .collect();
         assert!(phases.contains(&"rollback"), "rollback phase logged");
         server.drain().unwrap();
-        let t = &server.tenants()[local];
+        let t = &server.tenants()[local].traffic;
         assert_eq!((t.completed, t.shed_requests), (3, 0), "zero drops");
     }
 
@@ -860,7 +752,7 @@ mod tests {
         // back and invalidate the verdict, as a respawn would.
         let svc = service_enclave_name("t0", ServiceKind::TlsEcho);
         server.app.unload(&svc).unwrap();
-        server.attested[0] = false;
+        server.tenants[0].attested = false;
         let mut f = RequestFactory::new(ServiceKind::TlsEcho, 0, 7);
         assert_eq!(
             server.submit(0, 0, 0, f.next_request()),

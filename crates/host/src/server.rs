@@ -33,19 +33,19 @@
 //! after an integrity violation — charges a deterministic backoff, and
 //! retries, all without touching sibling tenants. A request whose attempt
 //! budget or deadline runs out is shed **explicitly and counted**
-//! ([`crate::tenant::TenantState::shed_requests`]); a tenant whose
+//! ([`crate::tenant::Traffic::shed_requests`]); a tenant whose
 //! respawns churn trips a circuit breaker and fails fast. The server loop
 //! itself never panics on an injected fault.
 
 use crate::admission::{self, Admission, EPC_LOW_WATER};
 use crate::error::{HostError, HostResult};
 use crate::recovery::{
-    backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryState,
-    ShedReason, MAX_ATTEMPTS,
+    backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, ShedReason,
+    MAX_ATTEMPTS,
 };
 use crate::scheduler::{Scheduler, SchedulerStats};
 use crate::service::{install_service, service_enclave_name, ServiceKind};
-use crate::tenant::{Completion, TenantSpec, TenantState};
+use crate::tenant::{Completion, TenantSpec, TenantState, Traffic};
 use ne_core::edl::Edl;
 use ne_core::lifecycle::{attest_chain, AttestError};
 use ne_core::loader::EnclaveImage;
@@ -110,16 +110,8 @@ pub struct TenantReport {
     pub loaded: bool,
     /// Whether the tenant ended the run shed.
     pub shed: bool,
-    /// Requests accepted by admission control.
-    pub accepted: u64,
-    /// Rejections due to a full queue (backpressure).
-    pub rejected_full: u64,
-    /// Rejections due to shedding (EPC pressure).
-    pub rejected_shed: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Accepted requests the recovery layer shed explicitly.
-    pub shed_requests: u64,
+    /// Traffic counters over the measurement window.
+    pub traffic: Traffic,
     /// Enclave respawns performed for this tenant.
     pub respawns: u64,
     /// Whether the tenant's circuit breaker ended the run open.
@@ -143,18 +135,18 @@ pub struct HostReport {
 impl HostReport {
     /// Total completions across tenants.
     pub fn completed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.completed).sum()
+        self.tenants.iter().map(|t| t.traffic.completed).sum()
     }
 
     /// Total accepted across tenants.
     pub fn accepted(&self) -> u64 {
-        self.tenants.iter().map(|t| t.accepted).sum()
+        self.tenants.iter().map(|t| t.traffic.accepted).sum()
     }
 
     /// Total explicit sheds across tenants. Reply-or-shed says
     /// `accepted() == completed() + shed_requests()` once drained.
     pub fn shed_requests(&self) -> u64 {
-        self.tenants.iter().map(|t| t.shed_requests).sum()
+        self.tenants.iter().map(|t| t.traffic.shed_requests).sum()
     }
 
     /// Total enclave respawns across tenants.
@@ -168,12 +160,12 @@ pub struct HostServer {
     /// The underlying runtime; public so harnesses can export metrics,
     /// profiles, and traces from `app.machine` directly.
     pub app: NestedApp,
+    /// One record per tenant, in spec order; adopted tenants append.
     pub(crate) tenants: Vec<TenantState>,
     pub(crate) sched: Scheduler,
     worker_core: Option<usize>,
     pub(crate) completions: Vec<Completion>,
     pub(crate) seed: u64,
-    pub(crate) recovery: Vec<RecoveryState>,
     /// Shared with every gate closure; respawned gates reuse it.
     pub(crate) switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>>,
     /// Switchless→classic reply degradations, counted from inside the
@@ -186,26 +178,9 @@ pub struct HostServer {
     /// for a tenant (respawned-away ids stay mapped so late-arriving
     /// chaos events still attribute). Never cleared.
     pub(crate) eid_owner: BTreeMap<u64, usize>,
-    /// Per-tenant "breaker-open already logged" latch, so the event log
-    /// carries exactly one [`RecoveryEventKind::BreakerOpen`] per trip.
-    pub(crate) breaker_logged: Vec<bool>,
-    /// Per-tenant NEREPORT admission verdict: true once every (gate,
-    /// service) pair has a verified attestation chain. Cleared whenever a
-    /// tenant enclave is respawned — a rebuilt enclave is a new instance
-    /// and must re-prove its chain before new traffic is admitted.
-    pub(crate) attested: Vec<bool>,
-    /// Per-tenant typed attestation refusal counts, keyed by
-    /// [`AttestError::name`].
-    pub(crate) attest_failures: Vec<BTreeMap<&'static str, u64>>,
-    /// Per-tenant attestation epochs (bumped per chain attempt, so every
-    /// challenge nonce is fresh).
-    pub(crate) attest_epoch: Vec<u64>,
-    /// Per-tenant monotonic sealed-state counters: the counter the last
-    /// seal was stamped with, and the floor a restore must meet.
-    pub(crate) seal_counters: Vec<u64>,
 }
 
-pub(crate) fn gate_image(name: &str) -> EnclaveImage {
+fn gate_image(name: &str) -> EnclaveImage {
     EnclaveImage::new(name, b"host-gateway")
         .code_pages(8)
         .heap_pages(4)
@@ -216,7 +191,7 @@ pub(crate) fn gate_image(name: &str) -> EnclaveImage {
 /// the inner service, push the reply out (switchless when available,
 /// degrading to a classic exit-based ocall when the reply core is inside
 /// an injected stall window).
-pub(crate) fn gate_dispatch(
+fn gate_dispatch(
     services: Vec<String>,
     switchless: Arc<Mutex<Option<SwitchlessQueue>>>,
     degraded: Arc<AtomicU64>,
@@ -275,117 +250,130 @@ impl HostServer {
     /// Loader failures other than the anticipated EPC exhaustion.
     pub fn build(cfg: HostConfig) -> HostResult<HostServer> {
         let mut app = NestedApp::new(cfg.hw.clone());
-        let degraded_replies = Arc::new(AtomicU64::new(0));
         let net_reply: UntrustedFn = Arc::new(|cx, _args| {
             cx.charge(NET_REPLY_CYCLES);
             Ok(Vec::new())
         });
         app.register_untrusted("net_reply", net_reply);
+        let num_cores = app.machine.num_cores();
+        let worker_core = (cfg.switchless && num_cores >= 2).then(|| num_cores - 1);
+        let serving: Vec<usize> = (0..num_cores).filter(|c| Some(*c) != worker_core).collect();
 
-        let switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>> = Arc::new(Mutex::new(None));
         let mut order: Vec<usize> = (0..cfg.tenants.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(cfg.tenants[i].priority));
-        let mut loaded = vec![false; cfg.tenants.len()];
-        for &i in &order {
-            let spec = &cfg.tenants[i];
-            let need = tenant_epc_pages(spec);
-            if (app.machine.free_epc_pages() as u64) < need + EPC_LOW_WATER {
+        let tenants: Vec<TenantState> = cfg
+            .tenants
+            .into_iter()
+            .map(|spec| TenantState::new(spec, false))
+            .collect();
+        let mut server = HostServer {
+            app,
+            sched: Scheduler::new(serving, tenants.len()),
+            tenants,
+            worker_core,
+            completions: Vec::new(),
+            seed: cfg.seed,
+            switchless_handle: Arc::new(Mutex::new(None)),
+            degraded_replies: Arc::new(AtomicU64::new(0)),
+            events: Vec::new(),
+            eid_owner: BTreeMap::new(),
+        };
+        for i in order {
+            let spec = server.tenants[i].spec.clone();
+            if !server.epc_fits(&spec, EPC_LOW_WATER) {
                 // Shed at birth: graceful degradation instead of loading a
                 // working set that would thrash EWB/ELDU.
                 continue;
             }
-            let names: Vec<String> = spec
-                .services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k))
-                .collect();
-            app.load(
-                gate_image(&spec.gate_name()),
-                [(
-                    "dispatch".to_string(),
-                    gate_dispatch(names, switchless_handle.clone(), degraded_replies.clone()),
-                )],
-            )?;
-            let gate_name = spec.gate_name();
-            // Seed per-service state by the spec's pinned identity when it
-            // has one (the sharded cluster pins the global tenant id), by
-            // list position otherwise — the historic unsharded behavior.
-            let seed_index = spec.seed_index.unwrap_or(i);
-            for &kind in &spec.services {
-                install_service(&mut app, &spec.name, &gate_name, seed_index, kind, cfg.seed)?;
-            }
-            loaded[i] = true;
+            server.load_tenant(&spec, i)?;
+            let t = &mut server.tenants[i];
+            t.loaded = true;
+            t.shed = false;
         }
 
-        let num_cores = app.machine.num_cores();
-        let worker_core = (cfg.switchless && num_cores >= 2).then(|| num_cores - 1);
         if let Some(w) = worker_core {
-            let q = app.untrusted(0, |cx| SwitchlessQueue::create(cx, SWITCHLESS_CAPACITY, w));
-            *switchless_handle
+            let q = server
+                .app
+                .untrusted(0, |cx| SwitchlessQueue::create(cx, SWITCHLESS_CAPACITY, w));
+            *server
+                .switchless_handle
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(q);
         }
-        let serving: Vec<usize> = (0..num_cores).filter(|c| Some(*c) != worker_core).collect();
-
-        let tenants: Vec<TenantState> = cfg
-            .tenants
-            .into_iter()
-            .zip(loaded)
-            .map(|(spec, ok)| TenantState::new(spec, ok))
-            .collect();
-        let sched = Scheduler::new(serving, tenants.len());
-        let recovery = tenants.iter().map(|_| RecoveryState::default()).collect();
-        // Map every built enclave (gate and services) to its owner, so
-        // machine-side chaos events can be attributed to tenants.
-        let mut eid_owner = BTreeMap::new();
-        for (i, t) in tenants.iter().enumerate() {
-            if !t.loaded {
-                continue;
-            }
-            let mut names = vec![t.spec.gate_name()];
-            names.extend(
-                t.spec
-                    .services
-                    .iter()
-                    .map(|&k| service_enclave_name(&t.spec.name, k)),
-            );
-            for name in names {
-                if let Ok(eid) = app.eid(&name) {
-                    eid_owner.insert(eid.0, i);
-                }
-            }
-        }
-        let breaker_logged = vec![false; tenants.len()];
-        let n = tenants.len();
-        let mut server = HostServer {
-            app,
-            tenants,
-            sched,
-            worker_core,
-            completions: Vec::new(),
-            seed: cfg.seed,
-            recovery,
-            switchless_handle,
-            degraded_replies,
-            events: Vec::new(),
-            eid_owner,
-            breaker_logged,
-            attested: vec![false; n],
-            attest_failures: vec![BTreeMap::new(); n],
-            attest_epoch: vec![0; n],
-            seal_counters: vec![0; n],
-        };
         // NEREPORT-gated admission: every loaded tenant must prove its
         // attestation chain before the front door opens for it. A clean
         // build attests everything; a refusal leaves the tenant
         // unattested (traffic rejected, reason counted) without failing
         // the build — siblings are unaffected.
-        for t in 0..n {
+        for t in 0..server.tenants.len() {
             if server.tenants[t].loaded {
                 let _ = server.attest_tenant(t);
             }
         }
         Ok(server)
+    }
+
+    /// Whether `spec`'s enclaves fit in free EPC with `headroom` pages to
+    /// spare.
+    pub(crate) fn epc_fits(&self, spec: &TenantSpec, headroom: u64) -> bool {
+        self.app.machine.free_epc_pages() as u64 >= tenant_epc_pages(spec) + headroom
+    }
+
+    /// Loads `spec`'s gate, then each of its services, for tenant slot
+    /// `owner`. On failure the enclaves loaded so far stay loaded.
+    pub(crate) fn load_tenant(&mut self, spec: &TenantSpec, owner: usize) -> Result<(), SgxError> {
+        self.load_gate(spec, owner)?;
+        for &kind in &spec.services {
+            self.load_service(spec, owner, kind)?;
+        }
+        Ok(())
+    }
+
+    /// Loads `spec`'s gate enclave, routing to the spec's services, and
+    /// records tenant slot `owner` as the owner of its eid. Build, gate
+    /// respawn and migration adoption all load the gate here.
+    fn load_gate(&mut self, spec: &TenantSpec, owner: usize) -> Result<EnclaveId, SgxError> {
+        let gate_name = spec.gate_name();
+        let services = spec
+            .services
+            .iter()
+            .map(|&k| service_enclave_name(&spec.name, k))
+            .collect();
+        let dispatch = gate_dispatch(
+            services,
+            self.switchless_handle.clone(),
+            self.degraded_replies.clone(),
+        );
+        self.app
+            .load(gate_image(&gate_name), [("dispatch".to_string(), dispatch)])?;
+        let eid = self.app.eid(&gate_name)?;
+        self.eid_owner.insert(eid.0, owner);
+        Ok(eid)
+    }
+
+    /// Loads one of `spec`'s service enclaves, associates it with the gate
+    /// (NASSO), and records tenant slot `owner` as the owner of its eid.
+    /// Its state is seeded by the spec's pinned identity when it has one
+    /// (the sharded cluster pins the global tenant id), by `owner`
+    /// otherwise, so a respawned service regenerates exactly the state
+    /// that was lost.
+    fn load_service(
+        &mut self,
+        spec: &TenantSpec,
+        owner: usize,
+        kind: ServiceKind,
+    ) -> Result<EnclaveId, SgxError> {
+        install_service(
+            &mut self.app,
+            &spec.name,
+            &spec.gate_name(),
+            spec.seed_index.unwrap_or(owner),
+            kind,
+            self.seed,
+        )?;
+        let eid = self.app.eid(&service_enclave_name(&spec.name, kind))?;
+        self.eid_owner.insert(eid.0, owner);
+        Ok(eid)
     }
 
     /// Deterministic 32-byte attestation challenge for one chain attempt.
@@ -409,6 +397,14 @@ impl HostServer {
             .find(|&c| self.app.machine.current_enclave(c).is_none())
     }
 
+    /// [`HostServer::idle_core`], or a general-protection error naming
+    /// the ecall (`what`) that found none.
+    pub(crate) fn idle_core_for(&self, what: &str) -> Result<usize, SgxError> {
+        self.idle_core().ok_or_else(|| {
+            SgxError::GeneralProtection(format!("no serving core out of enclave mode for {what}"))
+        })
+    }
+
     /// Drives the § IV-E NEREPORT admission chain for every (gate,
     /// service) pair of `tenant`: the inner enclave reports, the gate
     /// verifies MAC, nonce echo, live measurement, and the NASSO
@@ -425,13 +421,11 @@ impl HostServer {
                 "no loaded tenant at index {tenant}"
             ))));
         }
-        let Some(core) = self.idle_core() else {
-            return Err(AttestError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for attestation".into(),
-            )));
-        };
-        self.attest_epoch[tenant] += 1;
-        let epoch = self.attest_epoch[tenant];
+        let core = self
+            .idle_core_for("attestation")
+            .map_err(AttestError::Sgx)?;
+        self.tenants[tenant].attest_epoch += 1;
+        let epoch = self.tenants[tenant].attest_epoch;
         let spec = self.tenants[tenant].spec.clone();
         let identity = spec.seed_index.unwrap_or(tenant) as u64;
         let gate = spec.gate_name();
@@ -440,29 +434,26 @@ impl HostServer {
             let nonce = Self::attest_nonce(self.seed, identity, kind as u64, epoch);
             attest_chain(&mut self.app, core, &gate, &svc, &nonce).map(|_| ())
         });
-        match result {
-            Ok(()) => {
-                self.attested[tenant] = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.attested[tenant] = false;
-                *self.attest_failures[tenant].entry(e.name()).or_insert(0) += 1;
-                Err(e)
-            }
+        let t = &mut self.tenants[tenant];
+        t.attested = result.is_ok();
+        if let Err(e) = &result {
+            *t.attest_failures.entry(e.name()).or_insert(0) += 1;
         }
+        result
     }
 
     /// Whether `tenant` currently holds a verified attestation chain.
     pub fn attested(&self, tenant: usize) -> bool {
-        self.attested.get(tenant).copied().unwrap_or(false)
+        self.tenants.get(tenant).is_some_and(|t| t.attested)
     }
 
     /// Typed attestation refusal counts for `tenant`, keyed by
     /// [`AttestError::name`]. Empty for a tenant that never failed.
     pub fn attest_failures(&self, tenant: usize) -> &BTreeMap<&'static str, u64> {
         static EMPTY: BTreeMap<&'static str, u64> = BTreeMap::new();
-        self.attest_failures.get(tenant).unwrap_or(&EMPTY)
+        self.tenants
+            .get(tenant)
+            .map_or(&EMPTY, |t| &t.attest_failures)
     }
 
     /// The reserved switchless worker core, when one is active.
@@ -531,7 +522,7 @@ impl HostServer {
         // their front door is already closed.
         if self.tenants[tenant].loaded
             && !self.tenants[tenant].shed
-            && !self.attested[tenant]
+            && !self.tenants[tenant].attested
             && self.attest_tenant(tenant).is_err()
         {
             return Admission::RejectedUnattested;
@@ -564,14 +555,8 @@ impl HostServer {
         let core = self.sched.cores()[slot];
         // Fail fast once the tenant's breaker is open: queued work is
         // shed explicitly instead of limping through rebuilds.
-        if self.recovery[req.tenant].breaker_open {
-            self.tenants[req.tenant].shed_requests += 1;
-            self.log_event(
-                core,
-                req.tenant,
-                RecoveryEventKind::Shed(ShedReason::BreakerOpen),
-            );
-            return Ok(None);
+        if self.tenants[req.tenant].recovery.breaker_open {
+            return self.shed_request(core, req.tenant, ShedReason::BreakerOpen);
         }
         let (gate_name, svc_name) = {
             let spec = &self.tenants[req.tenant].spec;
@@ -616,51 +601,31 @@ impl HostServer {
                         RecoveryAction::Shed => {
                             // Deterministic application-level failure:
                             // retrying cannot change the outcome.
-                            self.tenants[req.tenant].shed_requests += 1;
-                            self.log_event(
-                                core,
-                                req.tenant,
-                                RecoveryEventKind::Shed(ShedReason::AppError),
-                            );
-                            return Ok(None);
+                            return self.shed_request(core, req.tenant, ShedReason::AppError);
                         }
                         action => {
                             if req.attempts >= MAX_ATTEMPTS {
-                                self.tenants[req.tenant].shed_requests += 1;
-                                self.log_event(
-                                    core,
-                                    req.tenant,
-                                    RecoveryEventKind::Shed(ShedReason::Attempts),
-                                );
-                                return Ok(None);
+                                return self.shed_request(core, req.tenant, ShedReason::Attempts);
                             }
                             if self.repair(req.tenant, action).is_err() {
                                 // The tenant could not be healed; fail it
                                 // fast and keep its siblings running.
                                 self.trip_breaker(req.tenant);
                             }
-                            if self.recovery[req.tenant].breaker_open {
+                            if self.tenants[req.tenant].recovery.breaker_open {
                                 self.trip_breaker(req.tenant);
-                                self.tenants[req.tenant].shed_requests += 1;
-                                self.log_event(
+                                return self.shed_request(
                                     core,
                                     req.tenant,
-                                    RecoveryEventKind::Shed(ShedReason::BreakerOpen),
+                                    ShedReason::BreakerOpen,
                                 );
-                                return Ok(None);
                             }
                             let wait = backoff_cycles(self.seed, req.tenant, req.seq, req.attempts);
                             self.log_event(core, req.tenant, RecoveryEventKind::Backoff { wait });
                             self.app.untrusted(core, |cx| cx.charge(wait));
                             let age = self.app.machine.cycles(core).saturating_sub(req.arrival);
                             if age > REQUEST_DEADLINE {
-                                self.tenants[req.tenant].shed_requests += 1;
-                                self.log_event(
-                                    core,
-                                    req.tenant,
-                                    RecoveryEventKind::Shed(ShedReason::Deadline),
-                                );
-                                return Ok(None);
+                                return self.shed_request(core, req.tenant, ShedReason::Deadline);
                             }
                         }
                     }
@@ -683,7 +648,7 @@ impl HostServer {
             );
         }
         ts.last_completed_seq = Some(ts.last_completed_seq.map_or(req.seq, |p| p.max(req.seq)));
-        ts.completed += 1;
+        ts.traffic.completed += 1;
         let completion = Completion {
             tenant: req.tenant,
             service: req.service,
@@ -697,6 +662,18 @@ impl HostServer {
         };
         self.completions.push(completion.clone());
         Ok(Some(completion))
+    }
+
+    /// Terminates a dequeued request as an explicit, counted shed.
+    fn shed_request(
+        &mut self,
+        core: usize,
+        tenant: usize,
+        reason: ShedReason,
+    ) -> HostResult<Option<Completion>> {
+        self.tenants[tenant].traffic.shed_requests += 1;
+        self.log_event(core, tenant, RecoveryEventKind::Shed(reason));
+        Ok(None)
     }
 
     /// Applies one repair action for `tenant`. Errors mean the repair
@@ -727,23 +704,11 @@ impl HostServer {
     /// enclaves.
     fn reload_evicted(&mut self, tenant: usize) -> HostResult<usize> {
         let mut reloaded = 0;
-        for name in self.tenant_enclave_names(tenant) {
+        for name in self.tenants[tenant].spec.enclave_names() {
             let eid = self.app.eid(&name)?;
             reloaded += self.app.machine.reload_chaos_evicted(eid)?;
         }
         Ok(reloaded)
-    }
-
-    /// Gate-first list of the tenant's enclave names.
-    pub(crate) fn tenant_enclave_names(&self, tenant: usize) -> Vec<String> {
-        let spec = &self.tenants[tenant].spec;
-        let mut names = vec![spec.gate_name()];
-        names.extend(
-            spec.services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k)),
-        );
-        names
     }
 
     /// Respawns whichever of the tenant's enclaves `eid` names (the gate,
@@ -766,9 +731,7 @@ impl HostServer {
     /// ECREATE/EADD/EINIT), then re-associates every service enclave with
     /// the new gate (NASSO). Counts as one respawn toward the breaker.
     fn respawn_gate(&mut self, tenant: usize) -> HostResult<()> {
-        self.note_respawn(tenant);
-        let now = self.now();
-        self.log_event_at(now, tenant, RecoveryEventKind::RespawnGate);
+        self.note_respawn(tenant, RecoveryEventKind::RespawnGate);
         self.rebuild_gate(tenant)
             .map_err(|source| self.respawn_failed(tenant, source))
     }
@@ -776,9 +739,7 @@ impl HostServer {
     /// Tears down and rebuilds one inner service enclave and re-associates
     /// it with the gate. Counts as one respawn toward the breaker.
     fn respawn_service(&mut self, tenant: usize, kind: ServiceKind) -> HostResult<()> {
-        self.note_respawn(tenant);
-        let now = self.now();
-        self.log_event_at(now, tenant, RecoveryEventKind::RespawnService);
+        self.note_respawn(tenant, RecoveryEventKind::RespawnService);
         self.rebuild_service(tenant, kind)
             .map_err(|source| self.respawn_failed(tenant, source))
     }
@@ -786,9 +747,7 @@ impl HostServer {
     /// Rebuilds the whole tenant — every service, then the gate. Counts as
     /// one respawn event toward the breaker (one recovery, many EREMOVEs).
     fn respawn_tenant(&mut self, tenant: usize) -> HostResult<()> {
-        self.note_respawn(tenant);
-        let now = self.now();
-        self.log_event_at(now, tenant, RecoveryEventKind::RespawnTenant);
+        self.note_respawn(tenant, RecoveryEventKind::RespawnTenant);
         let kinds = self.tenants[tenant].spec.services.clone();
         for kind in kinds {
             self.rebuild_service(tenant, kind)
@@ -801,60 +760,35 @@ impl HostServer {
     fn rebuild_gate(&mut self, tenant: usize) -> Result<(), SgxError> {
         let spec = self.tenants[tenant].spec.clone();
         let gate_name = spec.gate_name();
-        let names: Vec<String> = spec
-            .services
-            .iter()
-            .map(|&k| service_enclave_name(&spec.name, k))
-            .collect();
         let old = self.app.unload(&gate_name)?;
-        self.app.load(
-            gate_image(&gate_name),
-            [(
-                "dispatch".to_string(),
-                gate_dispatch(
-                    names.clone(),
-                    self.switchless_handle.clone(),
-                    self.degraded_replies.clone(),
-                ),
-            )],
-        )?;
-        let new = self.app.eid(&gate_name)?;
-        self.eid_owner.insert(new.0, tenant);
+        let new = self.load_gate(&spec, tenant)?;
         self.app.machine.chaos_retarget(old, new);
-        for name in &names {
-            self.app.associate(name, &gate_name)?;
+        for &kind in &spec.services {
+            self.app
+                .associate(&service_enclave_name(&spec.name, kind), &gate_name)?;
         }
         Ok(())
     }
 
     fn rebuild_service(&mut self, tenant: usize, kind: ServiceKind) -> Result<(), SgxError> {
         let spec = self.tenants[tenant].spec.clone();
-        let name = service_enclave_name(&spec.name, kind);
-        let old = self.app.unload(&name)?;
-        // Same seeding identity as the original install, so a respawned
-        // service regenerates exactly the state that was lost.
-        install_service(
-            &mut self.app,
-            &spec.name,
-            &spec.gate_name(),
-            spec.seed_index.unwrap_or(tenant),
-            kind,
-            self.seed,
-        )?;
-        let new = self.app.eid(&name)?;
-        self.eid_owner.insert(new.0, tenant);
+        let old = self.app.unload(&service_enclave_name(&spec.name, kind))?;
+        let new = self.load_service(&spec, tenant, kind)?;
         self.app.machine.chaos_retarget(old, new);
         Ok(())
     }
 
-    /// Records one respawn; the breaker check happens in the step loop.
-    /// A respawn also invalidates the tenant's attestation chain — the
-    /// rebuilt enclave is a new instance and must re-prove it (lazily, at
-    /// the next submission) before new traffic is admitted.
-    fn note_respawn(&mut self, tenant: usize) {
+    /// Records and logs one respawn of `kind`; the breaker check happens
+    /// in the step loop. A respawn also invalidates the tenant's
+    /// attestation chain — the rebuilt enclave is a new instance and must
+    /// re-prove it (lazily, at the next submission) before new traffic is
+    /// admitted.
+    fn note_respawn(&mut self, tenant: usize, kind: RecoveryEventKind) {
         let now = self.now();
-        self.recovery[tenant].note_respawn(now);
-        self.attested[tenant] = false;
+        let t = &mut self.tenants[tenant];
+        t.recovery.note_respawn(now);
+        t.attested = false;
+        self.log_event_at(now, tenant, kind);
     }
 
     fn respawn_failed(&self, tenant: usize, source: SgxError) -> HostError {
@@ -867,27 +801,14 @@ impl HostServer {
     /// Opens the tenant's breaker: sheds the tenant at admission and
     /// converts its queued requests into explicit sheds. Idempotent.
     fn trip_breaker(&mut self, tenant: usize) {
-        self.recovery[tenant].breaker_open = true;
-        let now = self.now();
-        if !self.breaker_logged[tenant] {
-            self.breaker_logged[tenant] = true;
+        let t = &mut self.tenants[tenant];
+        t.recovery.breaker_open = true;
+        if !t.breaker_logged {
+            t.breaker_logged = true;
+            let now = self.now();
             self.log_event_at(now, tenant, RecoveryEventKind::BreakerOpen);
         }
-        let drained = {
-            let ts = &mut self.tenants[tenant];
-            ts.shed = true;
-            let n = ts.queue.len() as u64;
-            ts.shed_requests += n;
-            ts.queue.clear();
-            n
-        };
-        if drained > 0 {
-            self.log_event_at(
-                now,
-                tenant,
-                RecoveryEventKind::Shed(ShedReason::QueueDrained),
-            );
-        }
+        self.shed_queue(tenant, ShedReason::QueueDrained);
     }
 
     /// Sheds `tenant` at the front door: marks it shed at admission and
@@ -906,21 +827,21 @@ impl HostServer {
         if tenant >= self.tenants.len() {
             return 0;
         }
+        self.shed_queue(tenant, ShedReason::ClientStalled)
+    }
+
+    /// Closes `tenant`'s front door and turns its queued requests into
+    /// explicit sheds, logging one `Shed(reason)` event when anything was
+    /// queued. Returns how many requests were shed.
+    fn shed_queue(&mut self, tenant: usize, reason: ShedReason) -> u64 {
         let now = self.now();
-        let drained = {
-            let ts = &mut self.tenants[tenant];
-            ts.shed = true;
-            let n = ts.queue.len() as u64;
-            ts.shed_requests += n;
-            ts.queue.clear();
-            n
-        };
+        let t = &mut self.tenants[tenant];
+        t.shed = true;
+        let drained = t.queue.len() as u64;
+        t.traffic.shed_requests += drained;
+        t.queue.clear();
         if drained > 0 {
-            self.log_event_at(
-                now,
-                tenant,
-                RecoveryEventKind::Shed(ShedReason::ClientStalled),
-            );
+            self.log_event_at(now, tenant, RecoveryEventKind::Shed(reason));
         }
         drained
     }
@@ -984,18 +905,12 @@ impl HostServer {
         self.completions.clear();
         self.sched.stats = SchedulerStats::default();
         for t in &mut self.tenants {
-            t.accepted = 0;
-            t.rejected_full = 0;
-            t.rejected_shed = 0;
-            t.completed = 0;
-            t.shed_requests = 0;
-        }
-        // The cycle clocks just reset, so respawn timestamps from before
-        // the window are meaningless; breaker latch state carries over
-        // (like shed state).
-        for r in &mut self.recovery {
-            r.respawn_times.clear();
-            r.respawns = 0;
+            t.traffic = Traffic::default();
+            // The cycle clocks just reset, so respawn timestamps from
+            // before the window are meaningless; breaker latch state
+            // carries over (like shed state).
+            t.recovery.respawn_times.clear();
+            t.recovery.respawns = 0;
         }
         self.degraded_replies.store(0, Ordering::Relaxed);
         self.events.clear();
@@ -1032,7 +947,9 @@ impl HostServer {
                 "no loaded tenant at index {tenant}"
             )));
         }
-        self.tenant_enclave_names(tenant)
+        self.tenants[tenant]
+            .spec
+            .enclave_names()
             .iter()
             .map(|n| Ok(self.app.eid(n)?.0))
             .collect()
@@ -1041,12 +958,6 @@ impl HostServer {
     /// Decision counters of the installed chaos plan, if any.
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.app.machine.chaos_stats()
-    }
-
-    /// Per-tenant recovery state (respawn history, breaker), in spec
-    /// order.
-    pub fn recovery_states(&self) -> &[RecoveryState] {
-        &self.recovery
     }
 
     /// Cycle-stamped recovery actions taken since the last measurement
@@ -1080,19 +991,14 @@ impl HostServer {
             tenants: self
                 .tenants
                 .iter()
-                .zip(&self.recovery)
-                .map(|(t, r)| TenantReport {
+                .map(|t| TenantReport {
                     name: t.spec.name.clone(),
                     priority: t.spec.priority,
                     loaded: t.loaded,
                     shed: t.shed,
-                    accepted: t.accepted,
-                    rejected_full: t.rejected_full,
-                    rejected_shed: t.rejected_shed,
-                    completed: t.completed,
-                    shed_requests: t.shed_requests,
-                    respawns: r.respawns,
-                    breaker_open: r.breaker_open,
+                    traffic: t.traffic,
+                    respawns: t.recovery.respawns,
+                    breaker_open: t.recovery.breaker_open,
                 })
                 .collect(),
             sched: self.sched.stats,
@@ -1217,7 +1123,7 @@ mod tests {
             .map(|_| server.submit(0, 0, 0, f.next_request()).is_accepted())
             .collect();
         assert_eq!(verdicts, vec![true, true, false, false, false]);
-        assert_eq!(server.tenants()[0].rejected_full, 3);
+        assert_eq!(server.tenants()[0].traffic.rejected_full, 3);
         server.drain().unwrap();
         assert_eq!(server.report().completed(), 2);
     }
@@ -1252,6 +1158,31 @@ mod tests {
         // Graceful degradation: the loaded tenants ran without paging.
         assert_eq!(server.app.machine.stats().ewb_pages, 0, "no EWB thrash");
         server.app.machine.metrics().check().unwrap();
+    }
+
+    #[test]
+    fn respawned_enclaves_stay_attributed_to_their_tenant() {
+        let mut server = HostServer::build(HostConfig::new(specs(2, &[ServiceKind::Db]))).unwrap();
+        let before = server.tenant_eids(1).unwrap();
+        server.respawn_gate(1).unwrap();
+        server.respawn_service(1, ServiceKind::Db).unwrap();
+        server.respawn_tenant(1).unwrap();
+        let after = server.tenant_eids(1).unwrap();
+        assert!(after.iter().all(|eid| !before.contains(eid)), "fresh eids");
+        // Chaos events name raw eids, old and new alike.
+        for eid in before.into_iter().chain(after) {
+            assert_eq!(server.eid_owner(eid), Some(1), "eid {eid}");
+        }
+    }
+
+    #[test]
+    fn migrated_respawn_history_is_counted_once() {
+        let mut server = HostServer::build(HostConfig::new(specs(1, &[ServiceKind::Db]))).unwrap();
+        server.respawn_gate(0).unwrap();
+        let snap = server.extract_tenant(0).unwrap();
+        assert_eq!(snap.respawns, 1);
+        server.adopt_tenant(&snap, snap.seal_counter).unwrap();
+        assert_eq!(server.report().respawns(), 1, "the dead stub keeps none");
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! A tenant owns one outer "gate" enclave and one inner enclave per
 //! service (see [`crate::service`]). Requests wait in a bounded per-tenant
-//! FIFO between admission and dispatch; everything the admission
-//! controller and scheduler need to know about a tenant — priority, queue
-//! depth, shed state, acceptance counters — lives here.
+//! FIFO between admission and dispatch; everything the host knows about a
+//! tenant — priority, queue depth, shed state, traffic counters, recovery
+//! and breaker state, attestation verdict, seal counter — lives in its one
+//! [`TenantState`] record.
 
-use crate::service::ServiceKind;
-use std::collections::VecDeque;
+use crate::recovery::RecoveryState;
+use crate::service::{service_enclave_name, ServiceKind};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::{AddAssign, Sub};
 
 /// Static description of one tenant.
 #[derive(Debug, Clone)]
@@ -59,6 +62,18 @@ impl TenantSpec {
     /// The tenant's gate (outer enclave) name.
     pub fn gate_name(&self) -> String {
         format!("{}::gate", self.name)
+    }
+
+    /// The tenant's enclave names, gate first, then one per service in
+    /// spec order.
+    pub fn enclave_names(&self) -> Vec<String> {
+        std::iter::once(self.gate_name())
+            .chain(
+                self.services
+                    .iter()
+                    .map(|&k| service_enclave_name(&self.name, k)),
+            )
+            .collect()
     }
 }
 
@@ -128,23 +143,10 @@ pub fn reply_digest<'a>(replies: impl IntoIterator<Item = (usize, u64, &'a [u8])
     ne_crypto::sha256_digest(&bytes)
 }
 
-/// Runtime state of one tenant.
-#[derive(Debug)]
-pub struct TenantState {
-    /// The static spec.
-    pub spec: TenantSpec,
-    /// False when the tenant's enclaves were never loaded because EPC
-    /// pressure at build time shed it (lowest priorities first).
-    pub loaded: bool,
-    /// True while the tenant is shed: new submissions are rejected.
-    /// Already-accepted requests still terminate — with a reply, or with
-    /// an **explicit, counted** shed ([`TenantState::shed_requests`]);
-    /// accepted work is never silently dropped.
-    pub shed: bool,
-    /// Admitted-but-not-yet-served requests, FIFO.
-    pub queue: VecDeque<Request>,
-    /// Next admission sequence number.
-    pub next_seq: u64,
+/// A tenant's traffic counters. Reports, migration snapshots and `ne-obs`
+/// windows carry the same five counters, so they all embed this one type.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
     /// Requests accepted by admission control.
     pub accepted: u64,
     /// Requests rejected because the queue was full (backpressure).
@@ -158,8 +160,82 @@ pub struct TenantState {
     /// the tenant's circuit breaker opened). The reply-or-shed invariant
     /// is `accepted == completed + shed_requests` once drained.
     pub shed_requests: u64,
+}
+
+impl Traffic {
+    /// Rejections of either kind.
+    pub fn rejected(&self) -> u64 {
+        self.rejected_full + self.rejected_shed
+    }
+}
+
+/// Field-wise difference, for window deltas of counters that only grow.
+impl Sub for Traffic {
+    type Output = Traffic;
+
+    fn sub(self, earlier: Traffic) -> Traffic {
+        Traffic {
+            accepted: self.accepted - earlier.accepted,
+            rejected_full: self.rejected_full - earlier.rejected_full,
+            rejected_shed: self.rejected_shed - earlier.rejected_shed,
+            completed: self.completed - earlier.completed,
+            shed_requests: self.shed_requests - earlier.shed_requests,
+        }
+    }
+}
+
+impl AddAssign for Traffic {
+    fn add_assign(&mut self, other: Traffic) {
+        self.accepted += other.accepted;
+        self.rejected_full += other.rejected_full;
+        self.rejected_shed += other.rejected_shed;
+        self.completed += other.completed;
+        self.shed_requests += other.shed_requests;
+    }
+}
+
+/// Runtime state of one tenant: the host's whole record of it.
+#[derive(Debug)]
+pub struct TenantState {
+    /// The static spec.
+    pub spec: TenantSpec,
+    /// False when the tenant's enclaves were never loaded because EPC
+    /// pressure at build time shed it (lowest priorities first).
+    pub loaded: bool,
+    /// True while the tenant is shed: new submissions are rejected.
+    /// Already-accepted requests still terminate — with a reply, or with
+    /// an **explicit, counted** shed ([`Traffic::shed_requests`]);
+    /// accepted work is never silently dropped.
+    pub shed: bool,
+    /// Admitted-but-not-yet-served requests, FIFO.
+    pub queue: VecDeque<Request>,
+    /// Next admission sequence number.
+    pub next_seq: u64,
+    /// Traffic counters since the last measurement reset.
+    pub traffic: Traffic,
     /// Highest completed sequence number, for FIFO auditing.
     pub last_completed_seq: Option<u64>,
+    /// Respawn history and circuit breaker.
+    pub recovery: RecoveryState,
+    /// "Breaker-open already logged" latch, so the event log carries
+    /// exactly one [`crate::recovery::RecoveryEventKind::BreakerOpen`] per
+    /// trip.
+    pub(crate) breaker_logged: bool,
+    /// NEREPORT admission verdict: true once every (gate, service) pair
+    /// has a verified attestation chain. Cleared whenever one of the
+    /// tenant's enclaves is respawned — a rebuilt enclave is a new
+    /// instance and must re-prove its chain before new traffic is
+    /// admitted.
+    pub(crate) attested: bool,
+    /// Typed attestation refusal counts, keyed by
+    /// [`ne_core::lifecycle::AttestError::name`].
+    pub(crate) attest_failures: BTreeMap<&'static str, u64>,
+    /// Attestation epoch (bumped per chain attempt, so every challenge
+    /// nonce is fresh).
+    pub(crate) attest_epoch: u64,
+    /// Monotonic sealed-state counter: the counter the last seal was
+    /// stamped with, and the floor a restore must meet.
+    pub(crate) seal_counter: u64,
 }
 
 impl TenantState {
@@ -172,12 +248,14 @@ impl TenantState {
             shed: !loaded,
             queue: VecDeque::new(),
             next_seq: 0,
-            accepted: 0,
-            rejected_full: 0,
-            rejected_shed: 0,
-            completed: 0,
-            shed_requests: 0,
+            traffic: Traffic::default(),
             last_completed_seq: None,
+            recovery: RecoveryState::default(),
+            breaker_logged: false,
+            attested: false,
+            attest_failures: BTreeMap::new(),
+            attest_epoch: 0,
+            seal_counter: 0,
         }
     }
 
@@ -189,7 +267,8 @@ impl TenantState {
     /// True when every accepted request has terminated — served to
     /// completion or explicitly shed.
     pub fn drained(&self) -> bool {
-        self.completed + self.shed_requests == self.accepted && self.queue.is_empty()
+        let t = &self.traffic;
+        t.completed + t.shed_requests == t.accepted && self.queue.is_empty()
     }
 }
 
@@ -202,6 +281,7 @@ mod tests {
         let s = TenantSpec::new("t0", 3, vec![ServiceKind::Db]).queue_capacity(7);
         assert_eq!(s.queue_capacity, 7);
         assert_eq!(s.gate_name(), "t0::gate");
+        assert_eq!(s.enclave_names(), ["t0::gate", "t0::db"]);
     }
 
     #[test]

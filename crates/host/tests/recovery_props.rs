@@ -138,13 +138,13 @@ proptest! {
 
         let report = server.report();
         for (i, t) in report.tenants.iter().enumerate().skip(1) {
-            prop_assert_eq!(t.shed_requests, 0, "sibling {} shed under foreign chaos", i);
+            prop_assert_eq!(t.traffic.shed_requests, 0, "sibling {} shed under foreign chaos", i);
             prop_assert_eq!(t.respawns, 0, "sibling {} respawned under foreign chaos", i);
             prop_assert!(!t.breaker_open);
-            prop_assert_eq!(t.completed, t.accepted, "sibling {} lost work", i);
+            prop_assert_eq!(t.traffic.completed, t.traffic.accepted, "sibling {} lost work", i);
         }
         // Tenant 0 still satisfies reply-or-shed.
-        let t0 = &report.tenants[0];
+        let t0 = &report.tenants[0].traffic;
         prop_assert_eq!(t0.completed + t0.shed_requests, t0.accepted);
         prop_assert_eq!(server.invariant_violations(), 0);
         assert_replies_valid(&server, seed, 1..num_tenants);
@@ -181,15 +181,7 @@ fn chaos_runs_are_deterministic() {
         let tenants: Vec<_> = report
             .tenants
             .iter()
-            .map(|t| {
-                (
-                    t.accepted,
-                    t.completed,
-                    t.shed_requests,
-                    t.respawns,
-                    t.breaker_open,
-                )
-            })
+            .map(|t| (t.traffic, t.respawns, t.breaker_open))
             .collect();
         (
             accepted,

@@ -59,8 +59,8 @@ fn frame(w: &Window, window_cycles: u64) -> String {
         out.push_str(&format!(
             "  t{:<3} {state}  done {:>5}  shed {:>4}  viol {:>4}  burn {:>6}/{:<6}{}\n",
             t.tenant,
-            t.completed,
-            t.shed,
+            t.traffic.completed,
+            t.traffic.shed_requests,
             t.latency_violations,
             t.burn_short,
             t.burn_long,
@@ -105,7 +105,7 @@ mod tests {
         let mut t = Timeline::new(1_000);
         let mut w = Window::new(0);
         let mut row = TenantWindow::new(0);
-        row.completed = 3;
+        row.traffic.completed = 3;
         row.latency.record(500);
         w.tenants.push(row);
         t.push(w);

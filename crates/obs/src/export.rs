@@ -87,10 +87,10 @@ fn window_json(w: &Window, kind: &str) -> String {
              \"respawns\":{},\"breaker_open\":{},\"latency_violations\":{},\"latency\":{},\
              \"slo\":\"{}\",\"burn_short\":{},\"burn_long\":{}}}",
             t.tenant,
-            t.accepted,
-            t.completed,
-            t.shed,
-            t.rejected,
+            t.traffic.accepted,
+            t.traffic.completed,
+            t.traffic.shed_requests,
+            t.traffic.rejected(),
             t.respawns,
             t.breaker_open,
             t.latency_violations,
@@ -198,10 +198,10 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
             "{{\"kind\":\"tenant_total\",\"tenant\":{},\"accepted\":{},\"completed\":{},\
              \"shed\":{},\"rejected\":{},\"respawns\":{},\"replies\":\"sha256:{}\"}}\n",
             tt.tenant,
-            tt.accepted,
-            tt.completed,
-            tt.shed,
-            tt.rejected,
+            tt.traffic.accepted,
+            tt.traffic.completed,
+            tt.traffic.shed_requests,
+            tt.traffic.rejected(),
             tt.respawns,
             hex(&tt.digest)
         ));
@@ -216,8 +216,11 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
          \"completed\":{},\"shed\":{}}}\n",
         stats_json(&stats),
         hist_json(&request),
-        t.totals.iter().map(|x| x.completed).sum::<u64>(),
-        t.totals.iter().map(|x| x.shed).sum::<u64>()
+        t.totals.iter().map(|x| x.traffic.completed).sum::<u64>(),
+        t.totals
+            .iter()
+            .map(|x| x.traffic.shed_requests)
+            .sum::<u64>()
     ));
     out
 }
@@ -226,12 +229,13 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
 mod tests {
     use super::*;
     use crate::window::{TenantTotal, TenantWindow, Window};
+    use ne_host::Traffic;
 
     fn tiny() -> Timeline {
         let mut t = Timeline::new(1_000);
         let mut w = Window::new(0);
         let mut row = TenantWindow::new(0);
-        row.completed = 2;
+        row.traffic.completed = 2;
         row.latency.record(700);
         row.latency.record(900);
         w.tenants.push(row);
@@ -239,10 +243,11 @@ mod tests {
         t.push(w);
         t.totals.push(TenantTotal {
             tenant: 0,
-            accepted: 2,
-            completed: 2,
-            shed: 0,
-            rejected: 0,
+            traffic: Traffic {
+                accepted: 2,
+                completed: 2,
+                ..Traffic::default()
+            },
             respawns: 0,
             digest: [0u8; 32],
         });

@@ -304,7 +304,7 @@ mod tests {
             kind: RecoveryEventKind::RespawnService,
         });
         let mut w1 = quiet(1, 0);
-        w1.tenants[0].shed = 3;
+        w1.tenants[0].traffic.shed_requests = 3;
         w1.tenants[0].slo = SloState::Page;
         w1.recoveries.push(Recovery {
             cycle: 1_100,

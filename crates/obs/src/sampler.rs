@@ -10,7 +10,7 @@
 //! enforced by test).
 
 use ne_host::server::HostServer;
-use ne_host::{pack_reply, reply_digest};
+use ne_host::{pack_reply, reply_digest, Traffic};
 
 use crate::slo::{self, LATENCY_TARGET};
 use crate::window::{Checkpoint, Injection, Recovery, TenantTotal, TenantWindow, Timeline, Window};
@@ -38,10 +38,7 @@ impl Default for SamplerConfig {
 /// Cumulative per-tenant counter snapshot (for window deltas).
 #[derive(Debug, Clone, Copy, Default)]
 struct TenantSnap {
-    accepted: u64,
-    completed: u64,
-    shed: u64,
-    rejected: u64,
+    traffic: Traffic,
     respawns: u64,
 }
 
@@ -49,13 +46,9 @@ fn snap(server: &HostServer) -> Vec<TenantSnap> {
     server
         .tenants()
         .iter()
-        .zip(server.recovery_states())
-        .map(|(t, r)| TenantSnap {
-            accepted: t.accepted,
-            completed: t.completed,
-            shed: t.shed_requests,
-            rejected: t.rejected_full + t.rejected_shed,
-            respawns: r.respawns,
+        .map(|t| TenantSnap {
+            traffic: t.traffic,
+            respawns: t.recovery.respawns,
         })
         .collect()
 }
@@ -207,10 +200,10 @@ impl Sampler {
             || server.completions().len() != self.completions_seen
             || server.app.machine.chaos_events().len() != self.chaos_seen
             || server.recovery_events().len() != self.recovery_seen
-            || snap(server)
-                .iter()
-                .zip(&self.prev_tenants)
-                .any(|(a, b)| a.accepted != b.accepted || a.rejected != b.rejected)
+            || snap(server).iter().zip(&self.prev_tenants).any(|(a, b)| {
+                a.traffic.accepted != b.traffic.accepted
+                    || a.traffic.rejected() != b.traffic.rejected()
+            })
     }
 
     /// Closes the current window with everything observed since the
@@ -241,12 +234,9 @@ impl Sampler {
         let mut rows: Vec<TenantWindow> = Vec::with_capacity(cur.len());
         for (l, (c, p)) in cur.iter().zip(&self.prev_tenants).enumerate() {
             let mut row = TenantWindow::new(self.globals[l]);
-            row.accepted = c.accepted - p.accepted;
-            row.completed = c.completed - p.completed;
-            row.shed = c.shed - p.shed;
-            row.rejected = c.rejected - p.rejected;
+            row.traffic = c.traffic - p.traffic;
             row.respawns = c.respawns - p.respawns;
-            row.breaker_open = server.recovery_states()[l].breaker_open;
+            row.breaker_open = server.tenants()[l].recovery.breaker_open;
             rows.push(row);
         }
         self.prev_tenants = cur;
@@ -340,10 +330,7 @@ impl Sampler {
             let digest = reply_digest(replies.iter().map(|r| (r.service, r.seq, &r.reply[..])));
             self.timeline.totals.push(TenantTotal {
                 tenant: self.globals[l],
-                accepted: c.accepted - b.accepted,
-                completed: c.completed - b.completed,
-                shed: c.shed - b.shed,
-                rejected: c.rejected - b.rejected,
+                traffic: c.traffic - b.traffic,
                 respawns: c.respawns - b.respawns,
                 digest,
             });

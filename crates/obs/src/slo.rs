@@ -147,8 +147,8 @@ mod tests {
     fn window_with(index: u64, tenant: usize, completed: u64, shed: u64) -> Window {
         let mut w = Window::new(index);
         let mut row = TenantWindow::new(tenant);
-        row.completed = completed;
-        row.shed = shed;
+        row.traffic.completed = completed;
+        row.traffic.shed_requests = shed;
         w.tenants.push(row);
         w
     }

@@ -8,7 +8,7 @@
 //! * [`Window::roll`] folds **an older window into a newer epoch**
 //!   when the bounded ring evicts it (gauges keep the newer value).
 
-use ne_host::RecoveryEventKind;
+use ne_host::{RecoveryEventKind, Traffic};
 use ne_sgx::fault::ChaosKind;
 use ne_sgx::profile::Histogram;
 use ne_sgx::trace::Stats;
@@ -65,14 +65,8 @@ pub(crate) fn sort_events(injections: &mut [Injection], recoveries: &mut [Recove
 pub struct TenantWindow {
     /// Global tenant id.
     pub tenant: usize,
-    /// Requests admitted this window.
-    pub accepted: u64,
-    /// Requests completed this window.
-    pub completed: u64,
-    /// Accepted requests shed by the recovery layer this window.
-    pub shed: u64,
-    /// Submissions rejected (queue full or tenant shed) this window.
-    pub rejected: u64,
+    /// Traffic counter deltas this window.
+    pub traffic: Traffic,
     /// Enclave respawns this window.
     pub respawns: u64,
     /// Circuit-breaker state at window close (gauge).
@@ -95,10 +89,7 @@ impl TenantWindow {
     pub fn new(tenant: usize) -> TenantWindow {
         TenantWindow {
             tenant,
-            accepted: 0,
-            completed: 0,
-            shed: 0,
-            rejected: 0,
+            traffic: Traffic::default(),
             respawns: 0,
             breaker_open: false,
             latency_violations: 0,
@@ -111,22 +102,19 @@ impl TenantWindow {
 
     /// Terminated requests this window (the reply-or-shed universe).
     pub fn total(&self) -> u64 {
-        self.completed + self.shed
+        self.traffic.completed + self.traffic.shed_requests
     }
 
     /// SLO-bad outcomes this window: sheds plus latency violations.
     pub fn bad(&self) -> u64 {
-        self.shed + self.latency_violations
+        self.traffic.shed_requests + self.latency_violations
     }
 
     /// Accumulates another row for the same tenant (used by both merge
     /// directions; `newer_gauges` selects roll vs merge semantics for
     /// the breaker gauge).
     fn accumulate(&mut self, other: &TenantWindow, newer_gauges: bool) {
-        self.accepted += other.accepted;
-        self.completed += other.completed;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
+        self.traffic += other.traffic;
         self.respawns += other.respawns;
         self.breaker_open = if newer_gauges {
             other.breaker_open
@@ -217,12 +205,12 @@ impl Window {
 
     /// Completions this window, summed over tenants.
     pub fn completed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.completed).sum()
+        self.tenants.iter().map(|t| t.traffic.completed).sum()
     }
 
     /// Sheds this window, summed over tenants.
     pub fn shed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.shed).sum()
+        self.tenants.iter().map(|t| t.traffic.shed_requests).sum()
     }
 
     /// Shared body of the two merges.
@@ -311,14 +299,8 @@ impl Window {
 pub struct TenantTotal {
     /// Global tenant id.
     pub tenant: usize,
-    /// Requests admitted over the run.
-    pub accepted: u64,
-    /// Requests completed over the run.
-    pub completed: u64,
-    /// Accepted requests shed over the run.
-    pub shed: u64,
-    /// Submissions rejected over the run.
-    pub rejected: u64,
+    /// Traffic counters over the run.
+    pub traffic: Traffic,
     /// Enclave respawns over the run.
     pub respawns: u64,
     /// SHA-256 over the tenant's replies in (service, seq) order, in
@@ -497,7 +479,7 @@ mod tests {
         w.stats.ecalls = 1;
         w.free_epc = index;
         let mut row = TenantWindow::new(tenant);
-        row.completed = 1;
+        row.traffic.completed = 1;
         row.latency.record(index + 1);
         w.tenants.push(row);
         w

@@ -161,14 +161,15 @@ fn migrated_run_exports_one_totals_line_per_tenant() {
     );
     // The adopted slot owns tenant 1's full history.
     let adopted = &server.tenants()[TENANTS]; // first slot past the originals
-    assert_eq!(timeline.totals[1].completed, adopted.completed);
-    assert_eq!(timeline.totals[1].accepted, adopted.accepted);
+    let total = &timeline.totals[1].traffic;
+    assert_eq!(total.completed, adopted.traffic.completed);
+    assert_eq!(total.accepted, adopted.traffic.accepted);
     assert_eq!(
-        timeline.totals[1].shed, 0,
+        total.shed_requests, 0,
         "no request shed by a clean migration"
     );
     assert_eq!(
-        timeline.totals[1].accepted, timeline.totals[1].completed,
+        total.accepted, total.completed,
         "zero dropped: every accepted request completed"
     );
 }
@@ -185,8 +186,7 @@ fn migrated_totals_match_an_unmigrated_run_byte_for_byte() {
             m.tenant
         );
         assert_eq!(
-            (m.accepted, m.completed, m.shed),
-            (c.accepted, c.completed, c.shed),
+            m.traffic, c.traffic,
             "tenant {} traffic counters must survive migration",
             m.tenant
         );
@@ -202,19 +202,19 @@ fn window_deltas_telescope_across_the_migration() {
         let completed: u64 = timeline
             .all_windows()
             .flat_map(|w| w.tenants.iter().filter(|r| r.tenant == g))
-            .map(|r| r.completed)
+            .map(|r| r.traffic.completed)
             .sum();
         assert_eq!(
-            completed, total.completed,
+            completed, total.traffic.completed,
             "tenant {g} completed must telescope"
         );
         let accepted: u64 = timeline
             .all_windows()
             .flat_map(|w| w.tenants.iter().filter(|r| r.tenant == g))
-            .map(|r| r.accepted)
+            .map(|r| r.traffic.accepted)
             .sum();
         assert_eq!(
-            accepted, total.accepted,
+            accepted, total.traffic.accepted,
             "tenant {g} accepted must telescope"
         );
         // Each completion is latency-attributed exactly once: carried
@@ -225,7 +225,7 @@ fn window_deltas_telescope_across_the_migration() {
             .map(|r| r.latency.count())
             .sum();
         assert_eq!(
-            samples, total.completed,
+            samples, total.traffic.completed,
             "tenant {g} latency samples = completions"
         );
     }

@@ -125,22 +125,24 @@ fn assert_reconciles(server: &HostServer, timeline: &Timeline) {
         let completed: u64 = timeline
             .all_windows()
             .filter_map(|w| w.tenants.iter().find(|r| r.tenant == l))
-            .map(|r| r.completed)
+            .map(|r| r.traffic.completed)
             .sum();
         assert_eq!(
-            completed, t.completed,
+            completed, t.traffic.completed,
             "tenant {l} completed must telescope"
         );
         let shed: u64 = timeline
             .all_windows()
             .filter_map(|w| w.tenants.iter().find(|r| r.tenant == l))
-            .map(|r| r.shed)
+            .map(|r| r.traffic.shed_requests)
             .sum();
-        assert_eq!(shed, t.shed_requests, "tenant {l} shed must telescope");
+        assert_eq!(
+            shed, t.traffic.shed_requests,
+            "tenant {l} shed must telescope"
+        );
         let total = &timeline.totals[l];
         assert_eq!(
-            (total.accepted, total.completed, total.shed),
-            (t.accepted, t.completed, t.shed_requests),
+            total.traffic, t.traffic,
             "tenant {l} totals line must match the server counters"
         );
     }

@@ -13,10 +13,10 @@
 //!
 //! [`MachineMetrics`] is a plain snapshot: capture it with
 //! [`crate::machine::Machine::metrics`], then inspect it, export it
-//! ([`MachineMetrics::to_json`] / [`MachineMetrics::to_csv`]), or validate
-//! it. The JSON schema is versioned (`ne-metrics/v2` — v2 added the
-//! `profile` latency-histogram section and the span counters) and key
-//! order is fixed, so downstream tooling can diff exports byte-for-byte.
+//! ([`MachineMetrics::to_json`]), or validate it. The JSON schema is
+//! versioned (`ne-metrics/v2` — v2 added the `profile` latency-histogram
+//! section and the span counters) and key order is fixed, so downstream
+//! tooling can diff exports byte-for-byte.
 //!
 //! ```
 //! use ne_sgx::config::HwConfig;
@@ -83,7 +83,7 @@ impl CycleCategory {
         CycleCategory::AppCompute,
     ];
 
-    /// Stable snake_case name (used as JSON/CSV keys).
+    /// Stable snake_case name (used as JSON keys).
     pub fn name(self) -> &'static str {
         match self {
             CycleCategory::Transition => "transition",
@@ -173,7 +173,7 @@ pub struct ProfileEntry {
 }
 
 impl ProfileEntry {
-    /// Stable `event/level` identifier used in JSON/CSV exports.
+    /// Stable `event/level` identifier used in JSON exports.
     pub fn key(&self) -> String {
         format!("{}/{}", self.event.name(), self.level.name())
     }
@@ -687,47 +687,6 @@ impl MachineMetrics {
         out.push('}');
         out
     }
-
-    /// Renders the snapshot as `scope,id,metric,value` CSV rows (one
-    /// breakdown category per row), header included. Label fields (ids,
-    /// metric names) are RFC-4180 quoted whenever they contain a comma,
-    /// quote, or newline, so downstream parsers can split rows naively
-    /// only when labels are tame and robustly otherwise.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("scope,id,metric,value\n");
-        out.push_str(&format!("machine,,total_cycles,{}\n", self.total_cycles));
-        out.push_str(&format!("machine,,tlb_flushes,{}\n", self.tlb_flushes));
-        for (k, v) in self.stats.fields() {
-            out.push_str(&format!("stats,,{},{v}\n", csv_field(k)));
-        }
-        for e in &self.profile {
-            let id = csv_field(&e.key());
-            let s = e.hist.summary();
-            for (k, v) in [
-                ("count", s.count),
-                ("sum", s.sum),
-                ("min", s.min),
-                ("max", s.max),
-                ("p50", s.p50),
-                ("p90", s.p90),
-                ("p99", s.p99),
-            ] {
-                out.push_str(&format!("profile,{id},{k},{v}\n"));
-            }
-        }
-        for c in &self.cores {
-            for (cat, v) in c.breakdown.iter() {
-                out.push_str(&format!("core,{},{},{v}\n", c.core, csv_field(cat.name())));
-            }
-        }
-        for e in &self.enclaves {
-            let id = csv_field(&e.eid.map_or("untrusted".to_string(), |id| id.to_string()));
-            for (cat, v) in e.breakdown.iter() {
-                out.push_str(&format!("enclave,{id},{},{v}\n", csv_field(cat.name())));
-            }
-        }
-        out
-    }
 }
 
 /// Bit position where [`MachineMetrics::rebase_shard`] places the shard
@@ -767,16 +726,6 @@ fn merged_profiles(a: &[ProfileEntry], b: &[ProfileEntry]) -> Vec<ProfileEntry> 
         }
     }
     out
-}
-
-/// RFC-4180 field quoting: wrap in quotes (doubling embedded quotes) when
-/// the field contains a comma, quote, or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 fn breakdown_json(b: &CycleBreakdown) -> String {
@@ -889,25 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_categories() {
-        let m = Machine::new(HwConfig::small());
-        let csv = m.metrics().to_csv();
-        assert!(csv.starts_with("scope,id,metric,value\n"));
-        assert!(csv.contains("core,0,transition,"));
-        assert!(csv.contains("enclave,untrusted,app_compute,"));
-        assert!(csv.contains("stats,,ecalls,"));
-        assert!(csv.contains("stats,,span_closes,"));
-    }
-
-    #[test]
-    fn csv_quotes_hostile_labels() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
-    }
-
-    #[test]
     fn profile_appears_in_snapshot_and_checks() {
         let mut m = Machine::new(HwConfig::small());
         let va = m.os_alloc_untrusted(ProcessId(0), 2);
@@ -925,8 +855,6 @@ mod tests {
         assert!(misses > 0);
         let json = snap.to_json();
         assert!(json.contains("\"event\": \"tlb_miss\", \"level\": \"untrusted\""));
-        let csv = snap.to_csv();
-        assert!(csv.contains("profile,tlb_miss/untrusted,p99,"));
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl ProfileEvent {
         ProfileEvent::SwitchlessOcall,
     ];
 
-    /// Stable snake_case name (used as JSON/CSV keys).
+    /// Stable snake_case name (used as JSON keys).
     pub fn name(self) -> &'static str {
         match self {
             ProfileEvent::Ecall => "ecall",
@@ -333,7 +333,7 @@ impl HierLevel {
     /// Every level, in export order.
     pub const ALL: [HierLevel; 3] = [HierLevel::Untrusted, HierLevel::Outer, HierLevel::Inner];
 
-    /// Stable lowercase name (used as JSON/CSV keys and Perfetto process
+    /// Stable lowercase name (used as JSON keys and Perfetto process
     /// names).
     pub fn name(self) -> &'static str {
         match self {
