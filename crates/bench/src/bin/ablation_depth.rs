@@ -5,7 +5,9 @@
 //! measures the innermost enclave's cost of touching the outermost
 //! enclave's memory (worst-case chain traversal on every TLB miss).
 
-use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_core::validate::NestedValidator;
 use ne_core::{nasso, AssocPolicy, EnclaveImage};
 use ne_sgx::addr::{VirtAddr, PAGE_SIZE};
@@ -58,6 +60,7 @@ fn run(depth: usize, touches: usize, trace: bool) -> (f64, MachineMetrics, Optio
 }
 
 fn main() {
+    reject_unknown_flags(&["--metrics-out", "--trace-out"]);
     banner("Ablation: TLB-miss validation cost vs nesting depth");
     let touches = 10_000;
     let mut t = Table::new(&["Chain depth", "Cycles per access (all TLB misses)"]);

@@ -6,7 +6,9 @@
 //! potentially cause exceptions even for unrelated cores, but the tracking
 //! becomes simpler."
 
-use ne_bench::report::{banner, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_core::validate::NestedValidator;
 use ne_core::{nasso, AssocPolicy, EnclaveImage};
 use ne_sgx::addr::{VirtAddr, PAGE_SIZE};
@@ -82,6 +84,7 @@ fn run(
 }
 
 fn main() {
+    reject_unknown_flags(&["--metrics-out", "--trace-out"]);
     banner("Ablation: eviction shootdown policy (precise tracking vs flush-all)");
     let evictions = 200;
     let mut t = Table::new(&["Policy", "IPIs", "AEXes", "Total cycles"]);

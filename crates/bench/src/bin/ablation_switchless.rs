@@ -8,7 +8,9 @@
 //! NEENTER/NEEXIT attacks the *enclave-to-enclave* crossings instead —
 //! the two are complementary.
 
-use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_core::edl::Edl;
 use ne_core::loader::EnclaveImage;
 use ne_core::runtime::{NestedApp, TrustedFn, UntrustedCtx, UntrustedFn};
@@ -49,6 +51,7 @@ fn build_app(trace: bool) -> NestedApp {
 }
 
 fn main() {
+    reject_unknown_flags(&["--metrics-out", "--trace-out"]);
     banner("Ablation: classic ocall vs switchless call (caller-core cycles)");
     let iters = 1_000u64;
     let mut report = MetricsReport::new("ablation_switchless");

@@ -4,15 +4,18 @@
 //!
 //! The paper uses 500 application instances (SSL ≈ 4 MB, App ≈ 1 MB);
 //! that is the `--full` setting. The default scales to 50 instances so the
-//! sweep finishes quickly; the shape is identical. `--metrics-out`,
-//! `--profile-out` and `--trace-out` export snapshots, latency
-//! histograms, and a Chrome/Perfetto trace of the single-outer nested
-//! run (see `ne_bench::report`).
+//! sweep finishes quickly; the shape is identical. `--metrics-out` and
+//! `--trace-out` export snapshots (latency histograms included) and a
+//! Chrome/Perfetto trace of the single-outer nested run (see
+//! `ne_bench::report`).
 
 use ne_bench::loading::{run_loading, LoadMode};
-use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 
 fn main() {
+    reject_unknown_flags(&["--full", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     let apps = if full { 500 } else { 50 };
     let mut report = MetricsReport::new("fig10");

@@ -3,15 +3,18 @@
 //! with software AES-GCM through untrusted memory, across chunk sizes and
 //! communication footprints.
 //!
-//! Run with `--full` for more traffic per point. `--metrics-out`,
-//! `--profile-out` and `--trace-out` export snapshots, latency
-//! histograms, and a Chrome/Perfetto trace of the 2MB/4KB MEE run (see
+//! Run with `--full` for more traffic per point. `--metrics-out` and
+//! `--trace-out` export snapshots (latency histograms included) and a
+//! Chrome/Perfetto trace of the 2MB/4KB MEE run (see
 //! `ne_bench::report`).
 
 use ne_bench::channel_exp::{run_gcm_channel, run_outer_channel};
-use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 
 fn main() {
+    reject_unknown_flags(&["--full", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     banner("Fig. 11: MEE (outer-enclave channel) vs GCM (untrusted memory)");
     let mut report = MetricsReport::new("fig11");

@@ -4,16 +4,18 @@
 //! n_ocall, as in the paper).
 //!
 //! Run with `--full` for more messages per point, and
-//! `--metrics-out <path>` to export every run's machine snapshot.
-//! `--profile-out` and `--trace-out` export the latency histograms and a
+//! `--metrics-out <path>` to export every run's machine snapshot
+//! (latency histograms included). `--trace-out` exports a
 //! Chrome/Perfetto trace of the nested 1KB run (see `ne_bench::report`).
 
 use ne_bench::report::{
-    banner, breakdown_table, f2, f3, want_trace, write_trace, MetricsReport, Table,
+    banner, breakdown_table, f2, f3, reject_unknown_flags, want_trace, write_trace, MetricsReport,
+    Table,
 };
 use ne_tls::echo::{run_echo, EchoConfig};
 
 fn main() {
+    reject_unknown_flags(&["--full", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     let messages = if full { 2_000 } else { 200 };
     let mut report = MetricsReport::new("fig7");

@@ -5,15 +5,18 @@
 //! `--full` for the full sizes (slow: full cod-rna has ~60 k samples) —
 //! the default uses 2% scale. `--seed <u64>` draws different synthetic
 //! datasets of the same shapes (default 0 reproduces the committed
-//! numbers). `--metrics-out <path>` exports every run's machine snapshot;
-//! `--profile-out` and `--trace-out` export latency histograms and a
+//! numbers). `--metrics-out <path>` exports every run's machine snapshot
+//! (latency histograms included); `--trace-out` exports a
 //! Chrome/Perfetto trace of the nested dna run (see `ne_bench::report`).
 
-use ne_bench::report::{banner, f3, flag_u64, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f3, flag_u64, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_bench::svm_case::{run_svm_case, SvmCaseConfig};
 use ne_svm::data::TableVDataset;
 
 fn main() {
+    reject_unknown_flags(&["--full", "--seed", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     let scale = if full { 1.0 } else { 0.005 };
     let seed = flag_u64("--seed").unwrap_or(0);

@@ -28,8 +28,8 @@
 //! Flags: `--tenants N` (default 4), `--services N` per tenant (default
 //! 2, capped at the 3 service kinds), `--requests N` per (tenant,
 //! service) per run (default 12), `--seed S`, `--mode open|closed|both`
-//! (default both), `--shards N` (default 1), `--no-switchless`, plus the
-//! standard `--metrics-out`, `--profile-out` and `--trace-out` exports
+//! (default both), `--shards N` (default 1), plus the standard
+//! `--metrics-out` and `--trace-out` exports
 //! (the traced run is the closed-loop one; shard `k > 0` traces land at
 //! `<path>.shard<k>`), and `--tenants-out <path>` for the `ne-tenants/v1`
 //! per-tenant export of the last run.
@@ -48,9 +48,8 @@
 //! the last run (per-window counter deltas, latency histograms, SLO
 //! burn-rate states, chaos injections joined with recovery events, and
 //! correlated incident reports — all on simulated cycles, so the bytes
-//! are seed-deterministic); `--window <cycles>` sets the window length
-//! (default 2,000,000) and `--dash` replays the timeline as a text
-//! dashboard after the run summary.
+//! are seed-deterministic; `ne-profile timeline` renders it);
+//! `--window <cycles>` sets the window length (default 2,000,000).
 //!
 //! `--migrate <tenant>@<trigger>` runs one **segmented** closed-loop
 //! scenario with a live migration at the mid-run barrier (shards are
@@ -78,10 +77,13 @@
 //! byte-deterministic: every number in it is a simulation fact carried
 //! back in Reply frames, and the per-tenant reply digests match the
 //! server's `ne-tenants/v1` export line for line.
+//!
+//! Any other `--` argument ends the process with exit status 2.
 
 use ne_bench::report::{
-    banner, cli_error, f2, flag_str, flag_u64, tenants_out_path, throughput_rps, timeline_out_path,
-    want_trace, write_or_exit, write_shard_traces, MetricsReport, Table,
+    banner, cli_error, f2, flag_str, flag_u64, reject_unknown_flags, tenants_out_path,
+    throughput_rps, timeline_out_path, want_trace, write_or_exit, write_shard_traces,
+    MetricsReport, Table,
 };
 use ne_cluster::{
     drive, Cluster, ClusterConfig, ClusterReport, MigrationOutcome, MigrationPolicy,
@@ -98,7 +100,6 @@ struct Plan {
     requests: usize,
     seed: u64,
     shards: usize,
-    switchless: bool,
     chaos: Option<String>,
 }
 
@@ -108,7 +109,6 @@ fn build(plan: &Plan, trace: bool) -> Cluster {
         plan.shards,
     );
     cfg.host.seed = plan.seed;
-    cfg.host.switchless = plan.switchless;
     cfg.host.hw.trace_events = trace;
     Cluster::build(cfg).expect("cluster build")
 }
@@ -300,7 +300,7 @@ fn migration_line(r: &MigrationRecord) -> String {
 /// Migration mode (`--migrate`): one segmented closed-loop run with a
 /// barrier migration mid-run, the per-tenant table, the migration log,
 /// and the asserted `dropped=0` line. Exports describe this run.
-fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) {
+fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>) {
     let (tenant, trigger) =
         parse_migrate(spec, plan.tenants).unwrap_or_else(|e| cli_error(&format!("--migrate: {e}")));
     if plan.requests < 2 {
@@ -385,26 +385,19 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
         &cluster.tenants_export(),
         timeline.as_ref(),
         "ne-load-migrate",
-        dash,
     );
 }
 
-/// Writes the run's `--tenants-out` export, then renders (`--dash`) and
-/// writes (`--timeline-out`) its timeline under `label`.
-fn write_exports(tenants: &str, timeline: Option<&Timeline>, label: &str, dash: bool) {
+/// Writes the run's `--tenants-out` export and its `--timeline-out`
+/// timeline under `label`.
+fn write_exports(tenants: &str, timeline: Option<&Timeline>, label: &str) {
     if let Some(path) = tenants_out_path() {
         write_or_exit("tenants export", &path, tenants);
         println!("\ntenants export: wrote {}", path.display());
     }
-    if let Some(t) = timeline {
-        if dash {
-            println!();
-            print!("{}", ne_obs::dash::render(t, label));
-        }
-        if let Some(path) = timeline_out_path() {
-            write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, label));
-            println!("\ntimeline export: wrote {}", path.display());
-        }
+    if let (Some(t), Some(path)) = (timeline, timeline_out_path()) {
+        write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, label));
+        println!("\ntimeline export: wrote {}", path.display());
     }
 }
 
@@ -438,6 +431,24 @@ fn run_connect(addr: String) {
 }
 
 fn main() {
+    reject_unknown_flags(&[
+        "--tenants",
+        "--services",
+        "--requests",
+        "--seed",
+        "--mode",
+        "--shards",
+        "--chaos",
+        "--migrate",
+        "--window",
+        "--connect",
+        "--tls",
+        "--read-timeout-ms",
+        "--metrics-out",
+        "--trace-out",
+        "--tenants-out",
+        "--timeline-out",
+    ]);
     if let Some(addr) = flag_str("--connect") {
         run_connect(addr);
         return;
@@ -448,7 +459,6 @@ fn main() {
         requests: flag_u64("--requests").unwrap_or(12) as usize,
         seed: flag_u64("--seed").unwrap_or(0xC0FFEE),
         shards: (flag_u64("--shards").unwrap_or(1) as usize).max(1),
-        switchless: !std::env::args().any(|a| a == "--no-switchless"),
         chaos: flag_str("--chaos"),
     };
     // A malformed fault plan is bad input, refused before any run starts
@@ -458,13 +468,12 @@ fn main() {
             cli_error(&format!("--chaos: {e}"));
         }
     }
-    let dash = std::env::args().any(|a| a == "--dash");
     // The observability plane rides along only when asked for.
-    let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
+    let obs = timeline_out_path().is_some().then(|| SamplerConfig {
         window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
     });
     if let Some(spec) = flag_str("--migrate") {
-        run_migrate(&spec, &plan, obs, dash);
+        run_migrate(&spec, &plan, obs);
         return;
     }
     let mode = flag_str("--mode").unwrap_or_else(|| "both".to_string());
@@ -475,12 +484,12 @@ fn main() {
         other => cli_error(&format!("--mode expects open|closed|both, got '{other}'")),
     };
     banner(&format!(
-        "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless {}{}{}",
+        // The host always reserves a switchless worker core.
+        "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless true{}{}",
         plan.tenants,
         plan.services,
         plan.requests,
         plan.seed,
-        plan.switchless,
         // Only announced when actually sharded, so one-shard stdout stays
         // byte-identical to the pre-cluster harness.
         if plan.shards > 1 {
@@ -511,12 +520,7 @@ fn main() {
     }
     // The exports describe the *last* run.
     let (label, export, timeline) = last.expect("every --mode runs at least one scenario");
-    write_exports(
-        &export,
-        timeline.as_ref(),
-        &format!("ne-load-{label}"),
-        dash,
-    );
+    write_exports(&export, timeline.as_ref(), &format!("ne-load-{label}"));
     report.finish();
 }
 

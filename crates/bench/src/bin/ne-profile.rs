@@ -1,10 +1,9 @@
-//! Latency-profile front end: renders histogram summaries from exported
-//! metrics JSON, or runs a small traced demo workload.
+//! The one human renderer of the exports: reads an exported file and
+//! prints it as tables.
 //!
 //! ```text
 //! ne-profile report <metrics.json>     # ne-metrics/v2 or ne-metrics-report/v2
 //! ne-profile timeline <timeline.jsonl> # ne-obs/v1
-//! ne-profile demo [--metrics-out p] [--profile-out p] [--trace-out p]
 //! ```
 //!
 //! `report` accepts either a single [`ne-metrics/v2`] snapshot or a
@@ -14,28 +13,22 @@
 //! summaries. `timeline` pretty-prints an `ne-obs/v1` JSONL timeline
 //! (from `ne-load --timeline-out` / `ne-serve --timeline-out`): a
 //! per-window table, the per-tenant SLO state transitions, and the
-//! correlated incidents. `demo` runs a short nested TLS echo with event
-//! tracing on and honors the same three export flags as the experiment
-//! binaries, so a full profile + Perfetto trace can be produced in one
-//! command without picking an experiment first.
+//! correlated incidents. `ne-profile` takes no `--` flags; any one ends
+//! it with exit status 2.
 //!
 //! [`ne-metrics/v2`]: ne_sgx::metrics::METRICS_SCHEMA
 //! [`ne-metrics-report/v2`]: ne_bench::report::REPORT_SCHEMA
 
 use ne_bench::json::{self, Value};
-use ne_bench::report::{
-    banner, f2, profile_table, want_trace, write_trace, MetricsReport, Table, REPORT_SCHEMA,
-};
+use ne_bench::report::{f2, reject_unknown_flags, Table, REPORT_SCHEMA};
 use ne_sgx::metrics::METRICS_SCHEMA;
-use ne_tls::echo::{run_echo, EchoConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ne-profile report <metrics.json>\n\
-                     \x20      ne-profile timeline <timeline.jsonl>\n\
-                     \x20      ne-profile demo [--metrics-out <p>] [--profile-out <p>] \
-                     [--trace-out <p>]";
+                     \x20      ne-profile timeline <timeline.jsonl>";
 
 fn main() -> ExitCode {
+    reject_unknown_flags(&[]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("report") => {
@@ -64,7 +57,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("demo") => demo(),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -332,29 +324,4 @@ fn timeline(path: &str) -> Result<(), String> {
         println!("\n{t}");
     }
     Ok(())
-}
-
-/// Runs a short traced nested echo and exports like any experiment bin.
-fn demo() -> ExitCode {
-    banner("ne-profile demo: traced nested TLS echo (64 x 1 KiB)");
-    let run = run_echo(&EchoConfig {
-        chunk_size: 1024,
-        num_messages: 64,
-        nested: true,
-        trace: true,
-        reference: false,
-    })
-    .expect("echo");
-    println!(
-        "echoed {} bytes in {} cycles ({} ecalls, {} n_ecalls)\n",
-        run.bytes, run.cycles, run.ecalls, run.n_ecalls
-    );
-    profile_table(&run.metrics).print();
-    let mut report = MetricsReport::new("ne-profile-demo");
-    report.push_run("nested-echo-1KiB", run.metrics);
-    if want_trace() {
-        write_trace(run.trace.as_ref());
-    }
-    report.finish();
-    ExitCode::SUCCESS
 }

@@ -6,28 +6,29 @@
 //! the identical scenario entirely in-process. Both write the same
 //! three exports — `ne-tenants/v1`, `ne-metrics/v2`, and (with
 //! `--window`) `ne-obs/v1` — and the headline invariant is that the two
-//! paths produce **byte-identical** files (CI's `serve-smoke` job
-//! byte-diffs them).
+//! paths produce **byte-identical** files (the `wire_oracle` tests hold
+//! them to it, and CI diffs a `--tls` wire run's exports against the
+//! oracle's committed `results/ne-serve.*`).
 //!
 //! Flags: `--listen ADDR` (default `127.0.0.1:0`) or `--oracle`;
 //! scenario: `--tenants N` (default 2), `--services N` (default 2,
 //! capped at the 3 service kinds), `--requests N` per pair (default
 //! 12), `--seed S`, `--mode closed|open` (default closed),
-//! `--no-switchless`, `--chaos <spec>`, `--window <cycles>`; wire:
+//! `--chaos <spec>`, `--window <cycles>`; wire:
 //! `--tls`, `--read-timeout-ms N` (default 5000), `--accept-timeout-ms
 //! N` (default 30000), `--addr-out <path>` (writes the bound address
 //! once listening, so scripts can use an ephemeral port); exports:
 //! `--tenants-out`, `--metrics-out`, `--timeline-out`.
 //!
-//! Bad input and I/O failures (a non-integer number, an unknown
-//! `--mode`, an unwritable `--addr-out` or export path, a failed bind
-//! or run) end the process with a one-line `error: ...` on stderr and
-//! exit status 2.
+//! Bad input and I/O failures (an unknown flag, a non-integer number,
+//! an unknown `--mode`, an unwritable `--addr-out` or export path, a
+//! failed bind or run) end the process with a one-line `error: ...` on
+//! stderr and exit status 2.
 
 use std::path::Path;
 use std::time::Duration;
 
-use ne_bench::report::{cli_error, flag_str, flag_u64, write_or_exit};
+use ne_bench::report::{cli_error, flag_str, flag_u64, reject_unknown_flags, write_or_exit};
 use ne_serve::oracle::run_oracle;
 use ne_serve::{FrontDoor, Mode, ServeConfig, ServeOutcome};
 
@@ -43,7 +44,6 @@ fn config() -> ServeConfig {
         "open" => Mode::Open,
         other => cli_error(&format!("--mode expects closed|open, got '{other}'")),
     };
-    cfg.switchless = !std::env::args().any(|a| a == "--no-switchless");
     cfg.tls = std::env::args().any(|a| a == "--tls");
     cfg.chaos = flag_str("--chaos");
     cfg.window = flag_u64("--window");
@@ -81,6 +81,24 @@ fn finish(outcome: &ServeOutcome) {
 }
 
 fn main() {
+    reject_unknown_flags(&[
+        "--listen",
+        "--oracle",
+        "--tenants",
+        "--services",
+        "--requests",
+        "--seed",
+        "--mode",
+        "--chaos",
+        "--window",
+        "--tls",
+        "--read-timeout-ms",
+        "--accept-timeout-ms",
+        "--addr-out",
+        "--tenants-out",
+        "--metrics-out",
+        "--timeline-out",
+    ]);
     let cfg = config();
     let oracle = std::env::args().any(|a| a == "--oracle");
     println!(

@@ -2,15 +2,18 @@
 //! for real-hardware SGX, emulated SGX, and emulated nested enclave.
 //!
 //! Run with `--full` for the paper's 1 M iterations (default 10 k).
-//! `--metrics-out`, `--profile-out` and `--trace-out` export snapshots,
-//! latency histograms, and a Chrome/Perfetto trace of the nested phase
+//! `--metrics-out` and `--trace-out` export snapshots (latency
+//! histograms included) and a Chrome/Perfetto trace of the nested phase
 //! (see `ne_bench::report`).
 
-use ne_bench::report::{banner, f2, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_bench::transitions::{measure_classic, measure_nested};
 use ne_sgx::cost::CostProfile;
 
 fn main() {
+    reject_unknown_flags(&["--full", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     let iters: u64 = if full { 1_000_000 } else { 10_000 };
     banner(&format!(

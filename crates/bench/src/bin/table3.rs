@@ -3,9 +3,12 @@
 //! marker-counted porting glue.
 
 use ne_bench::loc::table3_rows;
-use ne_bench::report::{banner, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 
 fn main() {
+    reject_unknown_flags(&["--metrics-out", "--trace-out"]);
     banner("Table III: porting effort (modified lines of code)");
     // No simulated machine runs here; the report is empty but the flag is
     // still honored so callers can treat every binary uniformly.

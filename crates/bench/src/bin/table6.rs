@@ -3,16 +3,19 @@
 //!
 //! The paper runs 10 000 queries; that is the `--full` setting (default
 //! 500 for a quick run). `--seed <u64>` picks the YCSB workload stream
-//! (default reproduces the committed numbers). `--metrics-out`,
-//! `--profile-out` and `--trace-out` export snapshots, latency
-//! histograms, and a Chrome/Perfetto trace of the first nested mix (see
+//! (default reproduces the committed numbers). `--metrics-out` and
+//! `--trace-out` export snapshots (latency histograms included) and a
+//! Chrome/Perfetto trace of the first nested mix (see
 //! `ne_bench::report`).
 
 use ne_bench::db_case::{run_db_case, DEFAULT_DB_SEED};
-use ne_bench::report::{banner, f2, f3, flag_u64, want_trace, write_trace, MetricsReport, Table};
+use ne_bench::report::{
+    banner, f2, f3, flag_u64, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
+};
 use ne_db::WorkloadMix;
 
 fn main() {
+    reject_unknown_flags(&["--full", "--seed", "--metrics-out", "--trace-out"]);
     let full = std::env::args().any(|a| a == "--full");
     let (records, ops) = if full { (1_000, 10_000) } else { (100, 500) };
     let seed = flag_u64("--seed").unwrap_or(DEFAULT_DB_SEED);

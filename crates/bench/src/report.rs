@@ -1,20 +1,23 @@
 //! Table-formatting helpers and the metrics exporter shared by the
 //! experiment binaries.
 //!
-//! Every binary accepts three export flags:
+//! Every binary accepts two export flags:
 //!
 //! - `--metrics-out <path>` — the full [`MetricsReport`]: one
 //!   [`MachineMetrics`] snapshot per labeled run, as schema-stable JSON
 //!   ([`REPORT_SCHEMA`]). Each snapshot passes [`MachineMetrics::check`]
 //!   on the way in, so a run whose cycle accounting does not add up
 //!   aborts the binary instead of exporting silently-wrong numbers.
-//! - `--profile-out <path>` — human-readable latency histogram tables.
+//!   `ne-profile report` renders its latency histograms as tables.
 //! - `--trace-out <path>` — Chrome Trace Event JSON of the traced run
 //!   (Perfetto-loadable; folded flamegraph stacks land at
 //!   `<path>.folded`), handled by [`write_trace`].
+//!
+//! Each binary names the flags it reads in [`reject_unknown_flags`]; any
+//! other `--` argument ends it with exit status 2.
 
 use ne_sgx::metrics::{CycleCategory, MachineMetrics};
-use ne_sgx::profile::{Histogram, ProfileEvent};
+use ne_sgx::profile::ProfileEvent;
 use ne_sgx::spantree::TraceBundle;
 use std::path::{Path, PathBuf};
 
@@ -167,42 +170,20 @@ impl MetricsReport {
         out
     }
 
-    /// Renders latency histogram tables for every run (the
-    /// `--profile-out` payload; also printed by `ne-profile report`).
-    pub fn profile_text(&self) -> String {
-        let mut out = String::new();
-        for (label, m) in &self.runs {
-            out.push_str(&format!("run: {label}\n"));
-            if m.profile.is_empty() {
-                out.push_str("  (no latency samples recorded)\n\n");
-                continue;
-            }
-            out.push_str(&profile_table(m).render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the requested exports — `--metrics-out`, `--profile-out` —
-    /// and prints where each went. Call this last.
+    /// Writes the `--metrics-out` export, if requested, and prints where
+    /// it went. Call this last.
     ///
     /// A requested file that cannot be written ends the process with a
     /// one-line error on stderr and exit status 2: an export that
     /// silently vanishes is worse than an abort.
     pub fn finish(&self) {
-        let write = |what: &str, path: &Path, payload: &str| {
-            write_or_exit(what, path, payload);
+        if let Some(path) = metrics_out_path() {
+            write_or_exit("metrics", &path, &self.to_json());
             println!(
-                "\n{what}: wrote {} run(s) to {}",
+                "\nmetrics: wrote {} run(s) to {}",
                 self.runs.len(),
                 path.display()
             );
-        };
-        if let Some(path) = metrics_out_path() {
-            write("metrics", &path, &self.to_json());
-        }
-        if let Some(path) = profile_out_path() {
-            write("latency profile", &path, &self.profile_text());
         }
     }
 }
@@ -220,42 +201,6 @@ pub fn throughput_rps(m: &MachineMetrics) -> Option<f64> {
         .sum();
     let wall = m.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
     (requests > 0 && wall > 0).then(|| requests as f64 * m.clock_ghz * 1e9 / wall as f64)
-}
-
-/// Renders one snapshot's latency histograms as a table: one row per
-/// (event, level) entry plus a merged `*` row per event with several
-/// levels, columns count/mean/p50/p90/p99/max (cycles).
-pub fn profile_table(m: &MachineMetrics) -> Table {
-    let mut t = Table::new(&[
-        "event", "level", "count", "mean", "p50", "p90", "p99", "max",
-    ]);
-    let mut push = |event: &str, level: &str, h: &Histogram| {
-        let s = h.summary();
-        t.row(&[
-            event.to_string(),
-            level.to_string(),
-            s.count.to_string(),
-            f2(h.mean()),
-            s.p50.to_string(),
-            s.p90.to_string(),
-            s.p99.to_string(),
-            s.max.to_string(),
-        ]);
-    };
-    for event in ProfileEvent::ALL {
-        let entries: Vec<_> = m.profile.iter().filter(|e| e.event == event).collect();
-        for e in &entries {
-            push(event.name(), e.level.name(), &e.hist);
-        }
-        if entries.len() > 1 {
-            let mut merged = Histogram::new();
-            for e in &entries {
-                merged.merge(&e.hist);
-            }
-            push(event.name(), "*", &merged);
-        }
-    }
-    t
 }
 
 /// Writes the traced run to `--trace-out` (Chrome Trace JSON; folded
@@ -309,17 +254,35 @@ pub fn write_shard_traces(bundles: &[TraceBundle]) {
 }
 
 /// Parses `--tenants-out <path>` — the canonical per-tenant export
-/// (`ne-tenants/v1`) that CI's `determinism-smoke` job byte-diffs across
-/// shard counts.
+/// (`ne-tenants/v1`), byte-identical at every shard count for a clean
+/// closed-loop run.
 pub fn tenants_out_path() -> Option<PathBuf> {
     flag_path("--tenants-out")
 }
 
 /// Parses `--timeline-out <path>` — destination for the `ne-obs/v1`
-/// windowed timeline export (CI's `determinism-smoke` job byte-diffs two
-/// same-seed chaos runs of it).
+/// windowed timeline export, which `ne-profile timeline` renders.
 pub fn timeline_out_path() -> Option<PathBuf> {
     flag_path("--timeline-out")
+}
+
+/// Ends the process with `error: unknown flag --x` and exit status 2 if
+/// any `--` argument is not one of `known`, the flags the binary reads.
+/// Call it first in `main`: a mistyped or retired flag would otherwise
+/// be ignored and silently change what the run does.
+pub fn reject_unknown_flags(known: &[&str]) {
+    if let Some(flag) = unknown_flag(std::env::args().skip(1), known) {
+        cli_error(&format!("unknown flag {flag}"));
+    }
+}
+
+/// The first `--` argument in `args` (its name only, for `--flag=v`)
+/// that is not in `known`.
+fn unknown_flag(args: impl IntoIterator<Item = String>, known: &[&str]) -> Option<String> {
+    args.into_iter()
+        .filter(|a| a.starts_with("--"))
+        .map(|a| a.split('=').next().unwrap_or_default().to_string())
+        .find(|flag| !known.contains(&flag.as_str()))
 }
 
 /// Prints `msg` as a one-line error on stderr and exits with status 2:
@@ -386,11 +349,6 @@ pub fn flag_u64(flag: &str) -> Option<u64> {
 /// Parses `--metrics-out <path>` from the process arguments.
 pub fn metrics_out_path() -> Option<PathBuf> {
     flag_path("--metrics-out")
-}
-
-/// Parses `--profile-out <path>` from the process arguments.
-pub fn profile_out_path() -> Option<PathBuf> {
-    flag_path("--profile-out")
 }
 
 /// Parses `--trace-out <path>` from the process arguments.
@@ -558,16 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_text_renders_tables() {
-        let mut r = MetricsReport::new("unit");
-        r.push_run("a", snapshot());
-        let text = r.profile_text();
-        assert!(text.contains("run: a"));
-        assert!(text.contains("tlb_miss"));
-        assert!(text.contains("p99"));
-    }
-
-    #[test]
     #[should_panic(expected = "metrics check failed")]
     fn report_rejects_broken_accounting() {
         let mut m = snapshot();
@@ -599,6 +547,17 @@ mod tests {
     fn scan_flag_refuses_an_empty_joined_value() {
         let err = scan_flag(args(&["bin", "--seed=", "--full"]), "--seed");
         assert_eq!(err, Err("--seed expects a value".to_string()));
+    }
+
+    #[test]
+    fn unknown_flag_names_the_first_unread_flag() {
+        let known = ["--full", "--metrics-out"];
+        let read = args(&["--full", "--metrics-out=m.json", "--metrics-out", "m.json"]);
+        assert_eq!(unknown_flag(read, &known), None);
+        let stray = args(&["--full", "--colour", "--verbose=2"]);
+        assert_eq!(unknown_flag(stray, &known), Some("--colour".to_string()));
+        let joined = args(&["--verbose=2"]);
+        assert_eq!(unknown_flag(joined, &known), Some("--verbose".to_string()));
     }
 
     #[test]

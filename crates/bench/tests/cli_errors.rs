@@ -75,6 +75,28 @@ fn unwritable_metrics_out_path_exits_2() {
     );
 }
 
+/// Retired flags — the `--dash` dashboard, the `--profile-out` tables and
+/// `--no-switchless` — and plain typos are refused before any run, not
+/// silently ignored.
+#[test]
+fn unknown_flags_exit_2() {
+    assert_cli_error(
+        TABLE3,
+        &["--profile-out", "p"],
+        "unknown flag --profile-out",
+    );
+    assert_cli_error(TABLE3, &["--profile-out=p"], "unknown flag --profile-out");
+    assert_ne_load_error(&["--dash"], "unknown flag --dash");
+    assert_ne_load_error(&["--profile-out", "p"], "unknown flag --profile-out");
+    assert_ne_load_error(&["--no-switchless"], "unknown flag --no-switchless");
+    assert_ne_load_error(&["--bogus-flag"], "unknown flag --bogus-flag");
+    assert_cli_error(
+        NE_SERVE,
+        &["--oracle", "--no-switchless"],
+        "unknown flag --no-switchless",
+    );
+}
+
 #[test]
 fn ne_load_malformed_chaos_spec_exits_2() {
     assert_ne_load_error(&["--chaos", "bogus"], "--chaos: ");

@@ -558,8 +558,8 @@ impl Cluster {
     /// (service, seq) order. Shard placement is deliberately excluded:
     /// under the clean closed-loop scenario these bytes are identical at
     /// every shard count, which is exactly what the
-    /// shard-count-invariance oracle (and CI's `determinism-smoke`
-    /// byte-diff) checks.
+    /// shard-count-invariance oracle
+    /// (`closed_loop_exports_are_shard_count_invariant`) checks.
     pub fn tenants_export(&self) -> String {
         let mut out = String::from("schema: ne-tenants/v1\n");
         for (g, &(s, l)) in self.assignment.iter().enumerate() {

@@ -36,8 +36,8 @@
 //! arrival times at any shard count. The result: under the clean
 //! closed-loop scenario, per-tenant outputs ([`Cluster::tenants_export`])
 //! are **byte-identical at every shard count** — that is the
-//! shard-count-invariance oracle checked by this crate's tests and CI's
-//! `determinism-smoke` job. A single-shard cluster is bit-compatible
+//! shard-count-invariance oracle checked by this crate's
+//! `shard_invariance` tests. A single-shard cluster is bit-compatible
 //! with the unsharded [`ne_host::HostServer`] path end to end (same
 //! exports, same bytes), which is the regression test that keeps the
 //! pre-shard committed outputs valid.

@@ -369,12 +369,14 @@ impl HostServer {
                 Err(HostError::Sgx(source)) => source,
                 Err(refusal) => {
                     self.teardown_enclaves(&spec);
+                    self.forget_slot(local);
                     return Err(refusal);
                 }
             };
             self.teardown_enclaves(&spec);
             attempt += 1;
             if attempt >= MAX_ATTEMPTS {
+                self.forget_slot(local);
                 return Err(HostError::Respawn {
                     tenant: spec.name.clone(),
                     source,
@@ -415,6 +417,16 @@ impl HostServer {
             self.completions.push(c);
         }
         Ok(local)
+    }
+
+    /// Forgets the slot a failed adoption was building. `local` was never
+    /// created, so no enclave id or recovery event may name it: a chaos
+    /// event on a torn-down attempt's enclave would otherwise land on a
+    /// tenant that does not exist (or on the next adoption, which reuses
+    /// the index), and a sampler would index past its tenant list.
+    fn forget_slot(&mut self, local: usize) {
+        self.eid_owner.retain(|_, owner| *owner != local);
+        self.events.retain(|e| e.tenant != local);
     }
 
     /// Unloads whatever subset of the spec's enclaves exists, ignoring

@@ -214,55 +214,6 @@ fn extend(inc: &mut Incident, window: u64, a: &Activity) {
     }
 }
 
-/// Renders incidents as a human-readable report (the `--dash` footer
-/// and the `ne-profile timeline` incident section).
-pub fn render_incidents(incidents: &[Incident]) -> String {
-    if incidents.is_empty() {
-        return "no incidents\n".to_string();
-    }
-    let mut out = String::new();
-    for inc in incidents {
-        out.push_str(&format!(
-            "incident tenant {}: windows {}..{} (first injection @ cycle {})\n",
-            inc.tenant, inc.first_window, inc.last_window, inc.first_cycle
-        ));
-        let mut inj: Vec<String> = Vec::new();
-        for (n, v) in [
-            ("aex", inc.aex),
-            ("evict", inc.evict),
-            ("mac", inc.mac),
-            ("crash", inc.crash),
-            ("stall", inc.stall),
-            ("migrate", inc.migrate),
-        ] {
-            if v > 0 {
-                inj.push(format!("{n} {v}"));
-            }
-        }
-        out.push_str(&format!("  injections: {}\n", inj.join(", ")));
-        out.push_str(&format!(
-            "  recovery:   backoffs {}, reloads {}, respawns {}, migrations {}, sheds {}{}\n",
-            inc.backoffs,
-            inc.reloads,
-            inc.respawns,
-            inc.migrations,
-            inc.sheds,
-            if inc.breaker_opened {
-                ", breaker opened"
-            } else {
-                ""
-            }
-        ));
-        out.push_str(&format!(
-            "  slo:        {} impacted window{}, worst state {}\n",
-            inc.impacted_windows,
-            if inc.impacted_windows == 1 { "" } else { "s" },
-            inc.worst.name().to_uppercase()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +237,6 @@ mod tests {
     fn clean_timeline_has_no_incidents() {
         let t = timeline(vec![quiet(0, 0), quiet(1, 0)]);
         assert!(correlate(&t).is_empty());
-        assert_eq!(render_incidents(&[]), "no incidents\n");
     }
 
     #[test]
@@ -331,8 +281,5 @@ mod tests {
         assert_eq!(first.impacted_windows, 1);
         assert_eq!(first.worst, SloState::Page);
         assert_eq!(incidents[1].first_window, 3);
-        let report = render_incidents(&incidents);
-        assert!(report.contains("incident tenant 0: windows 0..1"));
-        assert!(report.contains("worst state PAGE"));
     }
 }

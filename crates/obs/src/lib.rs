@@ -36,14 +36,11 @@
 //!   exported as structured incident reports.
 //! * [`export`] — the `ne-obs/v1` JSONL timeline export (fixed key
 //!   order, integers only, hand-rolled — byte-stable by construction).
-//! * [`dash`] — a deterministic post-run text dashboard: one frame per
-//!   window, replayed from the timeline.
 //!
-//! `ne-load --timeline-out` / `--dash` (in `ne-bench`) and `ne-serve
+//! `ne-load --timeline-out` (in `ne-bench`) and `ne-serve
 //! --timeline-out` drive this; `ne-profile timeline` pretty-prints the
 //! export.
 
-pub mod dash;
 pub mod export;
 pub mod incident;
 pub mod sampler;
@@ -51,7 +48,7 @@ pub mod slo;
 pub mod window;
 
 pub use export::{to_jsonl, OBS_SCHEMA};
-pub use incident::{correlate, render_incidents, Incident};
+pub use incident::{correlate, Incident};
 pub use sampler::{Sampler, SamplerConfig, TenantCarry};
 pub use slo::SloState;
 pub use window::{Checkpoint, Injection, Recovery, TenantTotal, TenantWindow, Timeline, Window};

@@ -208,11 +208,6 @@ impl Window {
         self.tenants.iter().map(|t| t.traffic.completed).sum()
     }
 
-    /// Sheds this window, summed over tenants.
-    pub fn shed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.traffic.shed_requests).sum()
-    }
-
     /// Shared body of the two merges.
     fn accumulate(&mut self, other: &Window, newer_gauges: bool) {
         self.cycles += other.cycles;

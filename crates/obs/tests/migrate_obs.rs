@@ -10,10 +10,14 @@
 //!   and each completion is latency-attributed exactly once (carried
 //!   copies are skipped);
 //! * **determinism** — the migrated run's `ne-obs/v1` export is
-//!   byte-identical across repeats.
+//!   byte-identical across repeats;
+//! * **a refused adoption leaves no owner** — the enclaves it built and
+//!   tore down belong to no tenant, so their chaos injections stay
+//!   unattributed instead of naming a slot that was never created.
 
 use ne_host::{HostConfig, HostServer, RequestFactory, ServiceKind, TenantSpec};
 use ne_obs::{to_jsonl, Sampler, SamplerConfig, Timeline};
+use ne_sgx::fault::FaultPlan;
 
 const TENANTS: usize = 3;
 const SERVICES: usize = 2;
@@ -268,4 +272,43 @@ fn migration_phases_appear_as_recovery_events() {
             "missing recovery event {phase}: {kinds:?}"
         );
     }
+}
+
+#[test]
+fn refused_adoption_leaves_no_owner_behind() {
+    let spec = |name: &str| TenantSpec::new(name, 1, vec![ServiceKind::TlsEcho]);
+    let mut source = HostServer::build(HostConfig::new(vec![spec("mover")])).expect("source");
+    let snap = source.extract_tenant(0).expect("extract");
+    let mut target = HostServer::build(HostConfig::new(vec![spec("resident")])).expect("target");
+    target.install_chaos(FaultPlan::parse("crash:1", 7).expect("chaos spec"));
+    let sampler = Sampler::new(
+        &target,
+        vec![0],
+        SamplerConfig {
+            window_cycles: WINDOW,
+        },
+    );
+    target
+        .adopt_tenant(&snap, snap.seal_counter)
+        .expect_err("every attempt crashes");
+    assert_eq!(target.tenants().len(), 1, "a refused adoption adds no slot");
+    let crashes = target.app.machine.chaos_events();
+    assert!(!crashes.is_empty(), "the adoption's ecalls were crashed");
+    for inj in crashes {
+        assert_eq!(
+            target.eid_owner(inj.eid),
+            None,
+            "eid {} has an owner",
+            inj.eid
+        );
+    }
+    // Closing a window over the injections must not index past the
+    // sampler's one tenant.
+    let timeline = sampler.finish(&target);
+    let injections: Vec<_> = timeline
+        .all_windows()
+        .flat_map(|w| w.injections.iter())
+        .collect();
+    assert_eq!(injections.len(), crashes.len());
+    assert!(injections.iter().all(|i| i.tenant.is_none()));
 }

@@ -193,8 +193,6 @@ fn chaos_run_reconciles_and_reports_an_incident() {
         incidents.iter().any(|i| i.worst != SloState::Ok),
         "this chaos load must show SLO impact"
     );
-    let report = ne_obs::render_incidents(&incidents);
-    assert!(report.contains("incident tenant"));
 }
 
 /// The second run takes the reference memory pipeline, so this is also the

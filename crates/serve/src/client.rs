@@ -8,8 +8,9 @@
 //! The report is **byte-deterministic**: everything in it (latencies,
 //! digests, counters) is a simulation fact carried back in Reply frames,
 //! never a wall-clock measurement, so two runs against servers with the
-//! same seed render identical reports — asserted by test and by CI's
-//! `serve-smoke` job. Per-tenant reply digests use the exact
+//! same seed render identical reports — asserted by the `wire_oracle`
+//! tests and by CI's diff against `results/ne-serve-client.txt`.
+//! Per-tenant reply digests use the exact
 //! `ne-tenants/v1` packing, so they can be grepped straight against the
 //! server's export.
 

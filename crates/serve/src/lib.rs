@@ -43,8 +43,9 @@
 //! loop, the seeded Poisson schedule for the open loop, `now()` during
 //! warmup); socket reads are **blocking reads on the specific pair the
 //! drive loop would consult next**, so network interleaving cannot
-//! reorder submissions. The headline invariant, asserted by integration
-//! test and CI's `serve-smoke` job: the same seeded scenario served
+//! reorder submissions. The headline invariant, asserted by the
+//! `wire_oracle` integration tests and by CI's diff of a TLS wire run
+//! against the oracle's committed exports: the same seeded scenario served
 //! over TCP produces **byte-identical** `ne-tenants/v1`,
 //! `ne-metrics/v2`, and `ne-obs/v1` exports to the in-process run —
 //! with or without TLS on the wire.

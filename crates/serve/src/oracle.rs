@@ -4,7 +4,8 @@
 //! per-shard sequence and differ only in their request source, so
 //! byte-for-byte, the oracle's three exports are what the wire run must
 //! produce — the headline invariant of this crate, asserted by the
-//! `wire_oracle` integration test and CI's `serve-smoke` job.
+//! `wire_oracle` integration tests. CI diffs a TLS wire run's exports
+//! against this oracle's committed output in `results/ne-serve.*`.
 
 use crate::server::{build_cluster, finish_outcome, sampler_config, ServeConfig, ServeOutcome};
 use crate::Mode;

@@ -36,8 +36,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Arrival process.
     pub mode: Mode,
-    /// Whether the shard runs a switchless worker core.
-    pub switchless: bool,
     /// Seal every frame in a `ne-tls` record (transport handshake on
     /// connect, rollback offers refused on the wire).
     pub tls: bool,
@@ -57,8 +55,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config with the scenario given and every wire knob at its
-    /// default (closed loop, switchless on, plaintext, no chaos, no
-    /// timeline, 5 s read deadline, 30 s accept window).
+    /// default (closed loop, plaintext, no chaos, no timeline, 5 s read
+    /// deadline, 30 s accept window).
     pub fn new(tenants: usize, services: usize, requests: usize, seed: u64) -> ServeConfig {
         ServeConfig {
             tenants,
@@ -66,7 +64,6 @@ impl ServeConfig {
             requests,
             seed,
             mode: Mode::Closed,
-            switchless: true,
             tls: false,
             chaos: None,
             window: None,
@@ -109,7 +106,6 @@ pub struct ServeOutcome {
 pub(crate) fn build_cluster(cfg: &ServeConfig) -> Result<Cluster, String> {
     let mut cc = ClusterConfig::new(drive::standard_specs(cfg.tenants, cfg.services), 1);
     cc.host.seed = cfg.seed;
-    cc.host.switchless = cfg.switchless;
     Cluster::build(cc).map_err(|e| format!("cluster build: {e}"))
 }
 
