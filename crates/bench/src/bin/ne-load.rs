@@ -78,7 +78,10 @@
 //! back in Reply frames, and the per-tenant reply digests match the
 //! server's `ne-tenants/v1` export line for line.
 //!
-//! Any other `--` argument ends the process with exit status 2.
+//! Any other `--` argument ends the process with exit status 2, and so
+//! does a flag only the other mode reads: `--connect` takes the scenario
+//! flags, `--tls` and `--read-timeout-ms` and nothing else, and those
+//! two wire flags are refused without `--connect`.
 
 use ne_bench::report::{
     banner, cli_error, f2, flag_str, flag_u64, reject_unknown_flags, tenants_out_path,
@@ -430,29 +433,34 @@ fn run_connect(addr: String) {
     }
 }
 
+/// The scenario flags both modes read.
+const SCENARIO: [&str; 5] = ["--tenants", "--services", "--requests", "--seed", "--mode"];
+
 fn main() {
-    reject_unknown_flags(&[
-        "--tenants",
-        "--services",
-        "--requests",
-        "--seed",
-        "--mode",
-        "--shards",
-        "--chaos",
-        "--migrate",
-        "--window",
-        "--connect",
-        "--tls",
-        "--read-timeout-ms",
-        "--metrics-out",
-        "--trace-out",
-        "--tenants-out",
-        "--timeline-out",
-    ]);
+    // Each mode refuses the flags only the other mode reads.
     if let Some(addr) = flag_str("--connect") {
+        reject_unknown_flags(
+            &[&SCENARIO[..], &["--connect", "--tls", "--read-timeout-ms"]].concat(),
+        );
         run_connect(addr);
         return;
     }
+    reject_unknown_flags(
+        &[
+            &SCENARIO[..],
+            &[
+                "--shards",
+                "--chaos",
+                "--migrate",
+                "--window",
+                "--metrics-out",
+                "--trace-out",
+                "--tenants-out",
+                "--timeline-out",
+            ],
+        ]
+        .concat(),
+    );
     let plan = Plan {
         tenants: flag_u64("--tenants").unwrap_or(4) as usize,
         services: (flag_u64("--services").unwrap_or(2) as usize).min(ServiceKind::ALL.len()),

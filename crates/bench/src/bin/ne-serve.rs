@@ -20,6 +20,9 @@
 //! once listening, so scripts can use an ephemeral port); exports:
 //! `--tenants-out`, `--metrics-out`, `--timeline-out`.
 //!
+//! `--oracle` refuses the wire-only flags (`--listen`, `--addr-out` and
+//! the two timeouts).
+//!
 //! Bad input and I/O failures (an unknown flag, a non-integer number,
 //! an unknown `--mode`, an unwritable `--addr-out` or export path, a
 //! failed bind or run) end the process with a one-line `error: ...` on
@@ -80,27 +83,37 @@ fn finish(outcome: &ServeOutcome) {
     }
 }
 
+/// The scenario and export flags both modes read.
+const SHARED: [&str; 11] = [
+    "--tenants",
+    "--services",
+    "--requests",
+    "--seed",
+    "--mode",
+    "--chaos",
+    "--window",
+    "--tls",
+    "--tenants-out",
+    "--metrics-out",
+    "--timeline-out",
+];
+
 fn main() {
-    reject_unknown_flags(&[
-        "--listen",
-        "--oracle",
-        "--tenants",
-        "--services",
-        "--requests",
-        "--seed",
-        "--mode",
-        "--chaos",
-        "--window",
-        "--tls",
-        "--read-timeout-ms",
-        "--accept-timeout-ms",
-        "--addr-out",
-        "--tenants-out",
-        "--metrics-out",
-        "--timeline-out",
-    ]);
-    let cfg = config();
+    // Each mode refuses the flags only the other mode reads: the oracle
+    // binds nothing and waits on no socket.
     let oracle = std::env::args().any(|a| a == "--oracle");
+    let own: &[&str] = if oracle {
+        &["--oracle"]
+    } else {
+        &[
+            "--listen",
+            "--read-timeout-ms",
+            "--accept-timeout-ms",
+            "--addr-out",
+        ]
+    };
+    reject_unknown_flags(&[&SHARED[..], own].concat());
+    let cfg = config();
     println!(
         "ne-serve ({}): {} tenants x {} services, {} requests per pair, seed {}, mode {}, tls {}{}",
         if oracle { "oracle" } else { "wire" },

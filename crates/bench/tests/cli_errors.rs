@@ -202,3 +202,60 @@ fn ne_serve_unwritable_addr_out_exits_2() {
         "cannot write bound address to",
     );
 }
+
+/// Each mode refuses a flag only the other mode reads, before it runs:
+/// the wire client builds no cluster and writes no export, and the
+/// in-process cluster run opens no socket.
+#[test]
+fn ne_load_refuses_the_other_modes_flags() {
+    let connect = [
+        "--connect",
+        "127.0.0.1:9",
+        "--tenants",
+        "1",
+        "--services",
+        "1",
+        "--requests",
+        "2",
+        "--seed",
+        "7",
+    ];
+    let cluster_only = [
+        ["--shards", "3"],
+        ["--chaos", "crash:1"],
+        ["--migrate", "0@planned"],
+        ["--window", "500000"],
+        ["--metrics-out", "x.json"],
+        ["--trace-out", "x.json"],
+        ["--tenants-out", "x.txt"],
+        ["--timeline-out", "x.jsonl"],
+    ];
+    for extra in &cluster_only {
+        let args = [&connect[..], extra].concat();
+        assert_cli_error(NE_LOAD, &args, &format!("unknown flag {}", extra[0]));
+    }
+    // Several at once: the first one named is reported.
+    let args = [&connect[..], &cluster_only[..3].concat()].concat();
+    assert_cli_error(NE_LOAD, &args, "unknown flag --shards");
+    assert_ne_load_error(&["--tls"], "unknown flag --tls");
+    assert_ne_load_error(
+        &["--read-timeout-ms", "10"],
+        "unknown flag --read-timeout-ms",
+    );
+}
+
+#[test]
+fn ne_serve_oracle_refuses_the_wire_flags() {
+    for (flag, value) in [
+        ("--listen", "127.0.0.1:0"),
+        ("--addr-out", "addr.txt"),
+        ("--read-timeout-ms", "10"),
+        ("--accept-timeout-ms", "10"),
+    ] {
+        assert_cli_error(
+            NE_SERVE,
+            &["--oracle", "--tenants", "1", flag, value],
+            &format!("unknown flag {flag}"),
+        );
+    }
+}

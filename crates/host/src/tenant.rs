@@ -136,11 +136,14 @@ pub fn pack_reply(bytes: &mut Vec<u8>, service: usize, seq: u64, reply: &[u8]) {
 pub fn reply_digest<'a>(replies: impl IntoIterator<Item = (usize, u64, &'a [u8])>) -> [u8; 32] {
     let mut replies: Vec<(usize, u64, &[u8])> = replies.into_iter().collect();
     replies.sort_by_key(|&(service, seq, _)| (service, seq));
-    let mut bytes = Vec::new();
+    let mut hasher = ne_crypto::Sha256::new();
+    let mut packed = Vec::new();
     for (service, seq, reply) in replies {
-        pack_reply(&mut bytes, service, seq, reply);
+        packed.clear();
+        pack_reply(&mut packed, service, seq, reply);
+        hasher.update(&packed);
     }
-    ne_crypto::sha256_digest(&bytes)
+    hasher.finalize()
 }
 
 /// A tenant's traffic counters. Reports, migration snapshots and `ne-obs`

@@ -14,46 +14,58 @@
 //! 7. a final reconciliation line (`"kind":"total"`) whose sums equal
 //!    the end-of-run machine counters exactly.
 
+use std::fmt::Write;
+
 use ne_host::RecoveryEventKind;
-use ne_sgx::profile::Histogram;
+use ne_sgx::profile::{Histogram, BUCKETS};
 use ne_sgx::trace::Stats;
 
 use crate::incident::{correlate, Incident};
 use crate::slo::{AVAILABILITY_PERMILLE, LATENCY_TARGET, LONG_WINDOWS, PAGE_BURN, WARN_BURN};
 use crate::window::{Timeline, Window};
 
+// Every line is written straight into the one output `String`; writing
+// to a `String` cannot fail, so the `fmt::Result`s are dropped.
+
 /// Schema tag of the timeline export.
 pub const OBS_SCHEMA: &str = "ne-obs/v1";
 
-fn hex(digest: &[u8; 32]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+fn push_hex(out: &mut String, digest: &[u8; 32]) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    for &b in digest {
+        out.push(char::from(NIBBLES[usize::from(b >> 4)]));
+        out.push(char::from(NIBBLES[usize::from(b & 0xf)]));
+    }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-fn stats_json(s: &Stats) -> String {
-    let fields: Vec<String> = s
-        .fields()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+fn push_stats(out: &mut String, s: &Stats) {
+    out.push('{');
+    for (i, (k, v)) in s.fields().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{k}\":{v}");
+    }
+    out.push('}');
 }
 
-fn hist_json(h: &Histogram) -> String {
-    format!(
+fn push_hist(out: &mut String, h: &Histogram) {
+    let _ = write!(
+        out,
         "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
         h.count(),
         h.sum(),
@@ -62,30 +74,28 @@ fn hist_json(h: &Histogram) -> String {
         h.percentile(0.50),
         h.percentile(0.90),
         h.percentile(0.99)
-    )
+    );
 }
 
-fn window_json(w: &Window, kind: &str) -> String {
-    let mut line = format!(
+fn push_window(out: &mut String, w: &Window, kind: &str) {
+    let _ = write!(
+        out,
         "{{\"kind\":\"{kind}\",\"index\":{},\"folded\":{},\"cycles\":{},\"free_epc\":{},\
-         \"resident\":{},\"degraded\":{},\"stats\":{},\"request\":{},\"tenants\":[",
-        w.index,
-        w.folded,
-        w.cycles,
-        w.free_epc,
-        w.resident,
-        w.degraded,
-        stats_json(&w.stats),
-        hist_json(&w.request())
+         \"resident\":{},\"degraded\":{},\"stats\":",
+        w.index, w.folded, w.cycles, w.free_epc, w.resident, w.degraded,
     );
+    push_stats(out, &w.stats);
+    out.push_str(",\"request\":");
+    push_hist(out, &w.request());
+    out.push_str(",\"tenants\":[");
     for (i, t) in w.tenants.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        line.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"tenant\":{},\"accepted\":{},\"completed\":{},\"shed\":{},\"rejected\":{},\
-             \"respawns\":{},\"breaker_open\":{},\"latency_violations\":{},\"latency\":{},\
-             \"slo\":\"{}\",\"burn_short\":{},\"burn_long\":{}}}",
+             \"respawns\":{},\"breaker_open\":{},\"latency_violations\":{},\"latency\":",
             t.tenant,
             t.traffic.accepted,
             t.traffic.completed,
@@ -94,48 +104,63 @@ fn window_json(w: &Window, kind: &str) -> String {
             t.respawns,
             t.breaker_open,
             t.latency_violations,
-            hist_json(&t.latency),
+        );
+        push_hist(out, &t.latency);
+        let _ = write!(
+            out,
+            ",\"slo\":\"{}\",\"burn_short\":{},\"burn_long\":{}}}",
             t.slo.name(),
             t.burn_short,
             t.burn_long
-        ));
+        );
     }
-    line.push_str("],\"injections\":[");
+    out.push_str("],\"injections\":[");
     for (i, inj) in w.injections.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        let tenant = inj.tenant.map_or("null".to_string(), |t| t.to_string());
-        line.push_str(&format!(
-            "{{\"cycle\":{},\"eid\":{},\"tenant\":{tenant},\"kind\":\"{}\"}}",
-            inj.cycle,
-            inj.eid,
-            inj.kind.name()
-        ));
+        let _ = write!(
+            out,
+            "{{\"cycle\":{},\"eid\":{},\"tenant\":",
+            inj.cycle, inj.eid
+        );
+        match inj.tenant {
+            Some(t) => {
+                let _ = write!(out, "{t}");
+            }
+            None => out.push_str("null"),
+        }
+        let _ = write!(out, ",\"kind\":\"{}\"}}", inj.kind.name());
     }
-    line.push_str("],\"recoveries\":[");
+    out.push_str("],\"recoveries\":[");
     for (i, ev) in w.recoveries.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        let detail = match ev.kind {
-            RecoveryEventKind::Backoff { wait } => format!(",\"wait\":{wait}"),
-            RecoveryEventKind::Shed(reason) => format!(",\"reason\":\"{}\"", reason.name()),
-            _ => String::new(),
-        };
-        line.push_str(&format!(
-            "{{\"cycle\":{},\"tenant\":{},\"kind\":\"{}\"{detail}}}",
+        let _ = write!(
+            out,
+            "{{\"cycle\":{},\"tenant\":{},\"kind\":\"{}\"",
             ev.cycle,
             ev.tenant,
             ev.kind.name()
-        ));
+        );
+        match ev.kind {
+            RecoveryEventKind::Backoff { wait } => {
+                let _ = write!(out, ",\"wait\":{wait}");
+            }
+            RecoveryEventKind::Shed(reason) => {
+                let _ = write!(out, ",\"reason\":\"{}\"", reason.name());
+            }
+            _ => {}
+        }
+        out.push('}');
     }
-    line.push_str("]}");
-    line
+    out.push_str("]}\n");
 }
 
-fn incident_json(inc: &Incident) -> String {
-    format!(
+fn push_incident(out: &mut String, inc: &Incident) {
+    let _ = writeln!(
+        out,
         "{{\"kind\":\"incident\",\"tenant\":{},\"first_window\":{},\"last_window\":{},\
          \"first_cycle\":{},\"injections\":{{\"aex\":{},\"evict\":{},\"mac\":{},\"crash\":{},\
          \"stall\":{}}},\"recoveries\":{{\"backoffs\":{},\"reloads\":{},\"respawns\":{},\
@@ -156,72 +181,76 @@ fn incident_json(inc: &Incident) -> String {
         inc.breaker_opened,
         inc.impacted_windows,
         inc.worst.name()
-    )
+    );
 }
 
 /// Serializes a timeline (plus its correlated incidents) as
 /// `ne-obs/v1` JSONL. Byte-deterministic: same timeline, same bytes.
 pub fn to_jsonl(t: &Timeline, label: &str) -> String {
     let mut out = String::new();
-    let buckets = Histogram::new().summary().buckets;
-    out.push_str(&format!(
-        "{{\"schema\":\"{OBS_SCHEMA}\",\"label\":\"{}\",\"window_cycles\":{},\"windows\":{},\
-         \"shards\":{},\"tenants\":{},\"hist_buckets\":{buckets},\"slo\":{{\
-         \"latency_target\":{LATENCY_TARGET},\"availability_permille\":{AVAILABILITY_PERMILLE},\
-         \"long_windows\":{LONG_WINDOWS},\"warn_burn\":{WARN_BURN},\"page_burn\":{PAGE_BURN}}}}}\n",
-        escape(label),
+    out.push_str("{\"schema\":\"");
+    out.push_str(OBS_SCHEMA);
+    out.push_str("\",\"label\":\"");
+    push_escaped(&mut out, label);
+    let _ = writeln!(
+        out,
+        "\",\"window_cycles\":{},\"windows\":{},\"shards\":{},\"tenants\":{},\
+         \"hist_buckets\":{BUCKETS},\"slo\":{{\"latency_target\":{LATENCY_TARGET},\
+         \"availability_permille\":{AVAILABILITY_PERMILLE},\"long_windows\":{LONG_WINDOWS},\
+         \"warn_burn\":{WARN_BURN},\"page_burn\":{PAGE_BURN}}}}}",
         t.window_cycles,
         t.raw_windows(),
         t.shards,
         t.totals.len(),
-    ));
+    );
     if let Some(base) = &t.base {
-        out.push_str(&window_json(base, "base"));
-        out.push('\n');
+        push_window(&mut out, base, "base");
     }
     for w in &t.windows {
-        out.push_str(&window_json(w, "window"));
-        out.push('\n');
+        push_window(&mut out, w, "window");
     }
     for c in &t.checkpoints {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"kind\":\"checkpoint\",\"tenant\":{},\"service\":{},\"completions\":{},\
-             \"digest\":\"{}\"}}\n",
-            c.tenant,
-            c.service,
-            c.completions,
-            hex(&c.digest)
-        ));
+             \"digest\":\"",
+            c.tenant, c.service, c.completions,
+        );
+        push_hex(&mut out, &c.digest);
+        out.push_str("\"}\n");
     }
     for tt in &t.totals {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"kind\":\"tenant_total\",\"tenant\":{},\"accepted\":{},\"completed\":{},\
-             \"shed\":{},\"rejected\":{},\"respawns\":{},\"replies\":\"sha256:{}\"}}\n",
+             \"shed\":{},\"rejected\":{},\"respawns\":{},\"replies\":\"sha256:",
             tt.tenant,
             tt.traffic.accepted,
             tt.traffic.completed,
             tt.traffic.shed_requests,
             tt.traffic.rejected(),
             tt.respawns,
-            hex(&tt.digest)
-        ));
+        );
+        push_hex(&mut out, &tt.digest);
+        out.push_str("\"}\n");
     }
     for inc in &correlate(t) {
-        out.push_str(&incident_json(inc));
-        out.push('\n');
+        push_incident(&mut out, inc);
     }
     let (cycles, stats, request) = t.total();
-    out.push_str(&format!(
-        "{{\"kind\":\"total\",\"cycles\":{cycles},\"stats\":{},\"request\":{},\
-         \"completed\":{},\"shed\":{}}}\n",
-        stats_json(&stats),
-        hist_json(&request),
+    let _ = write!(out, "{{\"kind\":\"total\",\"cycles\":{cycles},\"stats\":");
+    push_stats(&mut out, &stats);
+    out.push_str(",\"request\":");
+    push_hist(&mut out, &request);
+    let _ = writeln!(
+        out,
+        ",\"completed\":{},\"shed\":{}}}",
         t.totals.iter().map(|x| x.traffic.completed).sum::<u64>(),
         t.totals
             .iter()
             .map(|x| x.traffic.shed_requests)
             .sum::<u64>()
-    ));
+    );
     out
 }
 

@@ -9,6 +9,7 @@
 //! sample per completion, so those reconcile exactly too (both are
 //! enforced by test).
 
+use ne_crypto::Sha256;
 use ne_host::server::HostServer;
 use ne_host::{pack_reply, reply_digest, Traffic};
 
@@ -69,7 +70,7 @@ pub struct TenantCarry(TenantSnap);
 /// right after `reset_measurement` (and after chaos is installed),
 /// call [`Sampler::poll`] after every server step, and
 /// [`Sampler::finish`] once the run drains.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sampler {
     /// Window length in simulated serving-clock cycles (at least 1).
     window_cycles: u64,
@@ -303,13 +304,31 @@ impl Sampler {
     /// anything landed in it), computes per-tenant totals and
     /// reply-stream checkpoints, runs the SLO monitor over every
     /// window, and returns the timeline.
-    pub fn finish(mut self, server: &HostServer) -> Timeline {
+    pub fn finish(self, server: &HostServer) -> Timeline {
+        self.finish_with(server, stream_digests)
+    }
+
+    /// [`Sampler::finish`] with the digests taken by
+    /// [`digests_reference`], which re-packs and re-hashes every
+    /// checkpoint's reply prefix from the start. The reference form the
+    /// streamed digests are held to, byte for byte, by test.
+    pub fn finish_reference(self, server: &HostServer) -> Timeline {
+        self.finish_with(server, digests_reference)
+    }
+
+    fn finish_with(mut self, server: &HostServer, digests: TenantDigests) -> Timeline {
         self.poll(server);
         if self.pending(server) {
             self.close(server);
         }
 
+        // Each slot's replies, grouped in one pass over the run's
+        // completions.
         let cur = snap(server);
+        let mut replies: Vec<Vec<&ne_host::Completion>> = vec![Vec::new(); cur.len()];
+        for c in &server.completions()[self.base_completions..] {
+            replies[c.tenant].push(c);
+        }
         for (l, (c, b)) in cur.iter().zip(&self.base_tenants).enumerate() {
             // A retired slot's tenant migrated away; the adopting
             // sampler owns its full history (carried completions
@@ -321,39 +340,15 @@ impl Sampler {
             // Replies in (service, seq) order, digested as ne-tenants/v1
             // does, so the totals line is part of the
             // shard-count-invariant data plane.
-            let mut replies: Vec<&ne_host::Completion> = server.completions()
-                [self.base_completions..]
-                .iter()
-                .filter(|r| r.tenant == l)
-                .collect();
+            let replies = &mut replies[l];
             replies.sort_by_key(|r| (r.service, r.seq));
-            let digest = reply_digest(replies.iter().map(|r| (r.service, r.seq, &r.reply[..])));
+            let digest = digests(self.globals[l], replies, &mut self.timeline.checkpoints);
             self.timeline.totals.push(TenantTotal {
                 tenant: self.globals[l],
                 traffic: c.traffic - b.traffic,
                 respawns: c.respawns - b.respawns,
                 digest,
             });
-
-            // Rolling checkpoints per service: digest over the first
-            // k * CHECKPOINT_EVERY replies in seq order.
-            let services = server.tenants()[l].spec.services.len();
-            for s in 0..services {
-                let mut bytes = Vec::new();
-                let mut n = 0u64;
-                for r in replies.iter().filter(|r| r.service == s) {
-                    pack_reply(&mut bytes, r.service, r.seq, &r.reply);
-                    n += 1;
-                    if n.is_multiple_of(CHECKPOINT_EVERY) {
-                        self.timeline.checkpoints.push(Checkpoint {
-                            tenant: self.globals[l],
-                            service: s,
-                            completions: n,
-                            digest: ne_crypto::sha256_digest(&bytes),
-                        });
-                    }
-                }
-            }
         }
         self.timeline.totals.sort_by_key(|t| t.tenant);
         self.timeline
@@ -366,6 +361,82 @@ impl Sampler {
         slo::annotate(&mut self.timeline.windows);
         self.timeline
     }
+}
+
+/// Digests one tenant's replies, given in (service, seq) order: returns
+/// the `ne-tenants/v1` reply digest and appends the tenant's rolling
+/// [`Checkpoint`]s to `checkpoints`.
+type TenantDigests = fn(usize, &[&ne_host::Completion], &mut Vec<Checkpoint>) -> [u8; 32];
+
+/// The streamed reply digests: each reply is packed once and hashed
+/// about once. Service 0 sorts first, so its stream is a prefix of the
+/// tenant stream and its checkpoints finalize clones of the tenant
+/// hasher; every later service feeds one extra per-service hasher,
+/// restarted at the service's first reply, whose clones its checkpoints
+/// finalize.
+pub fn stream_digests(
+    tenant: usize,
+    replies: &[&ne_host::Completion],
+    checkpoints: &mut Vec<Checkpoint>,
+) -> [u8; 32] {
+    let mut whole = Sha256::new();
+    let mut service = Sha256::new();
+    let mut packed = Vec::new();
+    let mut n = 0u64;
+    for (i, r) in replies.iter().enumerate() {
+        if i == 0 || r.service != replies[i - 1].service {
+            service = Sha256::new();
+            n = 0;
+        }
+        packed.clear();
+        pack_reply(&mut packed, r.service, r.seq, &r.reply);
+        whole.update(&packed);
+        if r.service > 0 {
+            service.update(&packed);
+        }
+        n += 1;
+        if n.is_multiple_of(CHECKPOINT_EVERY) {
+            let prefix = if r.service == 0 { &whole } else { &service };
+            checkpoints.push(Checkpoint {
+                tenant,
+                service: r.service,
+                completions: n,
+                digest: prefix.clone().finalize(),
+            });
+        }
+    }
+    whole.finalize()
+}
+
+/// Reference form of [`stream_digests`], same contract: the tenant
+/// digest by [`reply_digest`], and each service's checkpoints by
+/// re-packing and re-hashing its reply prefix from the start.
+pub fn digests_reference(
+    tenant: usize,
+    replies: &[&ne_host::Completion],
+    checkpoints: &mut Vec<Checkpoint>,
+) -> [u8; 32] {
+    let digest = reply_digest(replies.iter().map(|r| (r.service, r.seq, &r.reply[..])));
+    // Rolling checkpoints per service: digest over the first
+    // k * CHECKPOINT_EVERY replies in seq order.
+    let services = replies.last().map_or(0, |r| r.service + 1);
+    for s in 0..services {
+        let mut bytes = Vec::new();
+        let mut n = 0u64;
+        for r in replies.iter().filter(|r| r.service == s) {
+            pack_reply(&mut bytes, r.service, r.seq, &r.reply);
+            n += 1;
+            if n.is_multiple_of(CHECKPOINT_EVERY) {
+                checkpoints.push(Checkpoint {
+                    tenant,
+                    service: s,
+                    completions: n,
+                    digest: ne_crypto::sha256_digest(&bytes),
+                });
+            }
+        }
+    }
+    digest
 }
 
 /// Field-wise `cur - prev` for the cumulative transition counters.

@@ -307,6 +307,13 @@ pub struct TenantTotal {
 /// the digest over the first `completions` replies in seq order.
 /// Checkpoints let two timelines be compared incrementally — the first
 /// diverging checkpoint brackets the first diverging reply.
+///
+/// The tenant's stream packs its replies in (service, seq) order, so
+/// service 0's reply stream is a prefix of it: a service-0 checkpoint
+/// is the tenant stream's digest after its first `completions` replies.
+/// [`crate::Sampler::finish`] takes it by finalizing a clone of the
+/// tenant hasher at that point; a later service's checkpoints finalize
+/// clones of one hasher fed only that service's replies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Global tenant id.

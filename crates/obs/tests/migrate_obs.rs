@@ -90,6 +90,13 @@ fn segment(
 /// them. The migration happens with segment B's requests for tenant 1
 /// already queued, so they ride the park buffer through the move.
 fn run(migrate: bool) -> (HostServer, Timeline) {
+    let (server, sampler) = serve(migrate);
+    let timeline = sampler.finish(&server);
+    (server, timeline)
+}
+
+/// The drained server and its unfinished sampler for [`run`].
+fn serve(migrate: bool) -> (HostServer, Sampler) {
     let (mut server, mut factories) = build();
     let mut sampler = Sampler::new(
         &server,
@@ -150,8 +157,7 @@ fn run(migrate: bool) -> (HostServer, Timeline) {
         segment(&mut server, &mut sampler, &mut factories, &local_of, 2);
     }
 
-    let timeline = sampler.finish(&server);
-    (server, timeline)
+    (server, sampler)
 }
 
 #[test]
@@ -196,6 +202,22 @@ fn migrated_totals_match_an_unmigrated_run_byte_for_byte() {
         );
     }
     assert_eq!(migrated.checkpoints, control.checkpoints);
+}
+
+/// The streamed checkpoints and totals skip the retired slot and cover
+/// the adopted tenant's carried completions exactly as the reference
+/// form does (`checkpoints.rs` holds the other cases).
+#[test]
+fn migrated_digests_match_the_reference_form() {
+    let (server, sampler) = serve(true);
+    let streamed = sampler.clone().finish(&server);
+    let reference = sampler.finish_reference(&server);
+    assert_eq!(streamed.checkpoints, reference.checkpoints);
+    assert_eq!(streamed.totals, reference.totals);
+    assert_eq!(
+        to_jsonl(&streamed, "migrate"),
+        to_jsonl(&reference, "migrate")
+    );
 }
 
 #[test]

@@ -12,12 +12,15 @@ use ne_serve::client::ClientReport;
 use ne_serve::oracle::run_oracle;
 use ne_serve::{ClientConfig, FrontDoor, LoadClient, Mode, ServeConfig, ServeOutcome};
 
+/// The scenario of the CLI wire golden (`results/ne-serve.*`): 3 tenants
+/// × 2 services × 8 requests, seed 7, so every pair sends request ids
+/// 1 through 8.
 fn scenario(mode: Mode, tls: bool, chaos: Option<&str>) -> ServeConfig {
-    let mut cfg = ServeConfig::new(2, 2, 3, 0x7E57_5EED);
+    let mut cfg = ServeConfig::new(3, 2, 8, 7);
     cfg.mode = mode;
     cfg.tls = tls;
     cfg.chaos = chaos.map(str::to_string);
-    cfg.window = Some(400_000);
+    cfg.window = Some(500_000);
     cfg.read_timeout = Duration::from_secs(10);
     cfg.accept_timeout = Duration::from_secs(10);
     cfg
