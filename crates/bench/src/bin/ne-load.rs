@@ -25,10 +25,11 @@
 //! for clean closed-loop runs — the shard-count-invariance oracle (see
 //! `ARCHITECTURE.md` §8).
 //!
-//! Flags: `--tenants N` (default 4), `--services N` per tenant (default
-//! 2, capped at the 3 service kinds), `--requests N` per (tenant,
-//! service) per run (default 12), `--seed S`, `--mode open|closed|both`
-//! (default both), `--shards N` (default 1), plus the standard
+//! Flags: `--tenants N` (default 4, at most 255), `--services N` per
+//! tenant (default 2, capped at the 3 service kinds), `--requests N` per
+//! (tenant, service) per run (default 12, at most `u32::MAX`), `--seed
+//! S` (default `0xC0FFEE`), `--mode open|closed|both` (default both),
+//! `--shards N` (default 1, at most one per tenant), plus the standard
 //! `--metrics-out` and `--trace-out` exports
 //! (the traced run is the closed-loop one; shard `k > 0` traces land at
 //! `<path>.shard<k>`), and `--tenants-out <path>` for the `ne-tenants/v1`
@@ -49,7 +50,10 @@
 //! burn-rate states, chaos injections joined with recovery events, and
 //! correlated incident reports — all on simulated cycles, so the bytes
 //! are seed-deterministic; `ne-profile timeline` renders it);
-//! `--window <cycles>` sets the window length (default 2,000,000).
+//! `--window <cycles>` sets the window length (default 2,000,000) and
+//! is refused without `--timeline-out`. The scenario flags are read by
+//! [`ne_bench::report::parse_scenario`], the one parser `ne-serve`
+//! shares, with the same defaults.
 //!
 //! `--migrate <tenant>@<trigger>` runs one **segmented** closed-loop
 //! scenario with a live migration at the mid-run barrier (shards are
@@ -72,8 +76,9 @@
 //! mode: instead of building a cluster it opens one TCP connection per
 //! (tenant, service) pair to a running `ne-serve` front door and plays
 //! the same seeded request streams over the socket (`--tls` seals every
-//! frame in an `ne-tls` record; `--mode` must be `open` or `closed` —
-//! the server pins one scenario). The printed report is
+//! frame in an `ne-tls` record; `--mode` is `open` or `closed`, default
+//! closed — the server pins one scenario, and a default `ne-serve`
+//! serves a default `ne-load --connect`). The printed report is
 //! byte-deterministic: every number in it is a simulation fact carried
 //! back in Reply frames, and the per-tenant reply digests match the
 //! server's `ne-tenants/v1` export line for line.
@@ -84,37 +89,16 @@
 //! two wire flags are refused without `--connect`.
 
 use ne_bench::report::{
-    banner, cli_error, f2, flag_str, flag_u64, reject_unknown_flags, tenants_out_path,
-    throughput_rps, timeline_out_path, want_trace, write_or_exit, write_shard_traces,
-    MetricsReport, Table,
+    banner, cli_error, f2, flag_str, flag_u64, reject_unknown_flags, scenario_args, throughput_rps,
+    want_trace, write_or_exit, write_shard_traces, MetricsReport, Table,
 };
 use ne_cluster::{
     drive, Cluster, ClusterConfig, ClusterReport, MigrationOutcome, MigrationPolicy,
-    MigrationRecord, PlannedMove,
+    MigrationRecord, PlannedMove, Scenario,
 };
-use ne_host::{RequestFactory, ServiceKind};
-use ne_obs::{SamplerConfig, Timeline};
-use ne_sgx::fault::FaultPlan;
-
-#[derive(Clone)]
-struct Plan {
-    tenants: usize,
-    services: usize,
-    requests: usize,
-    seed: u64,
-    shards: usize,
-    chaos: Option<String>,
-}
-
-fn build(plan: &Plan, trace: bool) -> Cluster {
-    let mut cfg = ClusterConfig::new(
-        drive::standard_specs(plan.tenants, plan.services),
-        plan.shards,
-    );
-    cfg.host.seed = plan.seed;
-    cfg.host.hw.trace_events = trace;
-    Cluster::build(cfg).expect("cluster build")
-}
+use ne_host::RequestFactory;
+use ne_obs::Timeline;
+use std::path::Path;
 
 fn tenant_table(report: &ClusterReport, shards: usize) -> Table {
     let mut headers = vec![
@@ -162,27 +146,24 @@ fn tenant_table(report: &ClusterReport, shards: usize) -> Table {
 /// Runs one scenario on a fresh cluster; returns the per-tenant export
 /// and, when traced, the per-shard trace bundles.
 fn run(
-    label: &str,
-    plan: &Plan,
+    sc: &Scenario,
+    shards: usize,
     report: &mut MetricsReport,
     trace: bool,
-    obs: Option<SamplerConfig>,
 ) -> (
     String,
     Option<Vec<ne_sgx::spantree::TraceBundle>>,
     Option<Timeline>,
 ) {
-    let mut cluster = build(plan, trace);
+    let label = sc.mode.name();
+    let mut cfg = ClusterConfig::for_scenario(sc, shards);
+    cfg.host.hw.trace_events = trace;
+    let mut cluster = Cluster::build(cfg).expect("cluster build");
     // The sampler only reads the servers, so observed runs are
     // byte-identical to the plain runs in every pre-existing export.
-    let chaos = plan.chaos.as_deref();
-    let run = if label == "open-loop" {
-        cluster.run_open_loop(plan.requests, chaos, obs)
-    } else {
-        cluster.run_closed_loop(plan.requests, chaos, obs)
-    };
-    let (accepted, timeline) =
-        run.unwrap_or_else(|e| cli_error(&format!("{label} run failed: {e}")));
+    let (accepted, timeline) = cluster
+        .run(sc)
+        .unwrap_or_else(|e| cli_error(&format!("{label} run failed: {e}")));
     // Reply-or-shed: every accepted request terminated, with a reply or
     // an explicit counted shed (zero sheds without chaos).
     let (hr, m) = cluster
@@ -190,9 +171,9 @@ fn run(
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     // Spot-check every reply against a fresh factory of the same stream,
     // keyed by the tenant's global id.
-    let specs = drive::standard_specs(plan.tenants, plan.services);
+    let specs = drive::standard_specs(sc.tenants, sc.services);
     for (global, c) in cluster.completions() {
-        let f = RequestFactory::new(specs[global].services[c.service], global, plan.seed);
+        let f = RequestFactory::new(specs[global].services[c.service], global, sc.seed);
         assert!(
             f.check_reply(&c.reply),
             "bad {label} reply for {}",
@@ -202,7 +183,7 @@ fn run(
     let s = cluster.request_histogram().summary();
     let clock = cluster.clock_ghz();
     println!("\n{label}: {accepted} requests served");
-    tenant_table(&hr, plan.shards).print();
+    tenant_table(&hr, shards).print();
     if let Some(cs) = cluster.chaos_stats() {
         println!(
             "  chaos: {} eenters seen | {} aex storms, {} forced evictions, {} tamperings, \
@@ -303,28 +284,28 @@ fn migration_line(r: &MigrationRecord) -> String {
 /// Migration mode (`--migrate`): one segmented closed-loop run with a
 /// barrier migration mid-run, the per-tenant table, the migration log,
 /// and the asserted `dropped=0` line. Exports describe this run.
-fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>) {
+fn run_migrate(spec: &str, sc: &Scenario, shards: usize) {
     let (tenant, trigger) =
-        parse_migrate(spec, plan.tenants).unwrap_or_else(|e| cli_error(&format!("--migrate: {e}")));
-    if plan.requests < 2 {
+        parse_migrate(spec, sc.tenants).unwrap_or_else(|e| cli_error(&format!("--migrate: {e}")));
+    if sc.requests < 2 {
         cli_error("--migrate needs at least 2 requests per pair (one per segment)");
     }
-    let mut plan = plan.clone();
     // Migration needs a destination; a single-shard request is promoted.
-    plan.shards = plan.shards.max(2);
-    let mut cluster = build(&plan, false);
+    let shards = shards.max(2);
+    let mut cluster =
+        Cluster::build(ClusterConfig::for_scenario(sc, shards)).expect("cluster build");
     // One barrier at the midpoint of the run.
-    let first = plan.requests - plan.requests / 2;
-    let segments = [first, plan.requests - first];
+    let first = sc.requests - sc.requests / 2;
+    let segments = [first, sc.requests - first];
     let mut policy = MigrationPolicy::default();
-    let mut chaos_spec = plan.chaos.clone();
+    let mut chaos_spec = sc.chaos.clone();
     let highlight = match trigger {
         MigrateTrigger::Planned => {
             let (from, _) = cluster.placement(tenant);
             policy.moves.push(PlannedMove {
                 segment: 0,
                 global: tenant,
-                to_shard: (from + 1) % plan.shards,
+                to_shard: (from + 1) % shards,
             });
             format!("planned move of tenant {tenant} off shard {from}")
         }
@@ -346,13 +327,13 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>) {
     banner(&format!(
         "ne-load --migrate: {} tenants x {} services, {} requests per pair ({}+{} around the \
          barrier), seed {}, shards {}, {}{}",
-        plan.tenants,
-        plan.services,
-        plan.requests,
+        sc.tenants,
+        sc.services,
+        sc.requests,
         segments[0],
         segments[1],
-        plan.seed,
-        plan.shards,
+        sc.seed,
+        shards,
         highlight,
         chaos_spec
             .as_deref()
@@ -360,13 +341,13 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>) {
             .unwrap_or_default()
     ));
     let (accepted, timeline, log) = cluster
-        .run_segmented_closed_loop(&segments, chaos_spec.as_deref(), &policy, obs)
+        .run_segmented_closed_loop(&segments, chaos_spec.as_deref(), &policy, sc.sampler())
         .unwrap_or_else(|e| cli_error(&format!("--migrate run failed: {e}")));
     let (hr, _) = cluster
         .verify_run(accepted)
         .unwrap_or_else(|e| panic!("--migrate: {e}"));
     println!("\nsegmented closed-loop: {accepted} requests served");
-    tenant_table(&hr, plan.shards).print();
+    tenant_table(&hr, shards).print();
     println!("\nmigrations: {}", log.len());
     for r in &log {
         println!("{}", migration_line(r));
@@ -394,38 +375,27 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>) {
 /// Writes the run's `--tenants-out` export and its `--timeline-out`
 /// timeline under `label`.
 fn write_exports(tenants: &str, timeline: Option<&Timeline>, label: &str) {
-    if let Some(path) = tenants_out_path() {
-        write_or_exit("tenants export", &path, tenants);
-        println!("\ntenants export: wrote {}", path.display());
+    if let Some(path) = flag_str("--tenants-out") {
+        write_or_exit("tenants export", Path::new(&path), tenants);
+        println!("\ntenants export: wrote {path}");
     }
-    if let (Some(t), Some(path)) = (timeline, timeline_out_path()) {
-        write_or_exit("timeline export", &path, &ne_obs::to_jsonl(t, label));
-        println!("\ntimeline export: wrote {}", path.display());
+    if let (Some(t), Some(path)) = (timeline, flag_str("--timeline-out")) {
+        write_or_exit(
+            "timeline export",
+            Path::new(&path),
+            &ne_obs::to_jsonl(t, label),
+        );
+        println!("\ntimeline export: wrote {path}");
     }
 }
 
 /// Wire-client mode (`--connect`): replay the seeded streams against a
 /// running `ne-serve` front door and print the deterministic report.
-fn run_connect(addr: String) {
-    let mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
-        "closed" => ne_serve::Mode::Closed,
-        "open" => ne_serve::Mode::Open,
-        other => cli_error(&format!(
-            "--connect runs one scenario; --mode expects open|closed, got '{other}'"
-        )),
-    };
-    let cfg = ne_serve::ClientConfig {
-        addr,
-        tenants: flag_u64("--tenants").unwrap_or(4) as usize,
-        services: (flag_u64("--services").unwrap_or(2) as usize).min(ServiceKind::ALL.len()),
-        requests: flag_u64("--requests").unwrap_or(12) as usize,
-        seed: flag_u64("--seed").unwrap_or(0xC0FFEE),
-        mode,
-        tls: std::env::args().any(|a| a == "--tls"),
-        read_timeout: std::time::Duration::from_millis(
-            flag_u64("--read-timeout-ms").unwrap_or(30_000),
-        ),
-    };
+fn run_connect(addr: String, sc: &Scenario) {
+    let mut cfg = ne_serve::ClientConfig::new(addr, sc, std::env::args().any(|a| a == "--tls"));
+    if let Some(ms) = flag_u64("--read-timeout-ms") {
+        cfg.read_timeout = std::time::Duration::from_millis(ms);
+    }
     let report = ne_serve::LoadClient::new(cfg).run();
     print!("{}", report.render());
     if report.pairs.iter().any(|p| p.error.is_some()) {
@@ -442,7 +412,7 @@ fn main() {
         reject_unknown_flags(
             &[&SCENARIO[..], &["--connect", "--tls", "--read-timeout-ms"]].concat(),
         );
-        run_connect(addr);
+        run_connect(addr, &scenario_args(false).scenario);
         return;
     }
     reject_unknown_flags(
@@ -461,74 +431,59 @@ fn main() {
         ]
         .concat(),
     );
-    let plan = Plan {
-        tenants: flag_u64("--tenants").unwrap_or(4) as usize,
-        services: (flag_u64("--services").unwrap_or(2) as usize).min(ServiceKind::ALL.len()),
-        requests: flag_u64("--requests").unwrap_or(12) as usize,
-        seed: flag_u64("--seed").unwrap_or(0xC0FFEE),
-        shards: (flag_u64("--shards").unwrap_or(1) as usize).max(1),
-        chaos: flag_str("--chaos"),
-    };
-    // A malformed fault plan is bad input, refused before any run starts
-    // (the per-shard seed does not affect parsing).
-    if let Some(spec) = &plan.chaos {
-        if let Err(e) = FaultPlan::parse(spec, plan.seed) {
-            cli_error(&format!("--chaos: {e}"));
-        }
-    }
-    // The observability plane rides along only when asked for.
-    let obs = timeline_out_path().is_some().then(|| SamplerConfig {
-        window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
-    });
+    let args = scenario_args(true);
+    let (sc, shards) = (&args.scenario, args.shards);
     if let Some(spec) = flag_str("--migrate") {
-        run_migrate(&spec, &plan, obs);
+        run_migrate(&spec, sc, shards);
         return;
     }
-    let mode = flag_str("--mode").unwrap_or_else(|| "both".to_string());
-    let labels: &[&str] = match mode.as_str() {
-        "open" => &["open-loop"],
-        "closed" => &["closed-loop"],
-        "both" => &["open-loop", "closed-loop"],
-        other => cli_error(&format!("--mode expects open|closed|both, got '{other}'")),
-    };
     banner(&format!(
         // The host always reserves a switchless worker core.
         "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless true{}{}",
-        plan.tenants,
-        plan.services,
-        plan.requests,
-        plan.seed,
+        sc.tenants,
+        sc.services,
+        sc.requests,
+        sc.seed,
         // Only announced when actually sharded, so one-shard stdout stays
         // byte-identical to the pre-cluster harness.
-        if plan.shards > 1 {
-            format!(", shards {}", plan.shards)
+        if shards > 1 {
+            format!(", shards {shards}")
         } else {
             String::new()
         },
-        plan.chaos
+        sc.chaos
             .as_deref()
             .map(|c| format!(", chaos {c}"))
             .unwrap_or_default()
     ));
     let mut report = MetricsReport::new("ne-load");
     let mut bundles = None;
-    let mut last = None;
-    for &label in labels {
+    let mut exports = None;
+    for &mode in &args.modes {
         // The traced run: the closed loop has the cleanest span structure
         // (no overlapping idle-advance from future arrivals).
-        let traced = want_trace() && label == "closed-loop";
-        let (export, b, timeline) = run(label, &plan, &mut report, traced, obs);
+        let traced = want_trace() && mode == ne_cluster::Mode::Closed;
+        let (export, b, timeline) = run(
+            &Scenario { mode, ..sc.clone() },
+            shards,
+            &mut report,
+            traced,
+        );
         if traced {
             bundles = b;
         }
-        last = Some((label, export, timeline));
+        exports = Some((export, timeline));
     }
     if want_trace() {
         write_shard_traces(bundles.as_deref().unwrap_or(&[]));
     }
-    // The exports describe the *last* run.
-    let (label, export, timeline) = last.expect("every --mode runs at least one scenario");
-    write_exports(&export, timeline.as_ref(), &format!("ne-load-{label}"));
+    // The exports describe the *last* run, whose mode the scenario holds.
+    let (export, timeline) = exports.expect("every --mode runs at least one scenario");
+    write_exports(
+        &export,
+        timeline.as_ref(),
+        &format!("ne-load-{}", sc.mode.name()),
+    );
     report.finish();
 }
 

@@ -5,59 +5,40 @@
 //! serves the seeded scenario over the wire; `ne-serve --oracle` runs
 //! the identical scenario entirely in-process. Both write the same
 //! three exports — `ne-tenants/v1`, `ne-metrics/v2`, and (with
-//! `--window`) `ne-obs/v1` — and the headline invariant is that the two
-//! paths produce **byte-identical** files (the `wire_oracle` tests hold
-//! them to it, and CI diffs a `--tls` wire run's exports against the
-//! oracle's committed `results/ne-serve.*`).
+//! `--timeline-out`) `ne-obs/v1` — and the headline invariant is that
+//! the two paths produce **byte-identical** files (the `wire_oracle`
+//! tests hold them to it, and CI diffs a `--tls` wire run's exports
+//! against the oracle's committed `results/ne-serve.*`).
 //!
 //! Flags: `--listen ADDR` (default `127.0.0.1:0`) or `--oracle`;
-//! scenario: `--tenants N` (default 2), `--services N` (default 2,
-//! capped at the 3 service kinds), `--requests N` per pair (default
-//! 12), `--seed S`, `--mode closed|open` (default closed),
-//! `--chaos <spec>`, `--window <cycles>`; wire:
-//! `--tls`, `--read-timeout-ms N` (default 5000), `--accept-timeout-ms
-//! N` (default 30000), `--addr-out <path>` (writes the bound address
-//! once listening, so scripts can use an ephemeral port); exports:
-//! `--tenants-out`, `--metrics-out`, `--timeline-out`.
+//! scenario, read by [`ne_bench::report::parse_scenario`] with the
+//! defaults `ne-load` has: `--tenants N` (default 4, at most 255),
+//! `--services N` (default 2, capped at the 3 service kinds),
+//! `--requests N` per pair (default 12, at most `u32::MAX`), `--seed S`
+//! (default `0xC0FFEE`), `--mode closed|open` (default closed),
+//! `--chaos <spec>`, `--window <cycles>` (default 2,000,000; only with
+//! `--timeline-out`); wire: `--tls`, `--read-timeout-ms N` (default
+//! 5000), `--accept-timeout-ms N` (default 30000), `--addr-out <path>`
+//! (writes the bound address once listening, so scripts can use an
+//! ephemeral port); exports: `--tenants-out`, `--metrics-out`,
+//! `--timeline-out`.
 //!
 //! `--oracle` refuses the wire-only flags (`--listen`, `--addr-out` and
 //! the two timeouts).
 //!
-//! Bad input and I/O failures (an unknown flag, a non-integer number,
-//! an unknown `--mode`, an unwritable `--addr-out` or export path, a
+//! Bad input and I/O failures (an unknown flag, a non-integer number, a
+//! count out of range, an unknown `--mode`, `--window` without
+//! `--timeline-out`, an unwritable `--addr-out` or export path, a
 //! failed bind or run) end the process with a one-line `error: ...` on
 //! stderr and exit status 2.
 
 use std::path::Path;
 use std::time::Duration;
 
-use ne_bench::report::{cli_error, flag_str, flag_u64, reject_unknown_flags, write_or_exit};
-use ne_serve::oracle::run_oracle;
-use ne_serve::{FrontDoor, Mode, ServeConfig, ServeOutcome};
-
-fn config() -> ServeConfig {
-    let mut cfg = ServeConfig::new(
-        flag_u64("--tenants").unwrap_or(2) as usize,
-        (flag_u64("--services").unwrap_or(2) as usize).min(3),
-        flag_u64("--requests").unwrap_or(12) as usize,
-        flag_u64("--seed").unwrap_or(0xC0FFEE),
-    );
-    cfg.mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
-        "closed" => Mode::Closed,
-        "open" => Mode::Open,
-        other => cli_error(&format!("--mode expects closed|open, got '{other}'")),
-    };
-    cfg.tls = std::env::args().any(|a| a == "--tls");
-    cfg.chaos = flag_str("--chaos");
-    cfg.window = flag_u64("--window");
-    if let Some(ms) = flag_u64("--read-timeout-ms") {
-        cfg.read_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = flag_u64("--accept-timeout-ms") {
-        cfg.accept_timeout = Duration::from_millis(ms);
-    }
-    cfg
-}
+use ne_bench::report::{
+    cli_error, flag_str, flag_u64, reject_unknown_flags, scenario_args, write_or_exit,
+};
+use ne_serve::{run_oracle, FrontDoor, ServeConfig, ServeOutcome};
 
 /// Writes the export `flag` names, if it was given.
 fn write_out(flag: &str, what: &str, payload: &str) {
@@ -78,9 +59,9 @@ fn finish(outcome: &ServeOutcome) {
     );
     write_out("--tenants-out", "tenants export", &outcome.tenants_export);
     write_out("--metrics-out", "metrics", &outcome.metrics_json);
-    if let Some(jsonl) = &outcome.timeline_jsonl {
-        write_out("--timeline-out", "timeline export", jsonl);
-    }
+    // A timeline is collected exactly when `--timeline-out` names a path.
+    let timeline = outcome.timeline_jsonl.as_deref().unwrap_or_default();
+    write_out("--timeline-out", "timeline export", timeline);
 }
 
 /// The scenario and export flags both modes read.
@@ -113,24 +94,33 @@ fn main() {
         ]
     };
     reject_unknown_flags(&[&SHARED[..], own].concat());
-    let cfg = config();
+    let sc = scenario_args(false).scenario;
+    let tls = std::env::args().any(|a| a == "--tls");
     println!(
         "ne-serve ({}): {} tenants x {} services, {} requests per pair, seed {}, mode {}, tls {}{}",
         if oracle { "oracle" } else { "wire" },
-        cfg.tenants,
-        cfg.services,
-        cfg.requests,
-        cfg.seed,
-        cfg.mode.name(),
-        if cfg.tls { "on" } else { "off" },
-        cfg.chaos
+        sc.tenants,
+        sc.services,
+        sc.requests,
+        sc.seed,
+        sc.mode.name(),
+        if tls { "on" } else { "off" },
+        sc.chaos
             .as_deref()
             .map(|c| format!(", chaos {c}"))
             .unwrap_or_default(),
     );
     let outcome = if oracle {
-        run_oracle(&cfg).unwrap_or_else(|e| cli_error(&format!("oracle run failed: {e}")))
+        run_oracle(&sc).unwrap_or_else(|e| cli_error(&format!("oracle run failed: {e}")))
     } else {
+        let mut cfg = ServeConfig::for_scenario(sc);
+        cfg.tls = tls;
+        if let Some(ms) = flag_u64("--read-timeout-ms") {
+            cfg.read_timeout = Duration::from_millis(ms);
+        }
+        if let Some(ms) = flag_u64("--accept-timeout-ms") {
+            cfg.accept_timeout = Duration::from_millis(ms);
+        }
         let listen = flag_str("--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
         let door = FrontDoor::bind(cfg, &listen)
             .unwrap_or_else(|e| cli_error(&format!("cannot bind {listen}: {e}")));

@@ -176,6 +176,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            // RFC 8259 § 7: control characters must be escaped.
+            c if c < 0x20 => return Err(format!("raw control character 0x{c:02x} in a string")),
             _ => {
                 // Consume one UTF-8 scalar (input is a valid &str).
                 let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;

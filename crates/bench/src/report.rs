@@ -16,7 +16,11 @@
 //! Each binary names the flags it reads in [`reject_unknown_flags`]; any
 //! other `--` argument ends it with exit status 2.
 
-use ne_sgx::metrics::{CycleCategory, MachineMetrics};
+use ne_cluster::{Mode, Scenario};
+use ne_host::ServiceKind;
+use ne_obs::SamplerConfig;
+use ne_sgx::fault::FaultPlan;
+use ne_sgx::metrics::{json_escape, CycleCategory, MachineMetrics};
 use ne_sgx::profile::ProfileEvent;
 use ne_sgx::spantree::TraceBundle;
 use std::path::{Path, PathBuf};
@@ -149,15 +153,12 @@ impl MetricsReport {
         out.push_str(&format!("  \"schema\": \"{REPORT_SCHEMA}\",\n"));
         out.push_str(&format!(
             "  \"experiment\": \"{}\",\n",
-            self.experiment.replace('\\', "\\\\").replace('"', "\\\"")
+            json_escape(&self.experiment)
         ));
         out.push_str("  \"runs\": [\n");
         for (i, (label, m)) in self.runs.iter().enumerate() {
             out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"label\": \"{}\",\n",
-                label.replace('\\', "\\\\").replace('"', "\\\"")
-            ));
+            out.push_str(&format!("      \"label\": \"{}\",\n", json_escape(label)));
             out.push_str(&format!(
                 "      \"metrics\": {}\n",
                 indent_tail(&m.to_json(), 6)
@@ -253,19 +254,6 @@ pub fn write_shard_traces(bundles: &[TraceBundle]) {
     }
 }
 
-/// Parses `--tenants-out <path>` — the canonical per-tenant export
-/// (`ne-tenants/v1`), byte-identical at every shard count for a clean
-/// closed-loop run.
-pub fn tenants_out_path() -> Option<PathBuf> {
-    flag_path("--tenants-out")
-}
-
-/// Parses `--timeline-out <path>` — destination for the `ne-obs/v1`
-/// windowed timeline export, which `ne-profile timeline` renders.
-pub fn timeline_out_path() -> Option<PathBuf> {
-    flag_path("--timeline-out")
-}
-
 /// Ends the process with `error: unknown flag --x` and exit status 2 if
 /// any `--` argument is not one of `known`, the flags the binary reads.
 /// Call it first in `main`: a mistyped or retired flag would otherwise
@@ -300,12 +288,12 @@ pub fn cli_error(msg: &str) -> ! {
 /// The flag is present without a value: it is the last argument, or
 /// its value is empty (`--flag=`). Reading either as "absent" would
 /// silently drop an export or run the default seed.
-fn scan_flag(args: impl IntoIterator<Item = String>, flag: &str) -> Result<Option<String>, String> {
+fn scan_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
     let prefix = format!("{flag}=");
-    let mut args = args.into_iter();
+    let mut args = args.iter();
     while let Some(a) = args.next() {
         let value = if a == flag {
-            args.next()
+            args.next().cloned()
         } else if let Some(v) = a.strip_prefix(&prefix) {
             Some(v.to_string())
         } else {
@@ -324,25 +312,116 @@ fn scan_flag(args: impl IntoIterator<Item = String>, flag: &str) -> Result<Optio
 /// or `--flag=`) ends the process with an error on stderr and exit
 /// status 2.
 pub fn flag_str(flag: &str) -> Option<String> {
-    scan_flag(std::env::args(), flag).unwrap_or_else(|e| cli_error(&e))
+    scan_flag(&args(), flag).unwrap_or_else(|e| cli_error(&e))
+}
+
+/// The process arguments.
+fn args() -> Vec<String> {
+    std::env::args().collect()
 }
 
 fn flag_path(flag: &str) -> Option<PathBuf> {
     flag_str(flag).map(PathBuf::from)
 }
 
-/// Parses an integer flag (`--flag 7` or `--flag=7`) from the process
-/// arguments. Used by the experiment binaries for `--seed` and the
-/// load-generator knobs, so every binary parses them identically.
-///
-/// A value that is not an unsigned integer ends the process with an
-/// error on stderr and exit status 2 — a silently ignored seed would
-/// make a "seeded" run unreproducible.
-pub fn flag_u64(flag: &str) -> Option<u64> {
-    flag_str(flag).map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            cli_error(&format!("{flag} expects an unsigned integer, got '{v}'"))
+/// Finds an integer flag in `args`; a valueless or non-integer one is an
+/// error (a silently ignored seed would make a "seeded" run
+/// unreproducible).
+fn scan_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    scan_flag(args, flag)?
+        .map(|v| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{flag} expects an unsigned integer, got '{v}'"))
         })
+        .transpose()
+}
+
+/// Parses an integer flag (`--flag 7` or `--flag=7`) from the process
+/// arguments. A malformed value ends the process with an error on stderr
+/// and exit status 2.
+pub fn flag_u64(flag: &str) -> Option<u64> {
+    scan_u64(&args(), flag).unwrap_or_else(|e| cli_error(&e))
+}
+
+/// What the scenario flags of `ne-load` and `ne-serve` describe.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioArgs {
+    /// The scenario; its mode is that of the last run in `modes`.
+    pub scenario: Scenario,
+    /// The runs `--mode` asks for, in order.
+    pub modes: Vec<Mode>,
+    /// Machine shards (`--shards`).
+    pub shards: usize,
+}
+
+/// Parses the scenario flags from the process arguments (see
+/// [`parse_scenario`]). Bad input ends the process with a one-line error
+/// on stderr and exit status 2.
+pub fn scenario_args(both: bool) -> ScenarioArgs {
+    parse_scenario(&args(), both).unwrap_or_else(|e| cli_error(&e))
+}
+
+/// The one parser of the scenario flags, with one defaults table:
+/// `--tenants` 4, `--services` 2 (capped at the [`ServiceKind`]s),
+/// `--requests` 12, `--seed` `0xC0FFEE`, `--shards` 1, `--mode` `closed`,
+/// or `both` (open loop, then closed loop) when `both` allows it.
+/// `--timeline-out` turns the timeline on, at `--window` cycles or the
+/// [`SamplerConfig`] default.
+///
+/// # Errors
+///
+/// A malformed value, a count out of range (over 255 tenants, over
+/// `u32::MAX` requests, more shards than tenants), an unknown mode, a
+/// malformed `--chaos` spec, or a `--window` without `--timeline-out`.
+pub fn parse_scenario(args: &[String], both: bool) -> Result<ScenarioArgs, String> {
+    let count = |flag: &str, default: u64, max: u64| -> Result<usize, String> {
+        match scan_u64(args, flag)?.unwrap_or(default) {
+            v if v > max => Err(format!("{flag} {v} is out of range (at most {max})")),
+            v => Ok(v as usize),
+        }
+    };
+    // `standard_specs` gives tenant `i` the `u8` priority `tenants - i`.
+    let tenants = count("--tenants", 4, u8::MAX.into())?;
+    let services =
+        scan_u64(args, "--services")?.map_or(2, |v| v.min(ServiceKind::ALL.len() as u64));
+    // The wire Hello carries the per-pair count as a `u32`.
+    let requests = count("--requests", 12, u32::MAX.into())?;
+    let seed = scan_u64(args, "--seed")?.unwrap_or(0xC0FFEE);
+    // Every shard is one OS thread and one simulated machine; a shard
+    // past the tenant count would hold no tenant.
+    let shards = count("--shards", 1, tenants.max(1) as u64)?.max(1);
+    let modes = match (scan_flag(args, "--mode")?.as_deref(), both) {
+        (Some("open"), _) => vec![Mode::Open],
+        (Some("closed"), _) | (None, false) => vec![Mode::Closed],
+        (Some("both") | None, true) => vec![Mode::Open, Mode::Closed],
+        (Some(other), true) => {
+            return Err(format!("--mode expects open|closed|both, got '{other}'"))
+        }
+        (Some(other), false) => return Err(format!("--mode expects open|closed, got '{other}'")),
+    };
+    let chaos = scan_flag(args, "--chaos")?;
+    // The per-shard seed does not affect parsing.
+    if let Some(spec) = &chaos {
+        FaultPlan::parse(spec, seed).map_err(|e| format!("--chaos: {e}"))?;
+    }
+    let window = match (
+        scan_flag(args, "--timeline-out")?,
+        scan_u64(args, "--window")?,
+    ) {
+        (Some(_), window) => Some(window.unwrap_or(SamplerConfig::default().window_cycles)),
+        (None, Some(_)) => return Err("--window needs --timeline-out".to_string()),
+        (None, None) => None,
+    };
+    let scenario = Scenario {
+        mode: *modes.last().expect("every --mode names a run"),
+        chaos,
+        window,
+        ..Scenario::new(tenants, services as usize, requests, seed)
+    };
+    Ok(ScenarioArgs {
+        scenario,
+        modes,
+        shards,
     })
 }
 
@@ -531,21 +610,21 @@ mod tests {
     fn scan_flag_reads_both_value_forms() {
         let flag = "--metrics-out";
         let spaced = args(&["bin", "--metrics-out", "m.json", "--full"]);
-        assert_eq!(scan_flag(spaced, flag), Ok(Some("m.json".to_string())));
+        assert_eq!(scan_flag(&spaced, flag), Ok(Some("m.json".to_string())));
         let joined = args(&["bin", "--full", "--metrics-out=m.json"]);
-        assert_eq!(scan_flag(joined, flag), Ok(Some("m.json".to_string())));
-        assert_eq!(scan_flag(args(&["bin", "--full"]), flag), Ok(None));
+        assert_eq!(scan_flag(&joined, flag), Ok(Some("m.json".to_string())));
+        assert_eq!(scan_flag(&args(&["bin", "--full"]), flag), Ok(None));
     }
 
     #[test]
     fn scan_flag_refuses_a_trailing_flag() {
-        let err = scan_flag(args(&["bin", "--full", "--metrics-out"]), "--metrics-out");
+        let err = scan_flag(&args(&["bin", "--full", "--metrics-out"]), "--metrics-out");
         assert_eq!(err, Err("--metrics-out expects a value".to_string()));
     }
 
     #[test]
     fn scan_flag_refuses_an_empty_joined_value() {
-        let err = scan_flag(args(&["bin", "--seed=", "--full"]), "--seed");
+        let err = scan_flag(&args(&["bin", "--seed=", "--full"]), "--seed");
         assert_eq!(err, Err("--seed expects a value".to_string()));
     }
 

@@ -23,6 +23,11 @@ fn assert_cli_error(bin: &str, args: &[&str], message: &str) {
     let (code, stderr) = run(bin, args);
     assert_eq!(code, Some(2), "{bin} {args:?}, stderr: {stderr}");
     assert!(stderr.contains(message), "{bin} {args:?}, stderr: {stderr}");
+    assert_eq!(
+        stderr.lines().count(),
+        1,
+        "{bin} {args:?}, stderr: {stderr}"
+    );
     assert!(
         !stderr.contains("panicked"),
         "{bin} {args:?}, stderr: {stderr}"
@@ -168,7 +173,7 @@ fn ne_serve_unknown_mode_exits_2() {
     assert_cli_error(
         NE_SERVE,
         &["--oracle", "--mode", "sideways"],
-        "--mode expects closed|open, got 'sideways'",
+        "--mode expects open|closed, got 'sideways'",
     );
 }
 
@@ -258,4 +263,77 @@ fn ne_serve_oracle_refuses_the_wire_flags() {
             &format!("unknown flag {flag}"),
         );
     }
+}
+
+/// `--window` sets the length of a timeline that only `--timeline-out`
+/// asks for; alone it would be silently ignored.
+#[test]
+fn window_without_timeline_out_exits_2() {
+    let message = "--window needs --timeline-out";
+    assert_ne_load_error(&["--window", "500000"], message);
+    assert_cli_error(
+        NE_SERVE,
+        &["--oracle", "--tenants", "1", "--window", "500000"],
+        message,
+    );
+    assert_cli_error(
+        NE_SERVE,
+        &["--listen", "127.0.0.1:0", "--window", "500000"],
+        message,
+    );
+}
+
+/// `--timeline-out` alone writes the timeline at the default window.
+#[test]
+fn ne_serve_timeline_out_alone_writes_the_timeline() {
+    let path = std::env::temp_dir().join(format!("ne-serve-timeline-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let args = [
+        "--oracle",
+        "--tenants",
+        "2",
+        "--services",
+        "2",
+        "--requests",
+        "4",
+        "--seed",
+        "7",
+        "--timeline-out",
+        path.to_str().expect("utf-8 temp path"),
+    ];
+    let (code, stderr) = run(NE_SERVE, &args);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let timeline = std::fs::read_to_string(&path).expect("timeline written");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        timeline.starts_with("{\"schema\":\"ne-obs/v1\""),
+        "{timeline}"
+    );
+    assert!(
+        timeline.contains("\"window_cycles\":2000000,"),
+        "{timeline}"
+    );
+}
+
+/// A count past its bound is refused before anything is built: the
+/// tenant count would otherwise abort while allocating the population.
+#[test]
+fn out_of_range_counts_exit_2() {
+    assert_cli_error(
+        NE_LOAD,
+        &["--mode", "closed", "--tenants", "100000000000"],
+        "--tenants 100000000000 is out of range (at most 255)",
+    );
+    assert_cli_error(
+        NE_LOAD,
+        &["--connect", "127.0.0.1:9", "--requests", "4294967296"],
+        "--requests 4294967296 is out of range (at most 4294967295)",
+    );
+    assert_cli_error(
+        NE_SERVE,
+        &["--oracle", "--tenants", "256"],
+        "--tenants 256 is out of range (at most 255)",
+    );
+    // One shard per tenant at most; refused before any shard thread.
+    assert_ne_load_error(&["--shards", "2"], "--shards 2 is out of range (at most 1)");
 }

@@ -137,3 +137,30 @@ fn wrapped_ring_still_exports_well_formed_json() {
         "truncation must be visible in the export"
     );
 }
+
+#[test]
+fn hostile_span_labels_stay_inside_their_strings() {
+    // Quotes, backslashes and control characters in a label are escaped,
+    // so the trace still parses (the parser refuses raw control
+    // characters) and the name reads back unchanged.
+    const HOSTILE: &str = "a\"b\\c\nd\u{1}";
+    let mut cfg = HwConfig::small();
+    cfg.trace_events = true;
+    let mut m = Machine::new(cfg);
+    let span = m.span_begin(0, SpanKind::Ecall, HOSTILE);
+    m.charge(0, 10);
+    m.span_end(0, span);
+    let chrome_json = SpanTree::reconstruct(m.trace()).to_chrome_json(m.config().cost.clock_ghz);
+    assert_eq!(validate(&chrome_json), (1, 1));
+    let doc = json::parse(&chrome_json).expect("chrome trace must parse");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("events");
+    let want = format!("ecall:{HOSTILE}");
+    let named = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some(want.as_str()))
+        .count();
+    assert_eq!(named, 2, "the B and E events carry the label unchanged");
+}

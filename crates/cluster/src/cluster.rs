@@ -7,7 +7,7 @@
 //! presented in global-tenant order — sorted by tenant id everywhere,
 //! never in shard or hash order.
 
-use crate::drive::{self, FactorySource, RequestSource};
+use crate::drive::{self, FactorySource, Mode, RequestSource, Scenario};
 use crate::migrate::MigrationPolicy;
 use crate::ring::{shard_seed, ShardRing};
 use ne_host::scheduler::SchedulerStats;
@@ -41,6 +41,14 @@ impl ClusterConfig {
             host: HostConfig::new(tenants),
             shards,
         }
+    }
+
+    /// The scenario's tenant population and seed on `shards` shards.
+    pub fn for_scenario(scenario: &Scenario, shards: usize) -> ClusterConfig {
+        let specs = drive::standard_specs(scenario.tenants, scenario.services);
+        let mut cfg = ClusterConfig::new(specs, shards);
+        cfg.host.seed = scenario.seed;
+        cfg
     }
 }
 
@@ -239,11 +247,6 @@ impl Cluster {
         self.assignment.len()
     }
 
-    /// The base seed the cluster was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The shards, in shard order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
@@ -307,42 +310,29 @@ impl Cluster {
         })
     }
 
-    /// Drives the closed-loop scenario ([`drive::closed_loop`]) on every
-    /// shard in parallel until each pair has served `requests`: the
-    /// one-segment case of [`Cluster::run_segmented_closed_loop`], so no
-    /// barrier runs. `chaos` is a fault-plan spec, seeded per shard from
-    /// [`Shard::chaos_seed`]; `obs` attaches a sampler per shard, which
-    /// only reads, so every other export is byte-identical without it.
-    /// Returns total accepted and the folded timeline (`Some` iff `obs`).
+    /// Runs `scenario`'s traffic, chaos and window by its mode on every
+    /// shard in parallel (the population and seed are the cluster's own):
+    /// the closed loop is the one-segment case of
+    /// [`Cluster::run_segmented_closed_loop`], the open loop plays each
+    /// shard's share of [`Cluster::open_schedules`]. Returns total
+    /// accepted and the folded timeline (`Some` iff a window is set).
     ///
     /// # Errors
     ///
     /// A malformed chaos spec, or a shard's drive error tagged with its
     /// shard id.
-    pub fn run_closed_loop(
-        &mut self,
-        requests: usize,
-        chaos: Option<&str>,
-        obs: Option<SamplerConfig>,
-    ) -> Result<(u64, Option<Timeline>), String> {
-        let (accepted, timeline, _) =
-            self.run_segmented_closed_loop(&[requests], chaos, &MigrationPolicy::default(), obs)?;
-        Ok((accepted, timeline))
-    }
-
-    /// Drives the open-loop scenario ([`drive::open_loop`]): every shard
-    /// plays its share of [`Cluster::open_schedules`] in parallel.
-    /// Arguments and result as in [`Cluster::run_closed_loop`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::run_closed_loop`].
-    pub fn run_open_loop(
-        &mut self,
-        requests: usize,
-        chaos: Option<&str>,
-        obs: Option<SamplerConfig>,
-    ) -> Result<(u64, Option<Timeline>), String> {
+    pub fn run(&mut self, scenario: &Scenario) -> Result<(u64, Option<Timeline>), String> {
+        let (requests, chaos, obs) = (
+            scenario.requests,
+            scenario.chaos.as_deref(),
+            scenario.sampler(),
+        );
+        if scenario.mode == Mode::Closed {
+            let policy = MigrationPolicy::default();
+            let (accepted, timeline, _) =
+                self.run_segmented_closed_loop(&[requests], chaos, &policy, obs)?;
+            return Ok((accepted, timeline));
+        }
         let plans = self.chaos_plans(chaos)?;
         let payloads = self.open_schedules(requests).into_iter().zip(plans);
         let seed = self.seed;

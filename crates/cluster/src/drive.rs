@@ -20,7 +20,7 @@ use crate::cluster::Shard;
 use ne_host::{
     Completion, HostError, HostResult, HostServer, RequestFactory, ServiceKind, TenantSpec,
 };
-use ne_obs::Sampler;
+use ne_obs::{Sampler, SamplerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,6 +34,71 @@ pub const MEAN_GAP_CYCLES: f64 = 120_000.0;
 /// `ne-load` so the global schedule is byte-identical to the unsharded
 /// harness's.
 pub const OPEN_LOOP_SALT: u64 = 0x5EED_AD11;
+
+/// Arrival process of a serving run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// One client per (tenant, service), next request at the previous
+    /// completion time.
+    Closed,
+    /// Seeded Poisson arrivals offered regardless of completions.
+    Open,
+}
+
+impl Mode {
+    /// Stable name, also used in run and export labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Closed => "closed-loop",
+            Mode::Open => "open-loop",
+        }
+    }
+}
+
+/// A seeded serving scenario: the population ([`standard_specs`]), its
+/// traffic, chaos and timeline. `ne-load`, `ne-serve` (wire and
+/// oracle), the wire Hello and [`crate::Cluster::run`] all read one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scenario {
+    /// Number of tenants.
+    pub tenants: usize,
+    /// Services per tenant.
+    pub services: usize,
+    /// Measured requests per (tenant, service) pair.
+    pub requests: usize,
+    /// Base seed of every generator stream.
+    pub seed: u64,
+    /// Arrival process.
+    pub mode: Mode,
+    /// Fault-plan spec installed after warmup (see
+    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded per shard from
+    /// [`crate::Shard::chaos_seed`].
+    pub chaos: Option<String>,
+    /// Window length of the `ne-obs/v1` timeline; `Some` exactly when a
+    /// timeline is collected.
+    pub window: Option<u64>,
+}
+
+impl Scenario {
+    /// A closed-loop scenario with no chaos and no timeline.
+    pub fn new(tenants: usize, services: usize, requests: usize, seed: u64) -> Scenario {
+        Scenario {
+            tenants,
+            services,
+            requests,
+            seed,
+            mode: Mode::Closed,
+            chaos: None,
+            window: None,
+        }
+    }
+
+    /// The sampler [`Scenario::window`] asks for.
+    pub fn sampler(&self) -> Option<SamplerConfig> {
+        self.window
+            .map(|window_cycles| SamplerConfig { window_cycles })
+    }
+}
 
 /// The standard tenant population the load harnesses use: `tenant{i}`
 /// with priority `tenants - i` (earlier tenants more important) and

@@ -42,9 +42,11 @@
 //! exports, same bytes), which is the regression test that keeps the
 //! pre-shard committed outputs valid.
 //!
-//! Every run, in-process ([`Cluster::run_closed_loop`],
-//! [`Cluster::run_open_loop`], [`Cluster::run_segmented_closed_loop`])
-//! or over the `ne-serve` wire, follows one per-shard sequence:
+//! A run is described by one [`Scenario`]: the population
+//! ([`ClusterConfig::for_scenario`]), its traffic, chaos and timeline
+//! window. Every run, in-process ([`Cluster::run`],
+//! [`Cluster::run_segmented_closed_loop`]) or over the `ne-serve` wire,
+//! follows one per-shard sequence:
 //! [`Shard::prologue`], a [`drive`] loop pulling from a
 //! [`drive::RequestSource`], then [`Cluster::finish_samplers`].
 
@@ -54,6 +56,7 @@ pub mod migrate;
 pub mod ring;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, GlobalTenantReport, Shard};
+pub use drive::{Mode, Scenario};
 pub use migrate::{
     MigrationOutcome, MigrationPolicy, MigrationRecord, MigrationTrigger, PlannedMove,
 };

@@ -319,8 +319,9 @@ impl Cluster {
     /// [`FactorySource`] armed over the shard's factory rows. Between
     /// segments, with all shards drained, a barrier executes that round's
     /// migrations (planned, EPC-pressure, chaos-injected). `chaos` and
-    /// `obs` as in [`Cluster::run_closed_loop`]; a migrating tenant hands
-    /// its window cursor to the destination sampler, so the timeline
+    /// `obs` are [`Scenario::chaos`](crate::Scenario::chaos) and
+    /// [`Scenario::sampler`](crate::Scenario::sampler) as in
+    /// [`Cluster::run`]; a migrating tenant hands its window cursor to the destination sampler, so the timeline
     /// keeps one totals line per tenant. Returns total accepted, the
     /// folded timeline, and the migration log.
     ///

@@ -1,5 +1,5 @@
-//! The one-loop equivalence oracle: [`Cluster::run_closed_loop`] and
-//! [`Cluster::run_open_loop`], which drive the [`RequestSource`] loops
+//! The one-loop equivalence oracle: [`Cluster::run`] in both modes,
+//! which drives the [`RequestSource`] loops
 //! ([`drive::warmup`], [`drive::closed_loop`], [`drive::open_loop`])
 //! from a [`drive::FactorySource`], must be **byte-identical** to
 //! the reference factory loops below in every export — accepted counts,
@@ -11,16 +11,23 @@
 //! wire source only has to match `FactorySource`, and this test pins
 //! `FactorySource` and the shared per-shard sequence to the reference.
 
-use ne_cluster::{drive, Cluster, ClusterConfig, Shard};
+use ne_cluster::{drive, Cluster, ClusterConfig, Mode, Scenario, Shard};
 use ne_host::RequestFactory;
 use ne_sgx::fault::FaultPlan;
 
 const SEED: u64 = 0x5E12_4E57;
 
-fn build(tenants: usize, services: usize) -> Cluster {
-    let mut cfg = ClusterConfig::new(drive::standard_specs(tenants, services), 1);
-    cfg.host.seed = SEED;
-    Cluster::build(cfg).expect("cluster build")
+/// 3 tenants × 2 services × 5 requests in `mode`, under `chaos`.
+fn scenario(mode: Mode, chaos: Option<&str>) -> Scenario {
+    Scenario {
+        mode,
+        chaos: chaos.map(str::to_string),
+        ..Scenario::new(3, 2, 5, SEED)
+    }
+}
+
+fn build(sc: &Scenario) -> Cluster {
+    Cluster::build(ClusterConfig::for_scenario(sc, 1)).expect("cluster build")
 }
 
 fn exports(cluster: &Cluster) -> (String, String) {
@@ -137,16 +144,14 @@ fn reference_closed_loop(
 /// Runs `body` on shard 0 of a fresh cluster after the reference warmup
 /// and the shard's chaos plan; returns accepted and the exports.
 fn reference_run(
-    tenants: usize,
-    services: usize,
-    chaos: Option<&str>,
+    sc: &Scenario,
     body: impl FnOnce(&mut Shard, &mut [Vec<RequestFactory>]) -> u64,
 ) -> (u64, (String, String)) {
-    let mut cluster = build(tenants, services);
+    let mut cluster = build(sc);
     let shard = &mut cluster.shards_mut()[0];
     let mut factories = drive::factories(shard, SEED);
     reference_warmup(shard, &mut factories);
-    if let Some(spec) = chaos {
+    if let Some(spec) = &sc.chaos {
         let plan = FaultPlan::parse(spec, shard.chaos_seed).expect("chaos spec");
         shard.server.install_chaos(plan);
     }
@@ -156,24 +161,24 @@ fn reference_run(
 
 /// The one closed loop on one cluster, the reference on another; same
 /// bytes out.
-fn assert_closed_equivalent(tenants: usize, services: usize, requests: usize, chaos: Option<&str>) {
-    let mut one = build(tenants, services);
-    let (accepted, _) = one
-        .run_closed_loop(requests, chaos, None)
-        .expect("closed run");
-    let expected = reference_run(tenants, services, chaos, |shard, factories| {
-        reference_closed_loop(shard, factories, requests)
+fn assert_closed_equivalent(chaos: Option<&str>) {
+    let sc = scenario(Mode::Closed, chaos);
+    let mut one = build(&sc);
+    let (accepted, _) = one.run(&sc).expect("closed run");
+    let expected = reference_run(&sc, |shard, factories| {
+        reference_closed_loop(shard, factories, sc.requests)
     });
     assert_eq!(accepted, expected.0, "accepted diverged");
     assert_eq!(exports(&one), expected.1, "exports diverged");
 }
 
 /// The one open loop vs the reference over the same global schedule.
-fn assert_open_equivalent(tenants: usize, services: usize, requests: usize, chaos: Option<&str>) {
-    let mut one = build(tenants, services);
-    let schedule = one.open_schedules(requests).remove(0);
-    let (accepted, _) = one.run_open_loop(requests, chaos, None).expect("open run");
-    let expected = reference_run(tenants, services, chaos, |shard, factories| {
+fn assert_open_equivalent(chaos: Option<&str>) {
+    let sc = scenario(Mode::Open, chaos);
+    let mut one = build(&sc);
+    let schedule = one.open_schedules(sc.requests).remove(0);
+    let (accepted, _) = one.run(&sc).expect("open run");
+    let expected = reference_run(&sc, |shard, factories| {
         reference_open_loop(shard, factories, &schedule)
     });
     assert_eq!(accepted, expected.0, "accepted diverged");
@@ -182,12 +187,12 @@ fn assert_open_equivalent(tenants: usize, services: usize, requests: usize, chao
 
 #[test]
 fn closed_loop_matches_reference() {
-    assert_closed_equivalent(3, 2, 5, None);
+    assert_closed_equivalent(None);
 }
 
 #[test]
 fn open_loop_matches_reference() {
-    assert_open_equivalent(3, 2, 5, None);
+    assert_open_equivalent(None);
 }
 
 #[test]
@@ -195,14 +200,14 @@ fn closed_loop_matches_reference_under_chaos() {
     // crash sheds whole tenants mid-run; the one loop must take the
     // exact same counter path (including rejected resubmits).
     for spec in ["aex+evict", "crash:3", "aex:2+mac:5+stall:4"] {
-        assert_closed_equivalent(3, 2, 5, Some(spec));
+        assert_closed_equivalent(Some(spec));
     }
 }
 
 #[test]
 fn open_loop_matches_reference_under_chaos() {
     for spec in ["aex+evict", "crash:3"] {
-        assert_open_equivalent(3, 2, 5, Some(spec));
+        assert_open_equivalent(Some(spec));
     }
 }
 
@@ -217,7 +222,7 @@ fn warmup_rejection_is_a_typed_error() {
         .collect();
     let mut cluster = Cluster::build(ClusterConfig::new(specs, 1)).expect("cluster build");
     let err = cluster
-        .run_closed_loop(2, None, None)
+        .run(&Scenario::new(1, 1, 2, SEED))
         .expect_err("a zero queue bound cannot warm up");
     assert!(err.starts_with("shard 0: "), "untagged error: {err}");
     assert!(err.contains("warmup request"), "got: {err}");

@@ -14,7 +14,8 @@
 //!   adoption and the tenant resumes on the source shard.
 
 use ne_cluster::{
-    drive, Cluster, ClusterConfig, MigrationOutcome, MigrationPolicy, MigrationTrigger, PlannedMove,
+    Cluster, ClusterConfig, MigrationOutcome, MigrationPolicy, MigrationTrigger, PlannedMove,
+    Scenario,
 };
 use ne_host::admission::EPC_LOW_WATER;
 use ne_host::HostError;
@@ -23,13 +24,14 @@ use ne_sgx::SgxError;
 use proptest::prelude::*;
 
 const TENANTS: usize = 4;
-const SERVICES: usize = 2;
-const SEED: u64 = 7;
+
+/// 4 tenants × 2 services × 6 requests per pair, seed 7.
+fn scenario() -> Scenario {
+    Scenario::new(TENANTS, 2, 6, 7)
+}
 
 fn build_cluster(shards: usize) -> Cluster {
-    let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), shards);
-    cfg.host.seed = SEED;
-    Cluster::build(cfg).expect("cluster build")
+    Cluster::build(ClusterConfig::for_scenario(&scenario(), shards)).expect("cluster build")
 }
 
 /// The first global tenant placed on `shard`.
@@ -58,7 +60,7 @@ fn move_one(cluster: &Cluster) -> (usize, MigrationPolicy) {
 fn planned_migration_is_byte_invisible_in_the_tenant_export() {
     // Baseline A: the plain unsegmented run.
     let mut plain = build_cluster(2);
-    let (plain_accepted, _) = plain.run_closed_loop(6, None, None).expect("plain run");
+    let (plain_accepted, _) = plain.run(&scenario()).expect("plain run");
     let plain_export = plain.tenants_export();
 
     // Baseline B: segmented, no migrations — segment barriers alone
@@ -255,7 +257,7 @@ fn epc_pressure_evacuates_a_tenant_at_the_barrier() {
 
     // Still byte-identical to the unmigrated world.
     let mut plain = build_cluster(2);
-    plain.run_closed_loop(6, None, None).expect("plain run");
+    plain.run(&scenario()).expect("plain run");
     assert_eq!(plain.tenants_export(), cluster.tenants_export());
 }
 
@@ -349,7 +351,7 @@ fn rollback_on_a_full_destination_keeps_the_tenant_serving() {
     // admission low-water headroom free: its own tenants fit, but one
     // more adoption cannot clear `need + EPC_LOW_WATER`.
     let probe = build_cluster(2);
-    let default_prm = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), 2)
+    let default_prm = ClusterConfig::for_scenario(&scenario(), 2)
         .host
         .hw
         .prm_pages;
@@ -363,8 +365,7 @@ fn rollback_on_a_full_destination_keeps_the_tenant_serving() {
     let g = tenant_on_shard(&probe, from);
     drop(probe);
 
-    let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), 2);
-    cfg.host.seed = SEED;
+    let mut cfg = ClusterConfig::for_scenario(&scenario(), 2);
     cfg.host.hw.prm_pages = default_prm - free_pages[to] as u64 + EPC_LOW_WATER;
     let mut cluster = Cluster::build(cfg).expect("sized cluster build");
     for t in 0..TENANTS {
@@ -397,11 +398,9 @@ fn rollback_on_a_full_destination_keeps_the_tenant_serving() {
         server.tenants()[local].loaded,
         "rolled-back tenant must be loaded"
     );
-    let mut factory = ne_host::RequestFactory::new(
-        drive::standard_specs(TENANTS, SERVICES)[g].services[0],
-        g,
-        SEED,
-    );
+    let sc = scenario();
+    let kind = ne_cluster::drive::standard_specs(sc.tenants, sc.services)[g].services[0];
+    let mut factory = ne_host::RequestFactory::new(kind, g, sc.seed);
     let payload = factory.next_request();
     assert!(
         server.submit(local, 0, server.now(), payload).is_accepted(),

@@ -9,7 +9,7 @@
 //!   unsharded `HostServer` path — same accepted count, same metrics
 //!   JSON, same export bytes — so every pre-shard baseline stays valid.
 
-use ne_cluster::{drive, Cluster, ClusterConfig};
+use ne_cluster::{drive, Cluster, ClusterConfig, Mode, Scenario};
 use ne_host::{HostConfig, HostServer, RequestFactory};
 use ne_obs::{SamplerConfig, Timeline};
 
@@ -18,17 +18,18 @@ const SERVICES: usize = 2;
 const REQUESTS: usize = 6;
 const SEED: u64 = 7;
 
+/// The clean closed-loop scenario.
+fn scenario() -> Scenario {
+    Scenario::new(TENANTS, SERVICES, REQUESTS, SEED)
+}
+
 fn build_cluster(shards: usize) -> Cluster {
-    let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), shards);
-    cfg.host.seed = SEED;
-    Cluster::build(cfg).expect("cluster build")
+    Cluster::build(ClusterConfig::for_scenario(&scenario(), shards)).expect("cluster build")
 }
 
 fn closed_loop_export(shards: usize) -> (u64, String) {
     let mut cluster = build_cluster(shards);
-    let (accepted, _) = cluster
-        .run_closed_loop(REQUESTS, None, None)
-        .expect("closed loop");
+    let (accepted, _) = cluster.run(&scenario()).expect("closed loop");
     let merged = cluster.merged_metrics().expect("merge");
     merged
         .check()
@@ -68,9 +69,7 @@ fn merged_metrics_are_reproducible_and_close_across_shard_counts() {
     // to within 0.1%.
     let in_enclave = |shards: usize| {
         let mut cluster = build_cluster(shards);
-        cluster
-            .run_closed_loop(REQUESTS, None, None)
-            .expect("closed loop");
+        cluster.run(&scenario()).expect("closed loop");
         let merged = cluster.merged_metrics().expect("merge");
         let total: u64 = merged
             .enclaves
@@ -155,9 +154,7 @@ fn single_shard_cluster_matches_the_unsharded_path() {
 
     // The one-shard cluster path.
     let mut cluster = build_cluster(1);
-    let (cluster_accepted, _) = cluster
-        .run_closed_loop(REQUESTS, None, None)
-        .expect("closed loop");
+    let (cluster_accepted, _) = cluster.run(&scenario()).expect("closed loop");
     let merged = cluster.merged_metrics().expect("merge");
 
     assert_eq!(accepted, cluster_accepted, "accepted count differs");
@@ -176,10 +173,11 @@ fn open_loop_offered_schedule_is_shard_count_invariant() {
     // with a valid reply on every shard count.
     for shards in [1usize, 3] {
         let mut cluster = build_cluster(shards);
-        let accepted = cluster
-            .run_open_loop(REQUESTS, None, None)
-            .expect("open loop")
-            .0;
+        let open = Scenario {
+            mode: Mode::Open,
+            ..scenario()
+        };
+        let accepted = cluster.run(&open).expect("open loop").0;
         let report = cluster.report();
         assert_eq!(report.sched.invariant_violations, 0);
         assert_eq!(
@@ -201,9 +199,11 @@ fn chaos_runs_are_deterministic_per_shard_count() {
     // shard counts — but any fixed shard count must be byte-reproducible.
     let run = |shards: usize| {
         let mut cluster = build_cluster(shards);
-        let (accepted, _) = cluster
-            .run_closed_loop(REQUESTS, Some("aex+evict"), None)
-            .expect("chaos closed loop");
+        let chaos = Scenario {
+            chaos: Some("aex+evict".to_string()),
+            ..scenario()
+        };
+        let (accepted, _) = cluster.run(&chaos).expect("chaos closed loop");
         let report = cluster.report();
         assert_eq!(
             report.completed() + report.shed_requests(),
@@ -226,9 +226,12 @@ fn chaos_runs_are_deterministic_per_shard_count() {
 /// export of the folded timeline.
 fn observed_export(shards: usize, chaos: Option<&str>) -> (u64, String) {
     let mut cluster = build_cluster(shards);
-    let (accepted, timeline) = cluster
-        .run_closed_loop(REQUESTS, chaos, Some(SamplerConfig::default()))
-        .expect("observed closed loop");
+    let observed = Scenario {
+        chaos: chaos.map(str::to_string),
+        window: Some(SamplerConfig::default().window_cycles),
+        ..scenario()
+    };
+    let (accepted, timeline) = cluster.run(&observed).expect("observed closed loop");
     let timeline = timeline.expect("observed run folds a timeline");
     (accepted, ne_obs::to_jsonl(&timeline, "shard-invariance"))
 }
@@ -280,14 +283,14 @@ fn timeline_invariant_plane_is_shard_count_invariant() {
 }
 
 /// One closed- or open-loop run on a fresh 2-shard cluster.
-fn run_two_shards(open: bool, obs: Option<SamplerConfig>) -> (Cluster, u64, Option<Timeline>) {
+fn run_two_shards(mode: Mode, window: Option<u64>) -> (Cluster, u64, Option<Timeline>) {
     let mut cluster = build_cluster(2);
-    let (accepted, timeline) = if open {
-        cluster.run_open_loop(REQUESTS, None, obs)
-    } else {
-        cluster.run_closed_loop(REQUESTS, None, obs)
-    }
-    .expect("run");
+    let sc = Scenario {
+        mode,
+        window,
+        ..scenario()
+    };
+    let (accepted, timeline) = cluster.run(&sc).expect("run");
     (cluster, accepted, timeline)
 }
 
@@ -297,24 +300,25 @@ fn observed_runs_leave_the_simulation_untouched() {
     // accepted count, per-tenant export and merged metrics as the plain
     // run, in both arrival processes, and the timeline totals must
     // reconcile with the merged metrics.
-    for open in [false, true] {
-        let (plain, plain_accepted, none) = run_two_shards(open, None);
+    for mode in [Mode::Closed, Mode::Open] {
+        let (plain, plain_accepted, none) = run_two_shards(mode, None);
         assert!(none.is_none(), "an unobserved run folded a timeline");
         let plain_metrics = plain.merged_metrics().expect("merge").to_json();
 
-        let (observed, accepted, timeline) = run_two_shards(open, Some(SamplerConfig::default()));
+        let (observed, accepted, timeline) =
+            run_two_shards(mode, Some(SamplerConfig::default().window_cycles));
         let timeline = timeline.expect("observed run folds a timeline");
         assert_eq!(plain_accepted, accepted, "observation changed acceptance");
         assert_eq!(
             plain.tenants_export(),
             observed.tenants_export(),
-            "observation changed the per-tenant export (open: {open})"
+            "observation changed the per-tenant export ({mode:?})"
         );
         let merged = observed.merged_metrics().expect("merge");
         assert_eq!(
             plain_metrics,
             merged.to_json(),
-            "observation changed the merged metrics (open: {open})"
+            "observation changed the merged metrics ({mode:?})"
         );
         let (cycles, _, _) = timeline.total();
         assert_eq!(cycles, merged.total_cycles, "timeline cycles must match");
@@ -333,9 +337,7 @@ fn observed_runs_leave_the_simulation_untouched() {
 #[test]
 fn replies_check_against_fresh_global_factories() {
     let mut cluster = build_cluster(3);
-    cluster
-        .run_closed_loop(REQUESTS, None, None)
-        .expect("closed loop");
+    cluster.run(&scenario()).expect("closed loop");
     let specs = drive::standard_specs(TENANTS, SERVICES);
     let mut checked = 0usize;
     for (global, c) in cluster.completions() {

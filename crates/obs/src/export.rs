@@ -17,6 +17,7 @@
 use std::fmt::Write;
 
 use ne_host::RecoveryEventKind;
+use ne_sgx::metrics::json_escape;
 use ne_sgx::profile::{Histogram, BUCKETS};
 use ne_sgx::trace::Stats;
 
@@ -35,20 +36,6 @@ fn push_hex(out: &mut String, digest: &[u8; 32]) {
     for &b in digest {
         out.push(char::from(NIBBLES[usize::from(b >> 4)]));
         out.push(char::from(NIBBLES[usize::from(b & 0xf)]));
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -191,7 +178,7 @@ pub fn to_jsonl(t: &Timeline, label: &str) -> String {
     out.push_str("{\"schema\":\"");
     out.push_str(OBS_SCHEMA);
     out.push_str("\",\"label\":\"");
-    push_escaped(&mut out, label);
+    out.push_str(&json_escape(label));
     let _ = writeln!(
         out,
         "\",\"window_cycles\":{},\"windows\":{},\"shards\":{},\"tenants\":{},\

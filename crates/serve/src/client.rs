@@ -21,7 +21,7 @@ use ne_host::{reply_digest, RequestFactory, ServiceKind};
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
-use crate::{session, Mode, Scenario, WireCompletion};
+use crate::{hello_payload, session, Mode, Scenario, WireCompletion};
 
 /// Wire client configuration.
 #[derive(Debug, Clone)]
@@ -47,14 +47,26 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// The scenario this client will announce in its Hellos.
+    /// A client playing `scenario` against `addr` (30 s read deadline).
+    pub fn new(addr: String, scenario: &Scenario, tls: bool) -> ClientConfig {
+        ClientConfig {
+            addr,
+            tenants: scenario.tenants,
+            services: scenario.services,
+            requests: scenario.requests,
+            seed: scenario.seed,
+            mode: scenario.mode,
+            tls,
+            read_timeout: Duration::from_secs(30),
+        }
+    }
+
+    /// The scenario this client announces in its Hellos. Chaos and the
+    /// timeline window are the server's alone, so both are unset.
     pub fn scenario(&self) -> Scenario {
         Scenario {
-            seed: self.seed,
             mode: self.mode,
-            requests: self.requests as u32,
-            tenants: self.tenants as u32,
-            services: self.services as u32,
+            ..Scenario::new(self.tenants, self.services, self.requests, self.seed)
         }
     }
 }
@@ -192,7 +204,7 @@ pub fn greet(cfg: &ClientConfig, tenant: usize, service: usize) -> Result<Framed
         tenant as u32,
         service as u32,
         0,
-        cfg.scenario().encode(),
+        hello_payload(&cfg.scenario()),
     ))?;
     let ack = conn.recv()?;
     match ack.kind {

@@ -29,12 +29,11 @@
 //!   the serve loop: decoded requests feed the cluster's one drive loop
 //!   ([`ne_cluster::drive::closed_loop`] /
 //!   [`ne_cluster::drive::open_loop`]), which steps the simulated machine
-//!   between socket polls;
+//!   between socket polls, and [`server::run_oracle`], the same scenario
+//!   run in-process through the same per-shard sequence (the oracle);
 //! * [`client`] — [`client::LoadClient`], the seeded wire client behind
 //!   `ne-load --connect` (one connection per (tenant, service) pair,
-//!   open or closed loop, deterministic report);
-//! * [`oracle`] — the same scenario run entirely in-process through the
-//!   same per-shard sequence, the byte-exact oracle.
+//!   open or closed loop, deterministic report).
 //!
 //! # Clock discipline and the oracle invariant
 //!
@@ -53,100 +52,54 @@
 pub mod client;
 pub mod conn;
 pub mod frame;
-pub mod oracle;
 pub mod server;
 pub mod session;
 
 pub use client::{ClientConfig, ClientReport, LoadClient};
 pub use conn::{ConnError, FramedConn};
 pub use frame::{Decoder, Frame, FrameError, FrameKind};
-pub use server::{FrontDoor, ServeConfig, ServeOutcome};
+pub use server::{run_oracle, FrontDoor, ServeConfig, ServeOutcome};
 
-/// Arrival process of a serving run (the wire protocol carries it in
-/// the Hello so server and client agree on the scenario).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// One client per (tenant, service), next request at the previous
-    /// completion time.
-    Closed,
-    /// Seeded Poisson arrivals offered regardless of completions.
-    Open,
+/// The scenario type every serving path shares; [`Mode`] stays
+/// importable from here.
+pub use ne_cluster::{Mode, Scenario};
+
+/// Length of a Hello payload.
+const HELLO_LEN: usize = 21;
+
+/// Encodes the wire fields of `scenario` as a Hello payload: the seed,
+/// a mode byte (closed 0, open 1), then requests, tenants and services
+/// as `u32`. Server and client must agree on every one — the generator
+/// streams are seeded from them, so a mismatch would silently
+/// desynchronize payloads. Chaos and the timeline window are the
+/// server's alone.
+pub fn hello_payload(scenario: &Scenario) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HELLO_LEN);
+    out.extend_from_slice(&scenario.seed.to_le_bytes());
+    out.push(u8::from(scenario.mode == Mode::Open));
+    for n in [scenario.requests, scenario.tenants, scenario.services] {
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+    out
 }
 
-impl Mode {
-    /// Stable name, also used in export labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Closed => "closed-loop",
-            Mode::Open => "open-loop",
-        }
+/// Checks a client's Hello payload against the server's scenario.
+///
+/// # Errors
+///
+/// The refusal the server sends back in its Abort: a malformed payload,
+/// an unknown mode byte, or a scenario mismatch.
+pub(crate) fn check_hello(payload: &[u8], scenario: &Scenario) -> Result<(), String> {
+    if payload.len() != HELLO_LEN {
+        return Err("malformed Hello payload".to_string());
     }
-
-    /// Wire encoding of the mode.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            Mode::Closed => 0,
-            Mode::Open => 1,
-        }
+    if payload[8] > 1 {
+        return Err(format!("unknown mode {}", payload[8]));
     }
-
-    /// Decodes a wire mode byte.
-    pub fn from_byte(b: u8) -> Option<Mode> {
-        match b {
-            0 => Some(Mode::Closed),
-            1 => Some(Mode::Open),
-            _ => None,
-        }
+    if payload != hello_payload(scenario) {
+        return Err("scenario mismatch".to_string());
     }
-}
-
-/// The scenario a Hello frame pins down. Server and client must agree
-/// on every field — the generator streams are seeded from them, so a
-/// mismatch would silently desynchronize payloads; the server refuses
-/// it up front instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scenario {
-    /// Base seed of every generator stream.
-    pub seed: u64,
-    /// Arrival process.
-    pub mode: Mode,
-    /// Measured requests per (tenant, service) pair.
-    pub requests: u32,
-    /// Number of tenants.
-    pub tenants: u32,
-    /// Services per tenant.
-    pub services: u32,
-}
-
-impl Scenario {
-    /// Encodes the scenario as a Hello payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.push(self.mode.to_byte());
-        out.extend_from_slice(&self.requests.to_le_bytes());
-        out.extend_from_slice(&self.tenants.to_le_bytes());
-        out.extend_from_slice(&self.services.to_le_bytes());
-        out
-    }
-
-    /// Decodes a Hello payload.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Scenario, String> {
-        if bytes.len() != 21 {
-            return Err("malformed Hello payload".to_string());
-        }
-        Ok(Scenario {
-            seed: frame::le_u64(&bytes[..8]),
-            mode: Mode::from_byte(bytes[8]).ok_or_else(|| format!("unknown mode {}", bytes[8]))?,
-            requests: frame::le_u32(&bytes[9..13]),
-            tenants: frame::le_u32(&bytes[13..17]),
-            services: frame::le_u32(&bytes[17..21]),
-        })
-    }
+    Ok(())
 }
 
 /// A completion as carried by a Reply frame: the simulated timings plus

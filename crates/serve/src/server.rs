@@ -17,34 +17,21 @@ use std::time::{Duration, Instant};
 
 use ne_cluster::{drive, Cluster, ClusterConfig, ClusterReport};
 use ne_host::Completion;
-use ne_obs::{SamplerConfig, Timeline};
+use ne_obs::Timeline;
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
-use crate::{session, Mode, Scenario, WireCompletion};
+use crate::{check_hello, session, Mode, Scenario, WireCompletion};
 
 /// Front-door configuration: the scenario plus wire-level knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of tenants.
-    pub tenants: usize,
-    /// Services per tenant.
-    pub services: usize,
-    /// Measured requests per (tenant, service) pair.
-    pub requests: usize,
-    /// Base seed of every generator stream.
-    pub seed: u64,
-    /// Arrival process.
-    pub mode: Mode,
+    /// The scenario served; a client's Hello must match its wire fields
+    /// ([`crate::hello_payload`]).
+    pub scenario: Scenario,
     /// Seal every frame in a `ne-tls` record (transport handshake on
     /// connect, rollback offers refused on the wire).
     pub tls: bool,
-    /// Chaos spec installed after warmup (see
-    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded by the cluster
-    /// exactly like `ne-load --chaos`.
-    pub chaos: Option<String>,
-    /// Collect an `ne-obs/v1` timeline with this window length.
-    pub window: Option<u64>,
     /// Per-connection read deadline; a pair that stays silent past it
     /// while the server needs its next request gets its tenant shed.
     pub read_timeout: Duration,
@@ -54,39 +41,26 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with the scenario given and every wire knob at its
-    /// default (closed loop, plaintext, no chaos, no timeline, 5 s read
-    /// deadline, 30 s accept window).
+    /// [`ServeConfig::for_scenario`] of [`Scenario::new`].
     pub fn new(tenants: usize, services: usize, requests: usize, seed: u64) -> ServeConfig {
-        ServeConfig {
-            tenants,
-            services,
-            requests,
-            seed,
-            mode: Mode::Closed,
-            tls: false,
-            chaos: None,
-            window: None,
-            read_timeout: Duration::from_secs(5),
-            accept_timeout: Duration::from_secs(30),
-        }
+        ServeConfig::for_scenario(Scenario::new(tenants, services, requests, seed))
     }
 
-    /// The scenario fields a client's Hello must match.
-    pub fn scenario(&self) -> Scenario {
-        Scenario {
-            seed: self.seed,
-            mode: self.mode,
-            requests: self.requests as u32,
-            tenants: self.tenants as u32,
-            services: self.services as u32,
+    /// A config serving `scenario` with every wire knob at its default
+    /// (plaintext, 5 s read deadline, 30 s accept window).
+    pub fn for_scenario(scenario: Scenario) -> ServeConfig {
+        ServeConfig {
+            scenario,
+            tls: false,
+            read_timeout: Duration::from_secs(5),
+            accept_timeout: Duration::from_secs(30),
         }
     }
 }
 
 /// Everything a finished run produced. The three export strings are the
 /// oracle surface: byte-identical between a wire run and
-/// [`crate::oracle::run_oracle`].
+/// [`run_oracle`].
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// Accepted measured requests.
@@ -101,24 +75,32 @@ pub struct ServeOutcome {
     pub timeline_jsonl: Option<String>,
 }
 
-/// Builds the one-shard cluster a scenario runs on (the wire path and
-/// the oracle share this, so they cannot drift).
-pub(crate) fn build_cluster(cfg: &ServeConfig) -> Result<Cluster, String> {
-    let mut cc = ClusterConfig::new(drive::standard_specs(cfg.tenants, cfg.services), 1);
-    cc.host.seed = cfg.seed;
-    Cluster::build(cc).map_err(|e| format!("cluster build: {e}"))
+/// The in-process oracle: runs `scenario` through [`Cluster::run`], the
+/// per-shard sequence [`FrontDoor::run`] shares, with no socket. Its
+/// three exports are what a wire run must produce byte for byte, TLS
+/// or not (the `wire_oracle` tests; CI's diff against
+/// `results/ne-serve.*`).
+///
+/// # Errors
+///
+/// Cluster build failures, malformed chaos specs, typed drive errors,
+/// or broken end-of-run invariants.
+pub fn run_oracle(scenario: &Scenario) -> Result<ServeOutcome, String> {
+    let mut cluster = build_cluster(scenario)?;
+    let (accepted, timeline) = cluster.run(scenario)?;
+    finish_outcome(&cluster, accepted, timeline, scenario.mode)
 }
 
-/// The sampler a `window` asks for (a zero window is one cycle long).
-pub(crate) fn sampler_config(window: u64) -> SamplerConfig {
-    SamplerConfig {
-        window_cycles: window.max(1),
-    }
+/// Builds the one-shard cluster a scenario runs on (the wire path and
+/// the oracle share this, so they cannot drift).
+fn build_cluster(scenario: &Scenario) -> Result<Cluster, String> {
+    Cluster::build(ClusterConfig::for_scenario(scenario, 1))
+        .map_err(|e| format!("cluster build: {e}"))
 }
 
 /// Assembles the outcome after [`Cluster::verify_run`] (the same
 /// end-of-run invariants `ne-load` holds a run to).
-pub(crate) fn finish_outcome(
+fn finish_outcome(
     cluster: &Cluster,
     accepted: u64,
     timeline: Option<Timeline>,
@@ -294,16 +276,17 @@ impl FrontDoor {
     /// it degrades into sheds, exactly like every other loss path.
     pub fn run(self) -> Result<ServeOutcome, String> {
         let cfg = self.cfg;
-        let mut cluster = build_cluster(&cfg)?;
+        let sc = &cfg.scenario;
+        let mut cluster = build_cluster(sc)?;
         let conns = accept_pairs(&self.listener, &cfg)?;
         let plan = cluster
-            .chaos_plans(cfg.chaos.as_deref())
+            .chaos_plans(sc.chaos.as_deref())
             .map_err(|e| format!("--chaos: {e}"))?
             .pop()
             .flatten();
-        let schedule = match cfg.mode {
+        let schedule = match sc.mode {
             Mode::Closed => None,
-            Mode::Open => cluster.open_schedules(cfg.requests).pop(),
+            Mode::Open => cluster.open_schedules(sc.requests).pop(),
         };
 
         let shard = &mut cluster.shards_mut()[0];
@@ -314,10 +297,10 @@ impl FrontDoor {
                 shard.server.shed_tenant(t);
             }
         }
-        let setup = drive::setup_counts(&drive::factories(shard, cfg.seed));
+        let setup = drive::setup_counts(&drive::factories(shard, sc.seed));
         let mut source = WireSource::new(conns);
         let served = shard
-            .prologue(&mut source, &setup, plan, cfg.window.map(sampler_config))
+            .prologue(&mut source, &setup, plan, sc.sampler())
             .and_then(|mut sampler| {
                 let accepted = match &schedule {
                     None => drive::closed_loop(shard, &mut source, sampler.as_mut())?,
@@ -328,7 +311,7 @@ impl FrontDoor {
         source.finish();
         let (accepted, sampler) = served.map_err(|e| format!("shard 0: {e}"))?;
         let timeline = cluster.finish_samplers(vec![sampler])?;
-        finish_outcome(&cluster, accepted, timeline, cfg.mode)
+        finish_outcome(&cluster, accepted, timeline, sc.mode)
     }
 }
 
@@ -342,10 +325,11 @@ fn accept_pairs(
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("listener: {e}"))?;
-    let mut slots: Vec<Vec<Slot>> = (0..cfg.tenants)
-        .map(|_| (0..cfg.services).map(|_| Slot::Waiting).collect())
+    let (tenants, services) = (cfg.scenario.tenants, cfg.scenario.services);
+    let mut slots: Vec<Vec<Slot>> = (0..tenants)
+        .map(|_| (0..services).map(|_| Slot::Waiting).collect())
         .collect();
-    let mut waiting = cfg.tenants * cfg.services;
+    let mut waiting = tenants * services;
     let deadline = Instant::now() + cfg.accept_timeout;
     while waiting > 0 && Instant::now() < deadline {
         match listener.accept() {
@@ -391,7 +375,7 @@ fn greet(stream: TcpStream, cfg: &ServeConfig) -> Option<(usize, usize, Slot)> {
     let first = conn.recv().ok()?;
     let tenant = first.tenant as usize;
     let service = first.service as usize;
-    if tenant >= cfg.tenants || service >= cfg.services {
+    if tenant >= cfg.scenario.tenants || service >= cfg.scenario.services {
         let _ = conn.send(&abort(&first, "pair out of range"));
         return None;
     }
@@ -400,7 +384,7 @@ fn greet(stream: TcpStream, cfg: &ServeConfig) -> Option<(usize, usize, Slot)> {
             let _ = conn.send(&abort(&first, "expected ClientHello"));
             return Some((tenant, service, Slot::Refused));
         }
-        if session::server_handshake(&mut conn, &first, cfg.seed).is_err() {
+        if session::server_handshake(&mut conn, &first, cfg.scenario.seed).is_err() {
             // The handshake already sent the typed Abort (rollback
             // offers land here).
             return Some((tenant, service, Slot::Refused));
@@ -419,16 +403,9 @@ fn greet(stream: TcpStream, cfg: &ServeConfig) -> Option<(usize, usize, Slot)> {
         let _ = conn.send(&abort(&hello, "expected Hello for the claimed pair"));
         return Some((tenant, service, Slot::Refused));
     }
-    match Scenario::decode(&hello.payload) {
-        Ok(sc) if sc == cfg.scenario() => {}
-        Ok(_) => {
-            let _ = conn.send(&abort(&hello, "scenario mismatch"));
-            return Some((tenant, service, Slot::Refused));
-        }
-        Err(e) => {
-            let _ = conn.send(&abort(&hello, &e));
-            return Some((tenant, service, Slot::Refused));
-        }
+    if let Err(e) = check_hello(&hello.payload, &cfg.scenario) {
+        let _ = conn.send(&abort(&hello, &e));
+        return Some((tenant, service, Slot::Refused));
     }
     if conn
         .send(&Frame::new(

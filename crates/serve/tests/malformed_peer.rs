@@ -10,7 +10,10 @@ use std::time::Duration;
 use ne_serve::client::run_pair;
 use ne_serve::frame::{Decoder, Frame, FrameKind, MAX_PAYLOAD};
 use ne_serve::session::{client_random, encode_client_hello};
-use ne_serve::{ClientConfig, ConnError, FrameError, FramedConn, FrontDoor, ServeConfig};
+use ne_serve::{
+    hello_payload, ClientConfig, ConnError, FrameError, FramedConn, FrontDoor, Mode, Scenario,
+    ServeConfig,
+};
 use ne_tls::handshake::{CipherSuite, ClientHello, TLS_VERSION};
 
 fn scenario(tls: bool) -> ServeConfig {
@@ -23,14 +26,8 @@ fn scenario(tls: bool) -> ServeConfig {
 
 fn client_config(cfg: &ServeConfig, addr: String) -> ClientConfig {
     ClientConfig {
-        addr,
-        tenants: cfg.tenants,
-        services: cfg.services,
-        requests: cfg.requests,
-        seed: cfg.seed,
-        mode: cfg.mode,
-        tls: cfg.tls,
         read_timeout: Duration::from_secs(10),
+        ..ClientConfig::new(addr, &cfg.scenario, cfg.tls)
     }
 }
 
@@ -73,7 +70,7 @@ fn pipelined_handshake_bytes_are_refused_not_panicked() {
     let hello = ClientHello {
         version: TLS_VERSION,
         suites: vec![CipherSuite::Aes128Gcm],
-        random: client_random(cfg.seed, 0, 0),
+        random: client_random(cfg.scenario.seed, 0, 0),
     };
     let mut bytes =
         Frame::new(FrameKind::ClientHello, 0, 0, 0, encode_client_hello(&hello)).encode();
@@ -85,11 +82,10 @@ fn pipelined_handshake_bytes_are_refused_not_panicked() {
     let good = run_pair(&ccfg, 1, 0);
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(good.error, None, "good pair failed: {:?}", good.error);
-    assert_eq!(good.replies.len(), cfg.requests);
+    assert_eq!(good.replies.len(), cfg.scenario.requests);
     assert!(export_line(&outcome.tenants_export, 0).contains("accepted 0"));
-    assert!(
-        export_line(&outcome.tenants_export, 1).contains(&format!("completed {}", cfg.requests))
-    );
+    assert!(export_line(&outcome.tenants_export, 1)
+        .contains(&format!("completed {}", cfg.scenario.requests)));
 }
 
 /// A fuzzed frame after a clean Hello: the greeted pair starts spewing
@@ -109,7 +105,7 @@ fn fuzzed_frame_sheds_the_tenant_only() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     stream
-        .write_all(&Frame::new(FrameKind::Hello, 0, 0, 0, ccfg.scenario().encode()).encode())
+        .write_all(&Frame::new(FrameKind::Hello, 0, 0, 0, hello_payload(&ccfg.scenario())).encode())
         .expect("hello");
     let mut decoder = Decoder::new();
     let ack = read_frame(&mut stream, &mut decoder);
@@ -125,11 +121,10 @@ fn fuzzed_frame_sheds_the_tenant_only() {
     let good = run_pair(&ccfg, 1, 0);
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(good.error, None, "good pair failed: {:?}", good.error);
-    assert_eq!(good.replies.len(), cfg.requests);
+    assert_eq!(good.replies.len(), cfg.scenario.requests);
     assert!(export_line(&outcome.tenants_export, 0).contains("accepted 0"));
-    assert!(
-        export_line(&outcome.tenants_export, 1).contains(&format!("completed {}", cfg.requests))
-    );
+    assert!(export_line(&outcome.tenants_export, 1)
+        .contains(&format!("completed {}", cfg.scenario.requests)));
 }
 
 /// A hostile client that completes the transport handshake and then
@@ -154,7 +149,7 @@ fn garbage_tls_records_are_refused_not_panicked() {
     let hello = ClientHello {
         version: TLS_VERSION,
         suites: vec![CipherSuite::Aes128Gcm],
-        random: client_random(cfg.seed, 0, 0),
+        random: client_random(cfg.scenario.seed, 0, 0),
     };
     stream
         .write_all(
@@ -174,11 +169,10 @@ fn garbage_tls_records_are_refused_not_panicked() {
     let good = run_pair(&ccfg, 1, 0);
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(good.error, None, "good pair failed: {:?}", good.error);
-    assert_eq!(good.replies.len(), cfg.requests);
+    assert_eq!(good.replies.len(), cfg.scenario.requests);
     assert!(export_line(&outcome.tenants_export, 0).contains("accepted 0"));
-    assert!(
-        export_line(&outcome.tenants_export, 1).contains(&format!("completed {}", cfg.requests))
-    );
+    assert!(export_line(&outcome.tenants_export, 1)
+        .contains(&format!("completed {}", cfg.scenario.requests)));
 }
 
 /// A hostile *server* answering a Reply frame whose payload is too short
@@ -263,4 +257,49 @@ fn oversized_send_is_a_typed_error_not_a_panic() {
     let ok = Frame::new(FrameKind::Request, 0, 0, 2, vec![7; 16]);
     conn.send(&ok).expect("stream survives the refusal");
     assert_eq!(peer.join().expect("peer"), ok);
+}
+
+/// The Hello payload's 21 bytes: seed, mode byte, then requests, tenants
+/// and services as `u32`.
+#[test]
+fn hello_layout_is_pinned() {
+    let open = Scenario {
+        mode: Mode::Open,
+        ..Scenario::new(3, 2, 8, 7)
+    };
+    let mut want = 7u64.to_le_bytes().to_vec();
+    want.push(1);
+    for n in [8u32, 3, 2] {
+        want.extend_from_slice(&n.to_le_bytes());
+    }
+    assert_eq!(hello_payload(&open), want);
+}
+
+/// A Hello payload of the wrong length or with an unknown mode byte is
+/// refused with a typed Abort, and the run still ends cleanly.
+#[test]
+fn malformed_hellos_get_typed_refusals() {
+    let cfg = scenario(false);
+    let door = FrontDoor::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = door.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || door.run());
+    let good = hello_payload(&cfg.scenario);
+    let mut bad_mode = good.clone();
+    bad_mode[8] = 2;
+    for (tenant, payload, reason) in [
+        (0, &good[..20], "malformed Hello payload"),
+        (1, &bad_mode[..], "unknown mode 2"),
+    ] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let hello = Frame::new(FrameKind::Hello, tenant, 0, 0, payload.to_vec());
+        stream.write_all(&hello.encode()).expect("hello");
+        let answer = read_frame(&mut stream, &mut Decoder::new());
+        assert_eq!(answer.kind, FrameKind::Abort);
+        assert_eq!(answer.payload, reason.as_bytes());
+    }
+    let outcome = server.join().expect("server thread").expect("serve run");
+    assert_eq!(outcome.accepted, 0, "both tenants were refused");
 }

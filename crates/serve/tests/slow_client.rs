@@ -24,14 +24,8 @@ fn scenario(tls: bool) -> ServeConfig {
 
 fn client_config(cfg: &ServeConfig, addr: String) -> ClientConfig {
     ClientConfig {
-        addr,
-        tenants: cfg.tenants,
-        services: cfg.services,
-        requests: cfg.requests,
-        seed: cfg.seed,
-        mode: cfg.mode,
-        tls: cfg.tls,
         read_timeout: Duration::from_secs(10),
+        ..ClientConfig::new(addr, &cfg.scenario, cfg.tls)
     }
 }
 
@@ -59,7 +53,7 @@ fn stalled_client_sheds_its_tenant_only() {
     let outcome = server.join().expect("server thread").expect("serve run");
 
     assert_eq!(good.error, None, "good pair failed: {:?}", good.error);
-    assert_eq!(good.replies.len(), cfg.requests);
+    assert_eq!(good.replies.len(), cfg.scenario.requests);
     let t0 = export_line(&outcome.tenants_export, 0);
     assert!(
         t0.contains("accepted 0") && t0.contains("completed 0"),
@@ -67,7 +61,7 @@ fn stalled_client_sheds_its_tenant_only() {
     );
     let t1 = export_line(&outcome.tenants_export, 1);
     assert!(
-        t1.contains(&format!("completed {}", cfg.requests)),
+        t1.contains(&format!("completed {}", cfg.scenario.requests)),
         "good tenant perturbed by the stall: {t1}"
     );
     // The stalled client was not cut off rudely: the Finish broadcast
@@ -98,7 +92,7 @@ fn rollback_hello_is_refused_on_the_wire() {
     let hello = ClientHello {
         version: 0x0301,
         suites: vec![CipherSuite::Aes128Gcm],
-        random: client_random(cfg.seed, 0, 0),
+        random: client_random(cfg.scenario.seed, 0, 0),
     };
     conn.send(&Frame::new(
         FrameKind::ClientHello,
@@ -127,7 +121,7 @@ fn rollback_hello_is_refused_on_the_wire() {
     );
     let t1 = export_line(&outcome.tenants_export, 1);
     assert!(
-        t1.contains(&format!("completed {}", cfg.requests)),
+        t1.contains(&format!("completed {}", cfg.scenario.requests)),
         "honest tenant perturbed by the rollback: {t1}"
     );
 }
@@ -146,7 +140,7 @@ fn disconnected_client_sheds_its_tenant_only() {
     let good = run_pair(&ccfg, 1, 0);
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(good.error, None);
-    assert_eq!(good.replies.len(), cfg.requests);
+    assert_eq!(good.replies.len(), cfg.scenario.requests);
     assert!(export_line(&outcome.tenants_export, 0).contains("accepted 0"));
 }
 

@@ -9,34 +9,24 @@
 use std::time::Duration;
 
 use ne_serve::client::ClientReport;
-use ne_serve::oracle::run_oracle;
-use ne_serve::{ClientConfig, FrontDoor, LoadClient, Mode, ServeConfig, ServeOutcome};
+use ne_serve::{
+    run_oracle, ClientConfig, FrontDoor, LoadClient, Mode, Scenario, ServeConfig, ServeOutcome,
+};
 
 /// The scenario of the CLI wire golden (`results/ne-serve.*`): 3 tenants
 /// × 2 services × 8 requests, seed 7, so every pair sends request ids
 /// 1 through 8.
 fn scenario(mode: Mode, tls: bool, chaos: Option<&str>) -> ServeConfig {
-    let mut cfg = ServeConfig::new(3, 2, 8, 7);
-    cfg.mode = mode;
+    let mut cfg = ServeConfig::for_scenario(Scenario {
+        mode,
+        chaos: chaos.map(str::to_string),
+        window: Some(500_000),
+        ..Scenario::new(3, 2, 8, 7)
+    });
     cfg.tls = tls;
-    cfg.chaos = chaos.map(str::to_string);
-    cfg.window = Some(500_000);
     cfg.read_timeout = Duration::from_secs(10);
     cfg.accept_timeout = Duration::from_secs(10);
     cfg
-}
-
-fn client_config(cfg: &ServeConfig, addr: String) -> ClientConfig {
-    ClientConfig {
-        addr,
-        tenants: cfg.tenants,
-        services: cfg.services,
-        requests: cfg.requests,
-        seed: cfg.seed,
-        mode: cfg.mode,
-        tls: cfg.tls,
-        read_timeout: Duration::from_secs(10),
-    }
 }
 
 /// Serves `cfg` over loopback TCP against a full wire client; returns
@@ -45,7 +35,11 @@ fn serve_over_wire(cfg: &ServeConfig) -> (ServeOutcome, ClientReport) {
     let door = FrontDoor::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
     let addr = door.local_addr().expect("addr").to_string();
     let server = std::thread::spawn(move || door.run());
-    let report = LoadClient::new(client_config(cfg, addr)).run();
+    let client = ClientConfig {
+        read_timeout: Duration::from_secs(10),
+        ..ClientConfig::new(addr, &cfg.scenario, cfg.tls)
+    };
+    let report = LoadClient::new(client).run();
     let outcome = server.join().expect("server thread").expect("serve run");
     (outcome, report)
 }
@@ -69,8 +63,8 @@ fn assert_outcomes_identical(wire: &ServeOutcome, oracle: &ServeOutcome) {
 fn assert_clean_client(report: &ClientReport, cfg: &ServeConfig) {
     for p in &report.pairs {
         assert_eq!(p.error, None, "pair {}.{} failed", p.tenant, p.service);
-        assert_eq!(p.sent as usize, cfg.requests);
-        assert_eq!(p.replies.len(), cfg.requests);
+        assert_eq!(p.sent as usize, cfg.scenario.requests);
+        assert_eq!(p.replies.len(), cfg.scenario.requests);
         assert_eq!(p.bad_replies, 0);
     }
 }
@@ -79,7 +73,7 @@ fn assert_clean_client(report: &ClientReport, cfg: &ServeConfig) {
 fn closed_loop_wire_matches_oracle() {
     let cfg = scenario(Mode::Closed, false, None);
     let (wire, report) = serve_over_wire(&cfg);
-    let oracle = run_oracle(&cfg).expect("oracle");
+    let oracle = run_oracle(&cfg.scenario).expect("oracle");
     assert_outcomes_identical(&wire, &oracle);
     assert_clean_client(&report, &cfg);
     // The client's per-tenant digests are the server's export digests.
@@ -97,7 +91,7 @@ fn tls_on_the_wire_is_invisible_in_exports() {
     let cfg = scenario(Mode::Closed, true, None);
     let (wire, report) = serve_over_wire(&cfg);
     // The oracle has no transport at all; TLS must not move a byte.
-    let oracle = run_oracle(&cfg).expect("oracle");
+    let oracle = run_oracle(&cfg.scenario).expect("oracle");
     assert_outcomes_identical(&wire, &oracle);
     assert_clean_client(&report, &cfg);
 }
@@ -106,11 +100,11 @@ fn tls_on_the_wire_is_invisible_in_exports() {
 fn open_loop_wire_matches_oracle() {
     let cfg = scenario(Mode::Open, false, None);
     let (wire, report) = serve_over_wire(&cfg);
-    let oracle = run_oracle(&cfg).expect("oracle");
+    let oracle = run_oracle(&cfg.scenario).expect("oracle");
     assert_outcomes_identical(&wire, &oracle);
     for p in &report.pairs {
         assert_eq!(p.error, None, "pair {}.{} failed", p.tenant, p.service);
-        assert_eq!(p.sent as usize, cfg.requests);
+        assert_eq!(p.sent as usize, cfg.scenario.requests);
     }
 }
 
@@ -121,7 +115,7 @@ fn chaos_wire_matches_oracle() {
     for spec in ["aex+evict", "crash:3"] {
         let cfg = scenario(Mode::Closed, false, Some(spec));
         let (wire, report) = serve_over_wire(&cfg);
-        let oracle = run_oracle(&cfg).expect("oracle");
+        let oracle = run_oracle(&cfg.scenario).expect("oracle");
         assert_outcomes_identical(&wire, &oracle);
         for p in &report.pairs {
             assert_eq!(

@@ -593,11 +593,11 @@ impl MachineMetrics {
         out.push_str(&format!("  \"schema\": \"{METRICS_SCHEMA}\",\n"));
         out.push_str(&format!(
             "  \"validator\": \"{}\",\n",
-            escape(&self.validator)
+            json_escape(&self.validator)
         ));
         out.push_str(&format!(
             "  \"cost_profile\": \"{}\",\n",
-            escape(&self.cost_profile)
+            json_escape(&self.cost_profile)
         ));
         out.push_str(&format!("  \"clock_ghz\": {},\n", self.clock_ghz));
         out.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
@@ -737,8 +737,21 @@ fn breakdown_json(b: &CycleBreakdown) -> String {
     format!("{{{fields}}}")
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` escaped for a JSON string body (RFC 8259 § 7): `"` and `\`
+/// backslashed, newline as `\n`, other control characters as `\u00XX`.
+/// Every JSON export of the workspace escapes with it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

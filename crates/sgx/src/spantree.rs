@@ -23,6 +23,7 @@
 //! instants rather than unbalanced `B` events.
 
 use crate::machine::Machine;
+use crate::metrics::json_escape;
 use crate::profile::HierLevel;
 use crate::trace::{Event, SpanKind, Trace};
 use std::collections::{BTreeMap, HashMap};
@@ -283,10 +284,6 @@ impl SpanTree {
             self.fold(c, &path, agg);
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Both export formats captured from a machine in one go, plus the
