@@ -26,11 +26,13 @@
 //! `--oracle` refuses the wire-only flags (`--listen`, `--addr-out` and
 //! the two timeouts).
 //!
-//! Bad input and I/O failures (an unknown flag, a non-integer number, a
-//! count out of range, an unknown `--mode`, `--window` without
-//! `--timeline-out`, an unwritable `--addr-out` or export path, a
-//! failed bind or run) end the process with a one-line `error: ...` on
-//! stderr and exit status 2.
+//! Exit status 1 means some scenario pair was refused or never connected
+//! (the count is printed and the exports still written), as it does for
+//! `ne-load --connect`. Bad input and I/O failures (an unknown flag, a
+//! non-integer number, a count out of range, an unknown `--mode`,
+//! `--window` without `--timeline-out`, an unwritable `--addr-out` or
+//! export path, a failed bind or run) end the process with a one-line
+//! `error: ...` on stderr and exit status 2.
 
 use std::path::Path;
 use std::time::Duration;
@@ -51,17 +53,21 @@ fn write_out(flag: &str, what: &str, payload: &str) {
 fn finish(outcome: &ServeOutcome) {
     let r = &outcome.report;
     println!(
-        "served {} requests: {} completed, {} shed, {} respawns",
+        "served {} requests: {} completed, {} shed, {} respawns, {} pairs refused",
         outcome.accepted,
         r.completed(),
         r.shed_requests(),
         r.respawns(),
+        outcome.refused_pairs,
     );
     write_out("--tenants-out", "tenants export", &outcome.tenants_export);
     write_out("--metrics-out", "metrics", &outcome.metrics_json);
     // A timeline is collected exactly when `--timeline-out` names a path.
     let timeline = outcome.timeline_jsonl.as_deref().unwrap_or_default();
     write_out("--timeline-out", "timeline export", timeline);
+    if outcome.refused_pairs > 0 {
+        std::process::exit(1);
+    }
 }
 
 /// The scenario and export flags both modes read.

@@ -194,12 +194,7 @@ impl MetricsReport {
 /// the busiest core. `None` when the run recorded no request latencies —
 /// i.e. for every benchmark that is not a serving-layer run.
 pub fn throughput_rps(m: &MachineMetrics) -> Option<f64> {
-    let requests: u64 = m
-        .profile
-        .iter()
-        .filter(|e| e.event == ProfileEvent::Request)
-        .map(|e| e.hist.count())
-        .sum();
+    let requests = m.profile.merged(ProfileEvent::Request).count();
     let wall = m.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
     (requests > 0 && wall > 0).then(|| requests as f64 * m.clock_ghz * 1e9 / wall as f64)
 }
@@ -585,11 +580,10 @@ mod tests {
 
     #[test]
     fn throughput_only_for_serving_runs() {
-        use ne_sgx::profile::HierLevel;
         let mut m = ne_sgx::machine::Machine::new(ne_sgx::config::HwConfig::small());
         let va = m.os_alloc_untrusted(ne_sgx::enclave::ProcessId(0), 1);
         m.write(0, va, b"payload").unwrap();
-        m.profile_record(ProfileEvent::Request, HierLevel::Untrusted, 1000);
+        m.note(ne_sgx::trace::Event::Request { cycles: 1000 });
         assert!(throughput_rps(&m.metrics()).unwrap() > 0.0);
         assert!(throughput_rps(&snapshot()).is_none());
     }

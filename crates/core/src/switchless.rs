@@ -18,7 +18,7 @@ use crate::runtime::{EnclaveCtx, UntrustedCtx};
 use ne_sgx::addr::VirtAddr;
 use ne_sgx::error::{Result, SgxError};
 use ne_sgx::metrics::CycleCategory;
-use ne_sgx::trace::SpanKind;
+use ne_sgx::trace::{Event, SpanKind};
 
 /// Cycles the caller spends on the synchronization handshake (store
 /// request flag, poll response flag) — calibrated near HotCalls' reported
@@ -103,7 +103,7 @@ impl SwitchlessQueue {
         let span = cx
             .machine
             .span_begin(caller_core, SpanKind::SwitchlessOcall, func);
-        cx.machine.stats_mut().switchless_ocalls += 1;
+        cx.machine.note(Event::SwitchlessOcall);
         // Marshal the request into untrusted memory (the enclave writes
         // untrusted pages directly; costs accrue through the memory model).
         cx.write(self.slot, &(args.len() as u32).to_le_bytes())?;

@@ -126,8 +126,7 @@ pub fn neenter(
             .expect("validated above")
             .active_threads += 1;
     }
-    machine.stats_mut().n_ecalls += 1;
-    machine.record_event(Event::Neenter {
+    machine.note(Event::Neenter {
         core,
         from: outer_eid,
         to: inner,
@@ -261,8 +260,7 @@ fn neexit_impl(machine: &mut Machine, core: usize, target: Option<EnclaveId>) ->
             tcs: outer_tcs,
         },
     );
-    machine.stats_mut().n_ocalls += 1;
-    machine.record_event(Event::Neexit {
+    machine.note(Event::Neexit {
         core,
         from: inner_eid,
         to: outer_eid,

@@ -20,8 +20,8 @@
 //!       (switchless when a worker core is reserved)
 //! ```
 //!
-//! End-to-end latency (`completion − arrival`) is recorded into the
-//! machine's always-on profile under [`ProfileEvent::Request`], so the
+//! End-to-end latency (`completion − arrival`) is noted as an
+//! [`Event::Request`] into the machine's always-on profile, so the
 //! standard metrics/bench exports pick up request p50/p99 with no extra
 //! plumbing.
 //!
@@ -54,7 +54,7 @@ use ne_core::switchless::SwitchlessQueue;
 use ne_sgx::config::HwConfig;
 use ne_sgx::error::SgxError;
 use ne_sgx::fault::{ChaosStats, FaultPlan};
-use ne_sgx::profile::{HierLevel, ProfileEvent};
+use ne_sgx::trace::Event;
 use ne_sgx::EnclaveId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -634,9 +634,7 @@ impl HostServer {
         };
         let end = self.app.machine.cycles(core);
         let latency = end.saturating_sub(req.arrival);
-        self.app
-            .machine
-            .profile_record(ProfileEvent::Request, HierLevel::Untrusted, latency);
+        self.app.machine.note(Event::Request { cycles: latency });
 
         let ts = &mut self.tenants[req.tenant];
         if ts.last_completed_seq.is_some_and(|prev| req.seq <= prev) {
@@ -1025,6 +1023,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::service::{RequestFactory, ServiceKind};
+    use ne_sgx::profile::ProfileEvent;
 
     fn specs(n: usize, services: &[ServiceKind]) -> Vec<TenantSpec> {
         (0..n)

@@ -73,6 +73,8 @@ pub struct ServeOutcome {
     pub metrics_json: String,
     /// The `ne-obs/v1` timeline export, when a window was configured.
     pub timeline_jsonl: Option<String>,
+    /// Scenario pairs refused or never connected (0 for [`run_oracle`]).
+    pub refused_pairs: usize,
 }
 
 /// The in-process oracle: runs `scenario` through [`Cluster::run`], the
@@ -88,7 +90,7 @@ pub struct ServeOutcome {
 pub fn run_oracle(scenario: &Scenario) -> Result<ServeOutcome, String> {
     let mut cluster = build_cluster(scenario)?;
     let (accepted, timeline) = cluster.run(scenario)?;
-    finish_outcome(&cluster, accepted, timeline, scenario.mode)
+    finish_outcome(&cluster, accepted, timeline, scenario.mode, 0)
 }
 
 /// Builds the one-shard cluster a scenario runs on (the wire path and
@@ -105,6 +107,7 @@ fn finish_outcome(
     accepted: u64,
     timeline: Option<Timeline>,
     mode: Mode,
+    refused_pairs: usize,
 ) -> Result<ServeOutcome, String> {
     let (report, metrics) = cluster.verify_run(accepted)?;
     let label = format!("ne-serve-{}", mode.name());
@@ -114,6 +117,7 @@ fn finish_outcome(
         tenants_export: cluster.tenants_export(),
         metrics_json: metrics.to_json(),
         timeline_jsonl: timeline.map(|t| ne_obs::to_jsonl(&t, &label)),
+        refused_pairs,
     })
 }
 
@@ -265,9 +269,11 @@ impl FrontDoor {
     }
 
     /// Runs the whole serving session: accept every (tenant, service)
-    /// pair (shedding tenants whose clients never arrive), warm up over
-    /// the wire, serve the measured loop, broadcast Finish, and return
-    /// the exports.
+    /// pair (shedding tenants whose clients never arrive), refuse the
+    /// connections still queued and close the listener, warm up over the
+    /// wire, serve the measured loop, broadcast Finish, and return the
+    /// exports. A run whose pairs were all refused still returns `Ok`;
+    /// [`ServeOutcome::refused_pairs`] counts them.
     ///
     /// # Errors
     ///
@@ -279,6 +285,10 @@ impl FrontDoor {
         let sc = &cfg.scenario;
         let mut cluster = build_cluster(sc)?;
         let conns = accept_pairs(&self.listener, &cfg)?;
+        // Later connection attempts are refused by the kernel instead of
+        // queueing behind a listener nobody accepts from.
+        drop(self.listener);
+        let refused_pairs = conns.iter().flatten().filter(|c| c.is_none()).count();
         let plan = cluster
             .chaos_plans(sc.chaos.as_deref())
             .map_err(|e| format!("--chaos: {e}"))?
@@ -311,13 +321,24 @@ impl FrontDoor {
         source.finish();
         let (accepted, sampler) = served.map_err(|e| format!("shard 0: {e}"))?;
         let timeline = cluster.finish_samplers(vec![sampler])?;
-        finish_outcome(&cluster, accepted, timeline, sc.mode)
+        finish_outcome(&cluster, accepted, timeline, sc.mode, refused_pairs)
     }
 }
 
+/// How long, once every pair is settled or the accept deadline passed,
+/// [`accept_pairs`] keeps greeting connections still queued.
+const DRAIN_GRACE: Duration = Duration::from_millis(250);
+/// The most queued connections [`accept_pairs`] greets after that point.
+const DRAIN_MAX: usize = 64;
+
 /// The accept phase: collects one Hello'd connection per (tenant,
 /// service) pair, refusing bad handshakes and scenario mismatches, until
-/// every pair is settled or the accept deadline passes.
+/// every pair is settled or the accept deadline passes. It then greets
+/// the connections still queued, so each reads a typed refusal rather
+/// than the reset closing the listener would send it: until none is
+/// queued, [`DRAIN_GRACE`] has passed or [`DRAIN_MAX`] were greeted.
+/// The phase thus outlives the deadline by at most the grace plus one
+/// greeting (bounded by the read timeout).
 fn accept_pairs(
     listener: &TcpListener,
     cfg: &ServeConfig,
@@ -331,18 +352,25 @@ fn accept_pairs(
         .collect();
     let mut waiting = tenants * services;
     let deadline = Instant::now() + cfg.accept_timeout;
-    while waiting > 0 && Instant::now() < deadline {
+    let mut drain_end = None;
+    let mut drained = 0;
+    loop {
+        let now = Instant::now();
+        if waiting == 0 || now >= deadline {
+            let end = *drain_end.get_or_insert(now + DRAIN_GRACE);
+            if now >= end || drained == DRAIN_MAX {
+                break;
+            }
+        }
         match listener.accept() {
             Ok((stream, _)) => {
-                if let Some((t, s, outcome)) = greet(stream, cfg) {
-                    if let Slot::Waiting = slots[t][s] {
-                        waiting -= 1;
-                        slots[t][s] = outcome;
-                    }
-                    // A duplicate claim never evicts the pair's settled
-                    // connection; the newcomer was already aborted.
+                drained += usize::from(drain_end.is_some());
+                if let Some((t, s, outcome)) = greet(stream, cfg, &slots) {
+                    waiting -= 1;
+                    slots[t][s] = outcome;
                 }
             }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && drain_end.is_some() => break,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -365,18 +393,23 @@ fn accept_pairs(
 
 /// Greets one fresh connection: optional transport handshake, then the
 /// Hello exchange. Returns the claimed pair and its settled slot, or
-/// `None` when the connection never identified a pair in range.
-fn greet(stream: TcpStream, cfg: &ServeConfig) -> Option<(usize, usize, Slot)> {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.read_timeout)).is_err() {
+/// `None` when the connection never claimed a waiting pair in range (a
+/// claim on a pair already settled is refused and never evicts it).
+fn greet(tcp: TcpStream, cfg: &ServeConfig, slots: &[Vec<Slot>]) -> Option<(usize, usize, Slot)> {
+    let _ = tcp.set_nodelay(true);
+    if tcp.set_read_timeout(Some(cfg.read_timeout)).is_err() {
         return None;
     }
-    let mut conn = FramedConn::new(stream).ok()?;
+    let mut conn = FramedConn::new(tcp).ok()?;
     let first = conn.recv().ok()?;
     let tenant = first.tenant as usize;
     let service = first.service as usize;
     if tenant >= cfg.scenario.tenants || service >= cfg.scenario.services {
         let _ = conn.send(&abort(&first, "pair out of range"));
+        return None;
+    }
+    if !matches!(slots[tenant][service], Slot::Waiting) {
+        let _ = conn.send(&abort(&first, "pair already claimed"));
         return None;
     }
     let hello = if cfg.tls {

@@ -303,3 +303,46 @@ fn malformed_hellos_get_typed_refusals() {
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(outcome.accepted, 0, "both tenants were refused");
 }
+
+/// Connections still queued when every pair has settled — a claim on a
+/// pair outside the scenario and a second claim on a settled pair — read
+/// typed refusals, not the reset of a listener closed under them.
+#[test]
+fn queued_connections_get_typed_refusals() {
+    let mut cfg = scenario(false);
+    cfg.scenario.tenants = 1;
+    let door = FrontDoor::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = door.local_addr().expect("addr").to_string();
+    let payload = hello_payload(&cfg.scenario);
+    // Queue the only pair's Hello, then two more, before the server
+    // accepts anything.
+    let queued = [
+        (0, FrameKind::HelloAck, ""),
+        (1, FrameKind::Abort, "pair out of range"),
+        (0, FrameKind::Abort, "pair already claimed"),
+    ];
+    let mut streams: Vec<_> = queued
+        .into_iter()
+        .map(|(tenant, kind, reason)| {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let hello = Frame::new(FrameKind::Hello, tenant, 0, 0, payload.clone());
+            stream.write_all(&hello.encode()).expect("hello");
+            (stream, kind, reason)
+        })
+        .collect();
+    let server = std::thread::spawn(move || door.run());
+    for (stream, kind, reason) in &mut streams {
+        let answer = read_frame(stream, &mut Decoder::new());
+        assert_eq!(
+            (answer.kind, &answer.payload[..]),
+            (*kind, reason.as_bytes())
+        );
+    }
+    // The greeted pair sends no requests; it is shed when its read
+    // deadline passes and the run still ends cleanly.
+    let outcome = server.join().expect("server thread").expect("serve run");
+    assert_eq!(outcome.refused_pairs, 0);
+}

@@ -8,7 +8,6 @@ use crate::error::{Result, SgxError};
 use crate::fault::{ChaosAction, ChaosInjection, ChaosKind};
 use crate::machine::{CoreMode, Machine};
 use crate::metrics::CycleCategory;
-use crate::profile::ProfileEvent;
 use crate::trace::Event;
 use ne_crypto::gcm::AesGcm;
 use ne_crypto::Digest32;
@@ -368,8 +367,7 @@ impl Machine {
             .get_mut(eid)
             .expect("live")
             .active_threads += 1;
-        self.stats_mut().ecalls += 1;
-        self.record_event(Event::Eenter { core, eid });
+        self.note(Event::Eenter { core, eid });
         self.chaos_apply_post_entry(core, eid, tcs_va, chaos_actions)?;
         Ok(())
     }
@@ -397,8 +395,7 @@ impl Machine {
         if let Some(secs) = self.enclaves_mut().get_mut(eid) {
             secs.active_threads = secs.active_threads.saturating_sub(1);
         }
-        self.stats_mut().ocalls += 1;
-        self.record_event(Event::Eexit { core, eid });
+        self.note(Event::Eexit { core, eid });
         Ok(())
     }
 
@@ -428,14 +425,7 @@ impl Machine {
         if let Some(secs) = self.enclaves_mut().get_mut(eid) {
             secs.active_threads = secs.active_threads.saturating_sub(1);
         }
-        let cost = self.config().cost.aex;
-        // The core already left enclave mode; the exit belongs to the
-        // interrupted enclave.
-        self.charge_to(core, CycleCategory::Transition, cost, Some(eid));
-        self.stats_mut().aexes += 1;
-        let level = self.hier_level(Some(eid));
-        self.profile_record(ProfileEvent::Aex, level, cost);
-        self.record_event(Event::Aex { core, eid });
+        self.note(Event::Aex { core, eid });
         Ok(())
     }
 
@@ -469,12 +459,7 @@ impl Machine {
             .get_mut(eid)
             .expect("live")
             .active_threads += 1;
-        self.stats_mut().eresumes += 1;
-        // ERESUME's modelled cost is the entry TLB flush charged above.
-        let level = self.hier_level(Some(eid));
-        let cost = self.config().cost.tlb_flush;
-        self.profile_record(ProfileEvent::Eresume, level, cost);
-        self.record_event(Event::Eresume { core, eid });
+        self.note(Event::Eresume { core, eid });
         Ok(())
     }
 
@@ -634,14 +619,7 @@ impl Machine {
         self.dram_mut().clear_page(pte.ppn);
         self.os_unmap(pid, va.vpn());
         self.free_epc(pte.ppn);
-        let cost = self.config().cost.ewb_page;
-        // Paging runs in the (untrusted) driver but on behalf of the page's
-        // owner enclave — attribute it there for the hierarchy report.
-        self.charge_to(0, CycleCategory::Paging, cost, Some(eid));
-        self.stats_mut().ewb_pages += 1;
-        let level = self.hier_level(Some(eid));
-        self.profile_record(ProfileEvent::Paging, level, cost);
-        self.record_event(Event::Ewb { eid, addr: va });
+        self.note(Event::Ewb { eid, addr: va });
         Ok(EvictedPage {
             eid,
             vpn: va.vpn(),
@@ -699,12 +677,7 @@ impl Machine {
         self.epcm_mut().insert(ppn, entry);
         self.os_map(pid, page.vpn, ppn, page.perms);
         self.evicted_versions.remove(&(page.eid.0, page.vpn.0));
-        let cost = self.config().cost.eldu_page;
-        self.charge_to(0, CycleCategory::Paging, cost, Some(page.eid));
-        self.stats_mut().eldu_pages += 1;
-        let level = self.hier_level(Some(page.eid));
-        self.profile_record(ProfileEvent::Paging, level, cost);
-        self.record_event(Event::Eldu {
+        self.note(Event::Eldu {
             eid: page.eid,
             addr: page.vpn.base(),
         });
@@ -720,7 +693,6 @@ impl Machine {
             self.validator().eviction_tracking_set(eid, self.enclaves())
         };
         let flush_all = self.config().flush_all_on_evict;
-        let ipi_cost = self.config().cost.ipi;
         for core in 0..self.num_cores() {
             let hit = match self.core(core).mode {
                 CoreMode::Enclave { eid: running, .. } => flush_all || affected.contains(&running),
@@ -729,9 +701,7 @@ impl Machine {
                 CoreMode::NonEnclave => flush_all,
             };
             if hit {
-                // Shootdown IPIs are part of the eviction's cost.
-                self.charge_to(core, CycleCategory::Paging, ipi_cost, Some(eid));
-                self.stats_mut().ipis += 1;
+                self.note(Event::Ipi { core, eid });
                 if self.current_enclave(core).is_some() {
                     self.aex(core)?;
                 } else {

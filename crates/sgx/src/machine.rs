@@ -57,6 +57,16 @@ pub struct Core {
     pub regs: SavedContext,
 }
 
+impl Core {
+    /// The enclave this core is executing, if any.
+    fn enclave(&self) -> Option<EnclaveId> {
+        match self.mode {
+            CoreMode::Enclave { eid, .. } => Some(eid),
+            CoreMode::NonEnclave => None,
+        }
+    }
+}
+
 /// Kind of memory access, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -276,10 +286,7 @@ impl Machine {
 
     /// The enclave `core` is currently executing, if any.
     pub fn current_enclave(&self, core: usize) -> Option<EnclaveId> {
-        match self.cores[core].mode {
-            CoreMode::Enclave { eid, .. } => Some(eid),
-            CoreMode::NonEnclave => None,
-        }
+        self.cores[core].enclave()
     }
 
     /// Sets the core's execution mode — an architectural surface for
@@ -376,11 +383,6 @@ impl Machine {
         self.stats
     }
 
-    /// Mutable access for the transition instructions in extension crates.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// Clears counters, cycle clocks, attribution tables, latency
     /// histograms, and the event trace (between experiment phases).
     pub fn reset_metrics(&mut self) {
@@ -408,9 +410,71 @@ impl Machine {
         &self.trace
     }
 
-    /// Records an event (extension crates use this for NEENTER/NEEXIT).
-    pub fn record_event(&mut self, event: Event) {
-        self.trace.record(event);
+    /// Records one architectural event: the only way a [`Stats`] counter,
+    /// a latency histogram (span closes aside, see [`Machine::span_end`])
+    /// or the trace ring changes. Extension crates report NEENTER/NEEXIT
+    /// and switchless ocalls here, serving layers their request latencies.
+    ///
+    /// Callers outside `ne-sgx` must report only those extension events:
+    /// every other kind belongs to an instruction or access this machine
+    /// runs itself, and a reported one would bump its counter and charge
+    /// its cost without the instruction having run.
+    #[inline]
+    pub fn note(&mut self, event: Event) {
+        use CycleCategory::{Paging, Transition};
+        use ProfileEvent as P;
+        let (s, c, cores) = (&mut self.stats, &self.cfg.cost, &self.cores);
+        let running = |core: usize| cores[core].enclave();
+        // One row per event kind: the counter it bumps; the histogram it
+        // samples, at the hierarchy level of an enclave (`None` =
+        // untrusted); the fixed cost it charges to (core, category,
+        // owner); and whether the ring keeps it. Paging runs in the
+        // untrusted driver on core 0 for the page's owner; an AEX's core
+        // has already left the enclave it belongs to; ERESUME's modelled
+        // cost is its entry flush, charged by that flush's own event.
+        #[rustfmt::skip]
+        let (counter, sample, charge, keep) = match event {
+            Event::Eenter { .. } => (Some(&mut s.ecalls), None, None, true),
+            Event::Eexit { .. } => (Some(&mut s.ocalls), None, None, true),
+            Event::Neenter { .. } => (Some(&mut s.n_ecalls), None, None, true),
+            Event::Neexit { .. } => (Some(&mut s.n_ocalls), None, None, true),
+            Event::Aex { core, eid } => (Some(&mut s.aexes),
+                Some((P::Aex, Some(eid), c.aex)), Some((core, Transition, c.aex, Some(eid))), true),
+            Event::Eresume { eid, .. } => (Some(&mut s.eresumes),
+                Some((P::Eresume, Some(eid), c.tlb_flush)), None, true),
+            Event::TlbFlush { core } => (None,
+                None, Some((core, Transition, c.tlb_flush, running(core))), true),
+            Event::TlbMiss { core, cycles } => (Some(&mut s.tlb_misses),
+                Some((P::TlbMiss, running(core), cycles)), None, false),
+            Event::Fault { .. } => (Some(&mut s.faults), None, None, true),
+            Event::Ewb { eid, .. } => (Some(&mut s.ewb_pages),
+                Some((P::Paging, Some(eid), c.ewb_page)),
+                Some((0, Paging, c.ewb_page, Some(eid))), true),
+            Event::Eldu { eid, .. } => (Some(&mut s.eldu_pages),
+                Some((P::Paging, Some(eid), c.eldu_page)),
+                Some((0, Paging, c.eldu_page, Some(eid))), true),
+            Event::Ipi { core, eid } => (Some(&mut s.ipis),
+                None, Some((core, Paging, c.ipi, Some(eid))), false),
+            Event::SwitchlessOcall => (Some(&mut s.switchless_ocalls), None, None, false),
+            Event::MeeCrypto { core, cycles } => (None,
+                Some((P::MeeCrypto, running(core), cycles)), None, false),
+            Event::Request { cycles } => (None, Some((P::Request, None, cycles)), None, false),
+            Event::SpanBegin { .. } => (Some(&mut s.span_opens), None, None, true),
+            Event::SpanEnd { .. } => (None, None, None, true),
+        };
+        if let Some(counter) = counter {
+            *counter += 1;
+        }
+        if let Some((core, category, cycles, owner)) = charge {
+            self.charge_to(core, category, cycles, owner);
+        }
+        if let Some((event, eid, cycles)) = sample {
+            let level = self.hier_level(eid);
+            self.profile.record(event, level, cycles);
+        }
+        if keep {
+            self.trace.record(event);
+        }
     }
 
     /// Opens a runtime call span on `core` and returns its id. The span
@@ -429,18 +493,17 @@ impl Machine {
             level,
             begin_cycles: cycles,
         });
-        self.stats.span_opens += 1;
-        if self.trace.is_enabled() {
-            self.trace.record(Event::SpanBegin {
-                core,
-                id,
-                parent,
-                kind,
-                level,
-                label: label.to_string(),
-                cycles,
-            });
-        }
+        // The label is copied only when the ring will keep it.
+        let label = if self.trace.is_enabled() { label } else { "" }.to_string();
+        self.note(Event::SpanBegin {
+            core,
+            id,
+            parent,
+            kind,
+            level,
+            label,
+            cycles,
+        });
         id
     }
 
@@ -458,20 +521,12 @@ impl Machine {
                 self.stats.span_closes += 1;
             }
         }
-        if self.trace.is_enabled() {
-            self.trace.record(Event::SpanEnd { core, id, cycles });
-        }
+        self.note(Event::SpanEnd { core, id, cycles });
     }
 
     /// The always-on latency histograms.
     pub fn profile(&self) -> &Profile {
         &self.profile
-    }
-
-    /// Records a latency sample directly — an architectural surface for
-    /// ISA-extension crates (AEX/ERESUME and paging record their costs).
-    pub fn profile_record(&mut self, event: ProfileEvent, level: HierLevel, cycles: u64) {
-        self.profile.record(event, level, cycles);
     }
 
     /// The [`HierLevel`] of an execution context: untrusted for `None`,
@@ -558,9 +613,7 @@ impl Machine {
     /// [`CycleCategory::Transition`].
     pub fn flush_tlb(&mut self, core: usize) {
         self.cores[core].tlb.flush();
-        let cost = self.cfg.cost.tlb_flush;
-        self.charge_cat(core, CycleCategory::Transition, cost);
-        self.trace.record(Event::TlbFlush { core });
+        self.note(Event::TlbFlush { core });
     }
 
     /// Flushes every TLB.
@@ -671,9 +724,7 @@ impl Machine {
             ));
         }
         // TLB miss: walk the (untrusted) page table.
-        self.stats.tlb_misses += 1;
         let walk_cost = self.cfg.cost.tlb_miss_walk;
-        let level = self.hier_level(self.current_enclave(core));
         self.charge_cat(core, CycleCategory::TlbWalk, walk_cost);
         let pte = match self.processes[self.cores[core].pid.0]
             .page_table
@@ -683,17 +734,9 @@ impl Machine {
             None => {
                 // The walk found nothing, so no validation ran: the miss
                 // cost recorded is the walk alone.
-                self.profile.record(ProfileEvent::TlbMiss, level, walk_cost);
-                self.stats.faults += 1;
-                self.trace.record(Event::Fault {
-                    core,
-                    addr: va,
-                    kind: FaultKind::NotMapped,
-                });
-                return Err(SgxError::Fault {
-                    kind: FaultKind::NotMapped,
-                    addr: va,
-                });
+                let cycles = walk_cost;
+                self.note(Event::TlbMiss { core, cycles });
+                return Err(self.fault(core, va, FaultKind::NotMapped));
             }
         };
         // Run the validation flow (Fig. 2, or Fig. 6 with the nested
@@ -713,8 +756,8 @@ impl Machine {
         let validation = self.validator.validate(&cx);
         let step_cost = validation.steps as u64 * self.cfg.cost.validation_step;
         self.charge_cat(core, CycleCategory::Validation, step_cost);
-        self.profile
-            .record(ProfileEvent::TlbMiss, level, walk_cost + step_cost);
+        let cycles = walk_cost + step_cost;
+        self.note(Event::TlbMiss { core, cycles });
         match validation.outcome {
             Outcome::Insert(entry) => {
                 self.cores[core].tlb.insert(vpn, entry);
@@ -724,15 +767,7 @@ impl Machine {
                     entry.perms,
                 ))
             }
-            Outcome::Fault(kind) => {
-                self.stats.faults += 1;
-                self.trace.record(Event::Fault {
-                    core,
-                    addr: va,
-                    kind,
-                });
-                Err(SgxError::Fault { kind, addr: va })
-            }
+            Outcome::Fault(kind) => Err(self.fault(core, va, kind)),
             Outcome::Abort => Ok(Translated::Abort),
         }
     }
@@ -750,19 +785,11 @@ impl Machine {
             AccessKind::Fetch if !perms.x => Some(FaultKind::ExecFromNonExec),
             _ => None,
         };
-        if let Some(kind) = kind_fault {
-            self.stats.faults += 1;
-            self.trace.record(Event::Fault {
-                core,
-                addr: va,
-                kind,
-            });
-            return Err(SgxError::Fault { kind, addr: va });
-        }
-        Ok(())
+        kind_fault.map_or(Ok(()), |kind| Err(self.fault(core, va, kind)))
     }
 
-    /// Charges cache/DRAM/MEE costs for touching `[paddr, paddr+len)`.
+    /// Charges cache/DRAM/MEE costs for touching `[paddr, paddr+len)` and
+    /// notes the access's MEE crypto cycles, if any.
     ///
     /// Dispatches between the optimized range-charging implementation and
     /// the naive per-line reference ([`HwConfig::reference_path`]); the two
@@ -772,24 +799,27 @@ impl Machine {
         if len == 0 {
             return;
         }
-        if self.cfg.reference_path {
-            self.charge_data_access_reference(core, paddr, len, write);
+        let cycles = if self.cfg.reference_path {
+            self.charge_data_access_reference(core, paddr, len, write)
         } else {
-            self.charge_data_access_fast(core, paddr, len, write);
+            self.charge_data_access_fast(core, paddr, len, write)
+        };
+        if cycles > 0 {
+            self.note(Event::MeeCrypto { core, cycles });
         }
     }
 
     /// The naive data-access cost path: one LLC probe, one cost branch, and
     /// one MEE counter bump per line, then two separate category charges.
     /// Retained verbatim as the differential-oracle reference for
-    /// [`Machine::charge_data_access_fast`].
+    /// [`Machine::charge_data_access_fast`]. Returns the MEE crypto cycles.
     fn charge_data_access_reference(
         &mut self,
         core: usize,
         paddr: PhysAddr,
         len: usize,
         write: bool,
-    ) {
+    ) -> u64 {
         let first = paddr.0 / LINE_SIZE as u64;
         let last = (paddr.0 + len as u64 - 1) / LINE_SIZE as u64;
         let mut mem_cycles = 0u64;
@@ -816,11 +846,7 @@ impl Machine {
         }
         self.charge_cat(core, CycleCategory::Memory, mem_cycles);
         self.charge_cat(core, CycleCategory::MeeCrypto, mee_cycles);
-        if mee_cycles > 0 {
-            let level = self.hier_level(self.current_enclave(core));
-            self.profile
-                .record(ProfileEvent::MeeCrypto, level, mee_cycles);
-        }
+        mee_cycles
     }
 
     /// Optimized data-access charging: walks the range page segment by page
@@ -831,8 +857,14 @@ impl Machine {
     /// charges, counters, and eviction decisions of
     /// [`Machine::charge_data_access_reference`] — cost addition commutes,
     /// all lines of a page segment share PRM residency, and the LLC visits
-    /// lines in the same order.
-    fn charge_data_access_fast(&mut self, core: usize, paddr: PhysAddr, len: usize, write: bool) {
+    /// lines in the same order. Returns the MEE crypto cycles.
+    fn charge_data_access_fast(
+        &mut self,
+        core: usize,
+        paddr: PhysAddr,
+        len: usize,
+        write: bool,
+    ) -> u64 {
         const LINES_PER_PAGE: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
         let first = paddr.0 / LINE_SIZE as u64;
         let last = (paddr.0 + len as u64 - 1) / LINE_SIZE as u64;
@@ -874,11 +906,7 @@ impl Machine {
             bucket.add(CycleCategory::Memory, mem_cycles);
             bucket.add(CycleCategory::MeeCrypto, mee_cycles);
         }
-        if mee_cycles > 0 {
-            let level = self.hier_level(owner);
-            self.profile
-                .record(ProfileEvent::MeeCrypto, level, mee_cycles);
-        }
+        mee_cycles
     }
 
     /// Range tamper check, honouring [`HwConfig::reference_path`].
@@ -904,7 +932,7 @@ impl Machine {
             match self.translate(core, cur, AccessKind::Read)? {
                 Translated::Phys(pa, _) => {
                     if self.tampered(pa.0, in_page) {
-                        return Err(self.integrity_fault(core, cur));
+                        return Err(self.fault(core, cur, FaultKind::IntegrityViolation));
                     }
                     self.charge_data_access(core, pa, in_page, false);
                     self.dram
@@ -942,7 +970,7 @@ impl Machine {
             match self.translate(core, cur, AccessKind::Write)? {
                 Translated::Phys(pa, _) => {
                     if self.tampered(pa.0, in_page) {
-                        return Err(self.integrity_fault(core, cur));
+                        return Err(self.fault(core, cur, FaultKind::IntegrityViolation));
                     }
                     self.charge_data_access(core, pa, in_page, true);
                     self.dram
@@ -969,7 +997,7 @@ impl Machine {
                 // line faults here, untouched neighbours do not.
                 let line_base = pa.0 & !(LINE_SIZE as u64 - 1);
                 if self.tampered(line_base, LINE_SIZE) {
-                    return Err(self.integrity_fault(core, va));
+                    return Err(self.fault(core, va, FaultKind::IntegrityViolation));
                 }
                 self.charge_data_access(core, PhysAddr(line_base), LINE_SIZE, false);
                 Ok(())
@@ -981,20 +1009,10 @@ impl Machine {
         }
     }
 
-    /// Records an MEE integrity violation at `addr`: bumps the fault
-    /// counter and the trace ring together so trace-derived fault counts
-    /// agree with [`Stats::faults`].
-    fn integrity_fault(&mut self, core: usize, addr: VirtAddr) -> SgxError {
-        self.stats.faults += 1;
-        self.trace.record(Event::Fault {
-            core,
-            addr,
-            kind: FaultKind::IntegrityViolation,
-        });
-        SgxError::Fault {
-            kind: FaultKind::IntegrityViolation,
-            addr,
-        }
+    /// Notes a fault of `kind` at `addr` and returns it as an error.
+    fn fault(&mut self, core: usize, addr: VirtAddr, kind: FaultKind) -> SgxError {
+        self.note(Event::Fault { core, addr, kind });
+        SgxError::Fault { kind, addr }
     }
 
     // ----- physical attacker surface ----------------------------------------

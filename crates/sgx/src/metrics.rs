@@ -37,7 +37,7 @@
 //! ```
 
 use crate::machine::Machine;
-use crate::profile::{HierLevel, Histogram, ProfileEvent};
+use crate::profile::{Profile, ProfileEvent};
 use crate::trace::Stats;
 
 /// Version tag emitted at the top of [`MachineMetrics::to_json`]. Bump it
@@ -160,25 +160,6 @@ pub struct EnclaveMetrics {
     pub breakdown: CycleBreakdown,
 }
 
-/// One non-empty latency histogram in a snapshot, keyed by what was
-/// measured and the hierarchy level it was measured at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileEntry {
-    /// What the samples measure.
-    pub event: ProfileEvent,
-    /// Hierarchy level the samples belong to.
-    pub level: HierLevel,
-    /// The recorded distribution (cycles).
-    pub hist: Histogram,
-}
-
-impl ProfileEntry {
-    /// Stable `event/level` identifier used in JSON exports.
-    pub fn key(&self) -> String {
-        format!("{}/{}", self.event.name(), self.level.name())
-    }
-}
-
 /// A point-in-time snapshot of every counter the machine maintains.
 ///
 /// See the [module docs](self) for the identities [`check`]
@@ -200,8 +181,8 @@ pub struct MachineMetrics {
     pub cores_in_enclave_mode: usize,
     /// Always-on event counters.
     pub stats: Stats,
-    /// Non-empty latency histograms, in (event, level) export order.
-    pub profile: Vec<ProfileEntry>,
+    /// The machine's latency histograms.
+    pub profile: Profile,
     /// Per-core accounting, core 0 first.
     pub cores: Vec<CoreMetrics>,
     /// Per-enclave accounting: untrusted bucket first, then by ascending
@@ -277,15 +258,7 @@ impl MachineMetrics {
             total_cycles: machine.total_cycles(),
             cores_in_enclave_mode,
             stats,
-            profile: machine
-                .profile()
-                .entries()
-                .map(|(event, level, hist)| ProfileEntry {
-                    event,
-                    level,
-                    hist: hist.clone(),
-                })
-                .collect(),
+            profile: machine.profile().clone(),
             cores,
             enclaves,
             mee_lines_decrypted: machine.mee().lines_decrypted(),
@@ -386,37 +359,25 @@ impl MachineMetrics {
                 self.trace_recorded, self.trace_dropped, self.trace_retained
             ));
         }
-        for e in &self.profile {
-            if e.hist.bucket_total() != e.hist.count() {
+        for (event, level, hist) in self.profile.entries() {
+            let key = format!("{}/{}", event.name(), level.name());
+            if hist.bucket_total() != hist.count() {
                 return Err(format!(
-                    "histogram {}: bucket counts sum to {} but count is {}",
-                    e.key(),
-                    e.hist.bucket_total(),
-                    e.hist.count()
+                    "histogram {key}: bucket counts sum to {} but count is {}",
+                    hist.bucket_total(),
+                    hist.count()
                 ));
             }
-            let s = e.hist.summary();
+            let s = hist.summary();
             if !(s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max) {
                 return Err(format!(
-                    "histogram {}: percentiles not monotone \
+                    "histogram {key}: percentiles not monotone \
                      (min {} p50 {} p90 {} p99 {} max {})",
-                    e.key(),
-                    s.min,
-                    s.p50,
-                    s.p90,
-                    s.p99,
-                    s.max
+                    s.min, s.p50, s.p90, s.p99, s.max
                 ));
             }
         }
-        let count_of = |ev: ProfileEvent| -> u64 {
-            self.profile
-                .iter()
-                .filter(|e| e.event == ev)
-                .map(|e| e.hist.count())
-                .sum()
-        };
-        let boundary: u64 = ProfileEvent::BOUNDARY.iter().map(|&e| count_of(e)).sum();
+        let boundary = self.profile.boundary_count();
         if boundary != self.stats.span_closes {
             return Err(format!(
                 "boundary histograms hold {boundary} samples but {} spans closed \
@@ -434,7 +395,7 @@ impl MachineMetrics {
                 "ewb_pages + eldu_pages",
             ),
         ] {
-            let got = count_of(ev);
+            let got = self.profile.merged(ev).count();
             if got != expect {
                 return Err(format!(
                     "{} histogram holds {got} samples but {what} is {expect}",
@@ -511,7 +472,7 @@ impl MachineMetrics {
         self.total_cycles += other.total_cycles;
         self.cores_in_enclave_mode += other.cores_in_enclave_mode;
         self.stats.merge(&other.stats);
-        self.profile = merged_profiles(&self.profile, &other.profile);
+        self.profile.merge(&other.profile);
 
         let mut cores: Vec<CoreMetrics> = Vec::with_capacity(self.cores.len() + other.cores.len());
         cores.append(&mut self.cores);
@@ -616,18 +577,19 @@ impl MachineMetrics {
                 .join(", "),
         );
         out.push_str("},\n");
-        if self.profile.is_empty() {
+        let profile: Vec<_> = self.profile.entries().collect();
+        if profile.is_empty() {
             out.push_str("  \"profile\": [],\n");
         } else {
             out.push_str("  \"profile\": [\n");
-            for (i, e) in self.profile.iter().enumerate() {
-                let s = e.hist.summary();
+            for (i, (event, level, hist)) in profile.iter().enumerate() {
+                let s = hist.summary();
                 out.push_str(&format!(
                     "    {{\"event\": \"{}\", \"level\": \"{}\", \"count\": {}, \
                      \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \
                      \"p99\": {}}}{}\n",
-                    e.event.name(),
-                    e.level.name(),
+                    event.name(),
+                    level.name(),
                     s.count,
                     s.sum,
                     s.min,
@@ -635,7 +597,7 @@ impl MachineMetrics {
                     s.p50,
                     s.p90,
                     s.p99,
-                    if i + 1 < self.profile.len() { "," } else { "" }
+                    if i + 1 < profile.len() { "," } else { "" }
                 ));
             }
             out.push_str("  ],\n");
@@ -698,35 +660,6 @@ pub const SHARD_CORE_BITS: u32 = 16;
 /// index inside an enclave id. Per-machine eids are small sequential
 /// integers, so the low 32 bits never collide with the shard tag.
 pub const SHARD_EID_BITS: u32 = 32;
-
-/// Bucket-wise merge of two profile entry lists, preserving the canonical
-/// (event, level) export order and dropping empty histograms — the same
-/// shape [`MachineMetrics::capture`] produces.
-fn merged_profiles(a: &[ProfileEntry], b: &[ProfileEntry]) -> Vec<ProfileEntry> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    for event in ProfileEvent::ALL {
-        for level in HierLevel::ALL {
-            let find = |entries: &[ProfileEntry]| {
-                entries
-                    .iter()
-                    .find(|e| e.event == event && e.level == level)
-                    .map(|e| e.hist.clone())
-            };
-            let hist = match (find(a), find(b)) {
-                (Some(mut h), Some(other)) => {
-                    h.merge(&other);
-                    Some(h)
-                }
-                (Some(h), None) | (None, Some(h)) => Some(h),
-                (None, None) => None,
-            };
-            if let Some(hist) = hist.filter(|h| !h.is_empty()) {
-                out.push(ProfileEntry { event, level, hist });
-            }
-        }
-    }
-    out
-}
 
 fn breakdown_json(b: &CycleBreakdown) -> String {
     let fields = b
@@ -858,12 +791,7 @@ mod tests {
             .unwrap();
         let snap = m.metrics();
         snap.check().unwrap();
-        let misses: u64 = snap
-            .profile
-            .iter()
-            .filter(|e| e.event == ProfileEvent::TlbMiss)
-            .map(|e| e.hist.count())
-            .sum();
+        let misses = snap.profile.merged(ProfileEvent::TlbMiss).count();
         assert_eq!(misses, snap.stats.tlb_misses);
         assert!(misses > 0);
         let json = snap.to_json();

@@ -8,18 +8,19 @@
 //! recording a value is two array indexings and a handful of integer adds,
 //! cheap enough to leave enabled even when event tracing is off.
 //!
-//! Recording sites (all inside `ne-sgx`, so the identities checked by
-//! [`crate::metrics::MachineMetrics::check`] hold by construction):
+//! Only the machine records samples, so the identities checked by
+//! [`crate::metrics::MachineMetrics::check`] hold by construction:
 //!
 //! - boundary spans (ecall/ocall/n_ecall/n_ocall/switchless) record their
 //!   close-to-open cycle duration in `Machine::span_end`;
-//! - TLB misses record walk + validation cycles in `Machine::translate`;
-//! - MEE line crypto records per-access crypto cycles;
-//! - AEX/ERESUME and EWB/ELDU record their architectural costs.
+//! - every other event is sampled by the arm of `Machine::note` that
+//!   also bumps its counter: TLB misses record walk + validation cycles,
+//!   MEE line crypto per-access crypto cycles, AEX/ERESUME and EWB/ELDU
+//!   their architectural costs.
 //!
-//! One event, [`ProfileEvent::Request`], is recorded from *outside*
-//! `ne-sgx` (by the `ne-host` serving layer, through
-//! `Machine::profile_record`) and deliberately has no counter identity.
+//! One event, [`ProfileEvent::Request`], is reported from *outside*
+//! `ne-sgx` (by `ne-host`, as a [`crate::trace::Event::Request`]) and
+//! deliberately has no counter identity.
 //!
 //! Histograms use 64 power-of-two buckets (bucket *i* holds values whose
 //! `ilog2` is *i*), HDR-style: constant-size, mergeable by bucket-wise
@@ -111,20 +112,6 @@ impl Histogram {
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Count in bucket `i` (values with `ilog2 == i`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
     }
 
     /// Sum of all bucket counts — equals [`Histogram::count`] by
@@ -245,8 +232,8 @@ pub enum ProfileEvent {
     /// One EWB or ELDU page operation.
     Paging,
     /// End-to-end request latency as observed by a serving layer (arrival
-    /// to completion). Recorded by hosting code outside `ne-sgx` via
-    /// [`crate::machine::Machine::profile_record`]; like [`MeeCrypto`]
+    /// to completion). Reported by hosting code outside `ne-sgx` as a
+    /// [`crate::trace::Event::Request`]; like [`MeeCrypto`]
     /// (whose samples have no dedicated `Stats` counter either) it carries
     /// no counter identity in the metrics checker.
     ///
@@ -402,6 +389,14 @@ impl Profile {
         })
     }
 
+    /// Accumulates `other` into `self`, histogram by histogram
+    /// (associative and commutative, like [`Histogram::merge`]).
+    pub fn merge(&mut self, other: &Profile) {
+        for (dst, src) in self.hists.iter_mut().zip(&other.hists) {
+            dst.merge(src);
+        }
+    }
+
     /// Total samples recorded across the boundary events (the span-close
     /// sites) — equals `Stats::span_closes` by construction.
     pub fn boundary_count(&self) -> u64 {
@@ -430,7 +425,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.percentile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
         assert!(h.is_empty());
     }
 
@@ -530,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_records_and_merges_across_levels() {
+    fn profile_merges_across_levels_and_profiles() {
         let mut p = Profile::new();
         p.record(ProfileEvent::Ecall, HierLevel::Untrusted, 100);
         p.record(ProfileEvent::Ecall, HierLevel::Untrusted, 200);
@@ -539,6 +533,10 @@ mod tests {
         assert_eq!(p.merged(ProfileEvent::Ecall).count(), 2);
         assert_eq!(p.boundary_count(), 3);
         assert_eq!(p.entries().count(), 2);
+        let mut twice = p.clone();
+        twice.merge(&p);
+        assert_eq!(twice.boundary_count(), 6);
+        assert_eq!(twice.entries().count(), 2);
         p.clear();
         assert_eq!(p.boundary_count(), 0);
     }

@@ -10,6 +10,9 @@
 //!   window) and counts what it dropped, so a long run can always be
 //!   inspected near its end without unbounded memory use.
 //!
+//! Both are fed by one call, [`crate::machine::Machine::note`], so they
+//! cannot disagree about how many events of a kind the ring keeps.
+//!
 //! Span events ([`Event::SpanBegin`]/[`Event::SpanEnd`]) are emitted by the
 //! SDK runtime around ecall/ocall dispatch; `parent` links let a consumer
 //! reconstruct the ecall→ocall call tree from the trace alone.
@@ -131,7 +134,9 @@ impl SpanKind {
     }
 }
 
-/// Architectural events, recorded when tracing is enabled.
+/// Architectural events, each reported once through
+/// [`crate::machine::Machine::note`]; the ring (when enabled) keeps all
+/// but the TLB-miss, IPI, switchless, MEE and request events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// EENTER into an enclave on a core.
@@ -185,6 +190,13 @@ pub enum Event {
         /// Flushed core.
         core: usize,
     },
+    /// A TLB miss walked the page table (and validated the result).
+    TlbMiss {
+        /// Executing core.
+        core: usize,
+        /// Walk plus validation cycles.
+        cycles: u64,
+    },
     /// A memory access faulted.
     Fault {
         /// Executing core.
@@ -207,6 +219,27 @@ pub enum Event {
         eid: EnclaveId,
         /// Reloaded virtual address.
         addr: VirtAddr,
+    },
+    /// An eviction shootdown interrupted a core.
+    Ipi {
+        /// Interrupted core.
+        core: usize,
+        /// Enclave whose page is being evicted.
+        eid: EnclaveId,
+    },
+    /// An ocall was served through the switchless queue.
+    SwitchlessOcall,
+    /// One data access paid MEE line encryption/decryption.
+    MeeCrypto {
+        /// Executing core.
+        core: usize,
+        /// Crypto cycles of the access.
+        cycles: u64,
+    },
+    /// A serving layer completed a request.
+    Request {
+        /// Arrival-to-completion latency in cycles.
+        cycles: u64,
     },
     /// A runtime-level call span opened (ecall/ocall dispatch).
     SpanBegin {
@@ -290,11 +323,6 @@ impl Trace {
     /// True if nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total events recorded while enabled (retained + dropped).

@@ -247,25 +247,18 @@ proptest! {
             issue(&mut app, call);
         }
         let m = app.machine.metrics();
-        let count_of = |event| {
-            m.profile
-                .iter()
-                .filter(|e| e.event == event)
-                .map(|e| e.hist.count())
-                .sum::<u64>()
-        };
-        let boundary: u64 = ProfileEvent::BOUNDARY.into_iter().map(count_of).sum();
-        prop_assert_eq!(boundary, m.stats.span_closes);
+        prop_assert_eq!(m.profile.boundary_count(), m.stats.span_closes);
         // Per-event counters must match the microarchitectural histograms.
         // (No such identity holds for stats.ecalls vs the ecall histogram:
         // returning from an ocall is an EENTER too, so the transition
         // counter can exceed the span count.)
-        prop_assert_eq!(count_of(ProfileEvent::TlbMiss), m.stats.tlb_misses);
-        prop_assert_eq!(count_of(ProfileEvent::Aex), m.stats.aexes);
-        prop_assert_eq!(count_of(ProfileEvent::Eresume), m.stats.eresumes);
-        prop_assert_eq!(
-            count_of(ProfileEvent::Paging),
-            m.stats.ewb_pages + m.stats.eldu_pages
-        );
+        for (event, counter) in [
+            (ProfileEvent::TlbMiss, m.stats.tlb_misses),
+            (ProfileEvent::Aex, m.stats.aexes),
+            (ProfileEvent::Eresume, m.stats.eresumes),
+            (ProfileEvent::Paging, m.stats.ewb_pages + m.stats.eldu_pages),
+        ] {
+            prop_assert_eq!(m.profile.merged(event).count(), counter, "{}", event.name());
+        }
     }
 }
