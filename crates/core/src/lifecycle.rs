@@ -40,6 +40,16 @@
 //! then that the relation list names the gate as an **outer** of the
 //! reporter. Each failure is a distinct [`AttestError`] so the host can
 //! count refusal reasons per tenant.
+//!
+//! Blobs come from the untrusted host, so this module may not index,
+//! unwrap or panic: every access is checked and a bad blob is a
+//! [`LifecycleError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use crate::report::{nereport, verify_nested_report, NestedReport, Relation};
 use crate::runtime::{EnclaveCtx, NestedApp};
@@ -141,20 +151,29 @@ fn header(tenant: u64, counter: u64, payload_len: usize) -> [u8; HEADER_LEN] {
 /// [`LifecycleError::Truncated`] / [`LifecycleError::BadMagic`] /
 /// [`LifecycleError::BadVersion`] on malformed input.
 pub fn peek_header(blob: &[u8]) -> Result<(u64, u64, usize), LifecycleError> {
-    if blob.len() < HEADER_LEN {
-        return Err(LifecycleError::Truncated);
-    }
-    if &blob[..7] != MAGIC {
+    let mut hdr: &[u8] = blob
+        .first_chunk::<HEADER_LEN>()
+        .ok_or(LifecycleError::Truncated)?;
+    if take::<7>(&mut hdr)? != *MAGIC {
         return Err(LifecycleError::BadMagic);
     }
-    let version = u16::from_le_bytes(blob[7..9].try_into().unwrap());
+    let version = u16::from_le_bytes(take(&mut hdr)?);
     if version != VERSION {
         return Err(LifecycleError::BadVersion(version));
     }
-    let tenant = u64::from_le_bytes(blob[9..17].try_into().unwrap());
-    let counter = u64::from_le_bytes(blob[17..25].try_into().unwrap());
-    let len = u32::from_le_bytes(blob[25..29].try_into().unwrap()) as usize;
+    let tenant = u64::from_le_bytes(take(&mut hdr)?);
+    let counter = u64::from_le_bytes(take(&mut hdr)?);
+    let len = u32::from_le_bytes(take(&mut hdr)?) as usize;
     Ok((tenant, counter, len))
+}
+
+/// Splits the first `N` bytes off `bytes`.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], LifecycleError> {
+    let (head, rest) = bytes
+        .split_first_chunk::<N>()
+        .ok_or(LifecycleError::Truncated)?;
+    *bytes = rest;
+    Ok(*head)
 }
 
 /// Seals `payload` for `tenant` at monotonic `counter`, inside the
@@ -213,12 +232,14 @@ pub fn unseal_state(
     if blob.len() != HEADER_LEN + NONCE_LEN + payload_len + TAG_LEN {
         return Err(LifecycleError::Truncated);
     }
+    let (nonce, sealed) = blob
+        .get(HEADER_LEN..)
+        .and_then(<[u8]>::split_first_chunk::<NONCE_LEN>)
+        .ok_or(LifecycleError::Truncated)?;
     let key = cx.machine.egetkey(cx.core(), KeyPolicy::SealToEnclave)?;
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(&blob[HEADER_LEN..HEADER_LEN + NONCE_LEN]);
     let hdr = header(blob_tenant, counter, payload_len);
     let payload = AesGcm::new(&key)
-        .open(&nonce, &blob[HEADER_LEN + NONCE_LEN..], &hdr)
+        .open(nonce, sealed, &hdr)
         .map_err(|_| LifecycleError::BadMac)?;
     if counter < min_counter {
         return Err(LifecycleError::Rollback {
@@ -391,6 +412,12 @@ pub fn attest_chain(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::edl::Edl;

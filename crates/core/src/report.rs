@@ -6,6 +6,15 @@
 //! NEREPORT therefore returns the reporting enclave's measurement *plus*
 //! the measurements and roles of every associated enclave, MACed with the
 //! same per-target report-key hierarchy as EREPORT.
+//!
+//! Reports come from peers, so this module may not index, unwrap or
+//! panic: every access is checked and a failure is an [`SgxError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use ne_crypto::hmac::hmac_sha256;
 use ne_crypto::Digest32;
@@ -95,7 +104,7 @@ pub fn nereport(
         let secs = machine
             .enclaves()
             .get(eid)
-            .expect("running enclave is live");
+            .ok_or(SgxError::NoSuchEnclave(eid))?;
         (
             secs.mrenclave,
             secs.mrsigner,
@@ -154,6 +163,12 @@ pub fn verify_nested_report(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::nasso::{nasso, AssocPolicy, ExpectedIdentity};

@@ -379,8 +379,10 @@ pub fn service_handlers(kind: ServiceKind, tenant: usize, seed: u64) -> Vec<(Str
     }
 }
 
-/// Trains tenant `tenant`'s SVM on a small synthetic dataset. Done once at
-/// build time, host-side (model provisioning, not serving work).
+/// Trains tenant `tenant`'s SVM on a small synthetic dataset, host-side
+/// (model provisioning, not serving work). Every load of an svm service
+/// trains it afresh: the build, each respawn (`rebuild_service`) and each
+/// migration adoption.
 fn tenant_model(tenant: usize, seed: u64) -> SvmModel {
     let ds = Dataset::synthetic(
         SVM_CLASSES,

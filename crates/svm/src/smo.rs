@@ -4,14 +4,25 @@
 //! The trainer computes nothing twice, and every model it returns is bit
 //! for bit the one the plain loop would produce:
 //!
-//! * **Decision memo.** `memo[i]` holds sample `i`'s decision value under
-//!   the current `(alpha, b)`. It is filled on first use and cleared
-//!   whenever an update is accepted, so a pass that changes nothing (each
-//!   problem ends with `max_passes` of them) computes each value once.
-//!   A memoized value is the value the same expression would recompute.
+//! * **Decision values.** `dec[i]` holds sample `i`'s decision value under
+//!   the current `(alpha, b)`, so a pass that changes nothing (each
+//!   problem ends with `max_passes` of them) computes no sum. On the Gram
+//!   path one refresh after each accepted step recomputes all `n` values:
+//!   it fills `dec` with `b`, then adds `c * K[k][x]` (`c = alpha[k] *
+//!   y[k]`) along each support row `k` in ascending order. Each lane is
+//!   the decision sum itself (same start value, terms, order and
+//!   roundings, since Rust never fuses `*` and `+`), but the `n` sums are
+//!   independent, so the compiler vectorizes them instead of waiting on
+//!   one add chain per sample, and each term streams a Gram row instead
+//!   of striding down a column. From n = 60 (the tenant models) to
+//!   n ≈ 2,800 (near the budget) an accepted step comes once per 70 to
+//!   7,000 KKT checks on average, so the checks would read most values
+//!   anyway. On the on-demand path a value is computed on first use and
+//!   forgotten when an update is accepted.
 //! * **Bounded Gram matrix.** Each binary problem whose `n × n` kernel
 //!   matrix fits [`GRAM_BUDGET_BYTES`] evaluates every kernel value once
-//!   up front; larger problems (`fig9 --full` cod-rna) evaluate them on
+//!   up front; larger problems (`fig9 --full` cod-rna, phishing and
+//!   protein; its dna and colon-cancer pairs fit) evaluate them on
 //!   demand, as LibSVM bounds its kernel cache. `Kernel::eval` is
 //!   symmetric bit for bit (IEEE `*` commutes, `(a-b)² == (b-a)²`, and
 //!   dimensions are summed in the same order), so one triangle serves
@@ -144,13 +155,20 @@ fn smo(
     // Ascending indices `k` with `alpha[k] > 0.0`: the only non-zero
     // terms of a decision sum.
     let mut support: Vec<usize> = Vec::new();
-    // Decision value of each sample under the current `(alpha, b)`.
-    let mut memo: Vec<Option<f64>> = vec![None; n];
+    // Decision value of each sample under the current `(alpha, b)`,
+    // valid where `known`. With a Gram matrix every value is refreshed
+    // after each accepted step; on demand a value is filled on first use.
+    let mut dec = vec![b; n];
+    let mut known = vec![gram.is_some(); n];
     let mut passes = 0usize;
     while passes < params.max_passes {
         let mut changed = 0usize;
         for i in 0..n {
-            let ei = *memo[i].get_or_insert_with(|| decision(&alpha, &support, b, i)) - labels[i];
+            if !known[i] {
+                dec[i] = decision(&alpha, &support, b, i);
+                known[i] = true;
+            }
+            let ei = dec[i] - labels[i];
             let violates = (labels[i] * ei < -params.tol && alpha[i] < params.c)
                 || (labels[i] * ei > params.tol && alpha[i] > 0.0);
             if !violates {
@@ -162,7 +180,11 @@ fn smo(
             if j >= i {
                 j += 1;
             }
-            let ej = *memo[j].get_or_insert_with(|| decision(&alpha, &support, b, j)) - labels[j];
+            if !known[j] {
+                dec[j] = decision(&alpha, &support, b, j);
+                known[j] = true;
+            }
+            let ej = dec[j] - labels[j];
             let (ai_old, aj_old) = (alpha[i], alpha[j]);
             let (lo, hi) = if (labels[i] - labels[j]).abs() > f64::EPSILON {
                 (
@@ -211,7 +233,20 @@ fn smo(
             } else {
                 (b1 + b2) / 2.0
             };
-            memo.fill(None);
+            match gram {
+                // `decision`'s sums, one lane per sample: the same start
+                // value, terms, order and roundings.
+                Some(g) => {
+                    dec.fill(b);
+                    for &k in &support {
+                        let c = alpha[k] * labels[k];
+                        for (d, kv) in dec.iter_mut().zip(&g[k * n..(k + 1) * n]) {
+                            *d += c * kv;
+                        }
+                    }
+                }
+                None => known.fill(false),
+            }
             changed += 1;
         }
         if changed == 0 {

@@ -3,6 +3,16 @@
 //! Wire format: `[content_type: u8][len: u32 LE][ciphertext || tag]`, with
 //! the sequence number as AES-GCM nonce/AAD so replayed or reordered
 //! records fail to open.
+//!
+//! `open` reads bytes from a peer, so this module may not index, unwrap
+//! or panic: every access is checked and a bad record is a
+//! [`RecordError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use ne_crypto::gcm::AesGcm;
 use std::fmt;
@@ -103,27 +113,19 @@ impl RecordLayer {
     ///
     /// [`RecordError`] on framing or authentication failure.
     pub fn open(&mut self, wire: &[u8]) -> Result<(ContentType, Vec<u8>), RecordError> {
-        if wire.len() < 5 {
-            return Err(RecordError::Malformed);
-        }
-        let ty = ContentType::from_byte(wire[0]).ok_or(RecordError::BadContentType(wire[0]))?;
-        // The length check above guarantees 4 bytes, but the wire path
-        // must stay panic-free by construction, not by proof-at-a-
-        // distance: a failed conversion is a malformed record, never an
-        // abort.
-        let len = wire[1..5]
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| RecordError::Malformed)? as usize;
-        if wire.len() != 5 + len {
+        let ([ty_byte, len @ ..], body) = wire
+            .split_first_chunk::<5>()
+            .ok_or(RecordError::Malformed)?;
+        let ty = ContentType::from_byte(*ty_byte).ok_or(RecordError::BadContentType(*ty_byte))?;
+        if body.len() != u32::from_le_bytes(*len) as usize {
             return Err(RecordError::Malformed);
         }
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&self.recv_seq.to_le_bytes());
-        let aad = [wire[0]];
+        let aad = [*ty_byte];
         let pt = self
             .cipher
-            .open(&nonce, &wire[5..], &aad)
+            .open(&nonce, body, &aad)
             .map_err(|_| RecordError::BadMac)?;
         self.recv_seq += 1;
         Ok((ty, pt))
@@ -131,6 +133,12 @@ impl RecordLayer {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 
