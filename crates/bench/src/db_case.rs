@@ -14,17 +14,11 @@ use ne_core::edl::Edl;
 use ne_core::loader::EnclaveImage;
 use ne_core::runtime::{NestedApp, TrustedFn};
 use ne_db::{Database, Workload, WorkloadMix};
+use ne_host::service::db_engine_charge;
 use ne_sgx::config::HwConfig;
 use ne_sgx::error::SgxError;
 use ne_sgx::spantree::TraceBundle;
 use std::sync::{Arc, Mutex};
-
-/// Cycles per query of SQL engine work (parse, plan, B-tree traversal,
-/// result marshalling) — ~100 µs at 3.6 GHz, in line with in-enclave
-/// SQLite under YCSB.
-const ENGINE_CYCLES_PER_QUERY: u64 = 360_000;
-/// Extra engine cycles per result/parameter byte.
-const ENGINE_CYCLES_PER_BYTE: u64 = 2;
 
 /// Result of one Table VI run.
 #[derive(Debug, Clone)]
@@ -54,14 +48,6 @@ impl DbCaseResult {
     }
 }
 
-fn engine_charge(sql_len: usize, result_len: usize) -> u64 {
-    ENGINE_CYCLES_PER_QUERY + ENGINE_CYCLES_PER_BYTE * (sql_len + result_len) as u64
-}
-
-fn gcm_cost(cfg: &HwConfig, len: usize) -> u64 {
-    cfg.cost.gcm_setup + cfg.cost.gcm_per_byte * len as u64
-}
-
 /// Builds the SQLite service in nested or monolithic configuration.
 ///
 /// # Errors
@@ -87,7 +73,7 @@ pub fn build_db_app(nested: bool, trace: bool) -> Result<NestedApp, SgxError> {
                     out.extend_from_slice(v.to_string().as_bytes());
                 }
             }
-            cx.charge(engine_charge(args.len(), out.len()));
+            cx.charge(db_engine_charge(args.len(), out.len()));
             Ok(out)
         })
     };
@@ -112,7 +98,7 @@ pub fn build_db_app(nested: bool, trace: bool) -> Result<NestedApp, SgxError> {
                     .map_err(|_| SgxError::GeneralProtection("bad utf-8 query".into()))?,
             )
             .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             cx.n_ocall("sql_exec", args)
         });
         app.load(proxy, [("query".to_string(), query)])?;
@@ -131,7 +117,7 @@ pub fn build_db_app(nested: bool, trace: bool) -> Result<NestedApp, SgxError> {
                     .map_err(|_| SgxError::GeneralProtection("bad utf-8 query".into()))?,
             )
             .map_err(|e| SgxError::GeneralProtection(e.to_string()))?;
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             exec(cx, args)
         });
         app.load(img, [("query".to_string(), query)])?;

@@ -14,6 +14,7 @@
 use ne_core::edl::Edl;
 use ne_core::loader::EnclaveImage;
 use ne_core::runtime::{NestedApp, TrustedFn};
+use ne_host::service::SVM_PREDICT_CYCLES_PER_CELL;
 use ne_sgx::config::HwConfig;
 use ne_sgx::error::SgxError;
 use ne_sgx::spantree::TraceBundle;
@@ -25,8 +26,6 @@ use std::sync::{Arc, Mutex};
 
 /// Cycles per (sample × dimension) of one training sweep.
 const TRAIN_CYCLES_PER_CELL: u64 = 40;
-/// Cycles per (support-vector × dimension) of one prediction.
-const PREDICT_CYCLES_PER_CELL: u64 = 16;
 
 /// Configuration of one Fig. 9 run.
 #[derive(Debug, Clone)]
@@ -64,10 +63,6 @@ pub struct SvmCaseResult {
     pub trace: Option<TraceBundle>,
 }
 
-fn gcm_cost(cfg: &HwConfig, len: usize) -> u64 {
-    cfg.cost.gcm_setup + cfg.cost.gcm_per_byte * len as u64
-}
-
 fn train_charge(ds: &Dataset) -> u64 {
     (ds.len() as u64) * (ds.dim() as u64) * TRAIN_CYCLES_PER_CELL
 }
@@ -75,7 +70,7 @@ fn train_charge(ds: &Dataset) -> u64 {
 fn predict_charge(model: &SvmModel, ds: &Dataset) -> u64 {
     (model.num_support_vectors() as u64)
         * (ds.dim() as u64)
-        * PREDICT_CYCLES_PER_CELL
+        * SVM_PREDICT_CYCLES_PER_CELL
         * ds.len() as u64
 }
 
@@ -144,14 +139,14 @@ pub fn run_svm_case(cfg: &SvmCaseConfig) -> Result<SvmCaseResult, SgxError> {
         let train_fn: TrustedFn = Arc::new(move |cx, args| {
             // Decrypt the client's data (top secret) inside the inner
             // enclave, filter it, then hand the sanitized set to the lib.
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             let ds = Dataset::from_bytes(args, classes);
             let clean = p1.anonymize(&ds);
             cx.n_ocall("svm_train", &clean.to_bytes())
         });
         let p2 = policy.clone();
         let predict_fn: TrustedFn = Arc::new(move |cx, args| {
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             let ds = Dataset::from_bytes(args, classes);
             let clean = p2.anonymize(&ds);
             cx.n_ocall("svm_predict", &clean.to_bytes())
@@ -177,7 +172,7 @@ pub fn run_svm_case(cfg: &SvmCaseConfig) -> Result<SvmCaseResult, SgxError> {
         let p1 = policy.clone();
         let p = params.clone();
         let train_fn: TrustedFn = Arc::new(move |cx, args| {
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             let ds = Dataset::from_bytes(args, classes);
             let clean = p1.anonymize(&ds);
             cx.charge(train_charge(&clean));
@@ -187,7 +182,7 @@ pub fn run_svm_case(cfg: &SvmCaseConfig) -> Result<SvmCaseResult, SgxError> {
         let m2 = model_slot.clone();
         let p2 = policy.clone();
         let predict_fn: TrustedFn = Arc::new(move |cx, args| {
-            cx.charge(gcm_cost(cx.machine.config(), args.len()));
+            cx.charge(cx.machine.config().cost.gcm(args.len()));
             let ds = Dataset::from_bytes(args, classes);
             let clean = p2.anonymize(&ds);
             let guard = m2.lock().expect("poisoned");

@@ -13,7 +13,7 @@ use crate::ring::{shard_seed, ShardRing};
 use ne_host::scheduler::SchedulerStats;
 use ne_host::server::{HostConfig, HostServer, TenantReport};
 use ne_host::tenant::Completion;
-use ne_host::{reply_digest, HostResult, RequestFactory, TenantSpec};
+use ne_host::{push_hex, reply_digest, HostResult, RequestFactory, TenantSpec};
 use ne_obs::{Sampler, SamplerConfig, Timeline};
 use ne_sgx::fault::{ChaosStats, FaultPlan, CHAOS_SALT};
 use ne_sgx::metrics::MachineMetrics;
@@ -562,10 +562,9 @@ impl Cluster {
                     .filter(|c| c.tenant == l)
                     .map(|c| (c.service, c.seq, c.reply.as_slice())),
             );
-            let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             out.push_str(&format!(
                 "tenant {g} name {} accepted {} rejected_full {} rejected_shed {} \
-                 completed {} shed {} replies sha256:{hex}\n",
+                 completed {} shed {} replies sha256:",
                 t.spec.name,
                 t.traffic.accepted,
                 t.traffic.rejected_full,
@@ -573,6 +572,8 @@ impl Cluster {
                 t.traffic.completed,
                 t.traffic.shed_requests,
             ));
+            push_hex(&mut out, &digest);
+            out.push('\n');
         }
         out
     }

@@ -229,8 +229,7 @@ impl UntrustedChannel {
     ///
     /// `channel full`.
     pub fn send(&mut self, cx: &mut EnclaveCtx<'_>, msg: &[u8]) -> Result<()> {
-        let cost = cx.machine.config().cost.clone();
-        cx.charge(cost.gcm_setup + cost.gcm_per_byte * msg.len() as u64);
+        cx.charge(cx.machine.config().cost.gcm(msg.len()));
         let nonce = Self::nonce(self.send_seq);
         let sealed = self.cipher.seal(&nonce, msg, &self.send_seq.to_le_bytes());
         self.send_seq += 1;
@@ -253,8 +252,7 @@ impl UntrustedChannel {
             Some(s) => s,
             None => return Ok(None),
         };
-        let cost = cx.machine.config().cost.clone();
-        cx.charge(cost.gcm_setup + cost.gcm_per_byte * sealed.len() as u64);
+        cx.charge(cx.machine.config().cost.gcm(sealed.len()));
         let nonce = Self::nonce(self.recv_seq);
         let msg = self
             .cipher

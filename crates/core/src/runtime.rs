@@ -14,6 +14,7 @@ use crate::transitions::{neenter, neexit};
 use crate::validate::NestedValidator;
 use ne_sgx::addr::{VirtAddr, PAGE_SIZE};
 use ne_sgx::config::HwConfig;
+use ne_sgx::cost::CostProfile;
 use ne_sgx::enclave::{EnclaveId, ProcessId};
 use ne_sgx::error::{Result, SgxError};
 use ne_sgx::machine::Machine;
@@ -315,17 +316,7 @@ impl NestedApp {
         };
         let result = f(&mut cx, args);
         self.machine.eexit(core)?;
-        // Table II: the measured ecall round-trip; the two TLB flushes were
-        // already charged by EENTER/EEXIT.
-        let extra = self
-            .machine
-            .config()
-            .cost
-            .ecall
-            .saturating_sub(2 * self.machine.config().cost.tlb_flush);
-        self.machine
-            .charge_cat(core, CycleCategory::Transition, extra);
-        self.machine.span_end(core, span);
+        close_round_trip(&mut self.machine, core, span, |c| c.ecall);
         result
     }
 
@@ -541,15 +532,7 @@ impl<'a> EnclaveCtx<'a> {
         };
         let result = f(&mut ucx, args);
         self.machine.eenter(self.core, eid, tcs)?;
-        let extra = self
-            .machine
-            .config()
-            .cost
-            .ocall
-            .saturating_sub(2 * self.machine.config().cost.tlb_flush);
-        self.machine
-            .charge_cat(self.core, CycleCategory::Transition, extra);
-        self.machine.span_end(self.core, span);
+        close_round_trip(self.machine, self.core, span, |c| c.ocall);
         result
     }
 
@@ -628,15 +611,7 @@ impl<'a> EnclaveCtx<'a> {
         };
         let result = f(&mut cx, args);
         neexit(self.machine, self.core)?;
-        let extra = self
-            .machine
-            .config()
-            .cost
-            .n_ecall
-            .saturating_sub(2 * self.machine.config().cost.tlb_flush);
-        self.machine
-            .charge_cat(self.core, CycleCategory::Transition, extra);
-        self.machine.span_end(self.core, span);
+        close_round_trip(self.machine, self.core, span, |c| c.n_ecall);
         result
     }
 
@@ -713,15 +688,7 @@ impl<'a> EnclaveCtx<'a> {
         };
         let result = f(&mut cx, args);
         neenter(self.machine, self.core, inner_eid, inner_tcs)?;
-        let extra = self
-            .machine
-            .config()
-            .cost
-            .n_ocall
-            .saturating_sub(2 * self.machine.config().cost.tlb_flush);
-        self.machine
-            .charge_cat(self.core, CycleCategory::Transition, extra);
-        self.machine.span_end(self.core, span);
+        close_round_trip(self.machine, self.core, span, |c| c.n_ocall);
         result
     }
 }
@@ -767,6 +734,20 @@ impl<'a> UntrustedCtx<'a> {
     pub fn charge(&mut self, cycles: u64) {
         self.machine.charge(self.core, cycles);
     }
+}
+
+/// Completes a Table II round trip: charges its measured cost less the two
+/// TLB flushes its transitions already charged, then closes its span.
+fn close_round_trip(
+    machine: &mut Machine,
+    core: usize,
+    span: u64,
+    table2: fn(&CostProfile) -> u64,
+) {
+    let cost = &machine.config().cost;
+    let extra = table2(cost).saturating_sub(2 * cost.tlb_flush);
+    machine.charge_cat(core, CycleCategory::Transition, extra);
+    machine.span_end(core, span);
 }
 
 fn alloc_in(registry: &Registry, enclave: &str, len: usize) -> Result<VirtAddr> {
@@ -969,6 +950,48 @@ mod tests {
             cycles < expected_min * 3,
             "cycles {cycles} unreasonably high"
         );
+    }
+
+    #[test]
+    fn table2_round_trips_charge_exactly_their_cost() {
+        // One ecall whose body makes one n_ecall (which makes one n_ocall)
+        // and one ocall. Each round trip's two TLB flushes are part of its
+        // Table II cost, so Transition gains exactly the four costs.
+        for cost in [CostProfile::emulated(), CostProfile::hw_sgx()] {
+            let mut app = NestedApp::new(HwConfig {
+                cost: cost.clone(),
+                ..HwConfig::small()
+            });
+            app.register_untrusted("net", Arc::new(|_cx, args| Ok(args.to_vec())));
+            let gate = EnclaveImage::new("gate", b"provider")
+                .heap_pages(1)
+                .edl(Edl::new().ecall("serve").ocall("net"));
+            let serve = tf(|cx, args| {
+                let out = cx.n_ecall("app", "process", args)?;
+                cx.ocall("net", &out)
+            });
+            let lib = tf(|_cx, args| Ok(args.to_vec()));
+            app.load(
+                gate,
+                [("serve".to_string(), serve), ("lib".to_string(), lib)],
+            )
+            .unwrap();
+            let inner = EnclaveImage::new("app", b"tenant")
+                .heap_pages(1)
+                .edl(Edl::new().n_ecall("process").n_ocall("lib"));
+            let process = tf(|cx, args| cx.n_ocall("lib", args));
+            app.load(inner, [("process".to_string(), process)]).unwrap();
+            app.associate("app", "gate").unwrap();
+            app.machine.reset_metrics();
+            assert_eq!(app.ecall(0, "gate", "serve", b"q").unwrap(), b"q");
+            let metrics = app.machine.metrics();
+            assert_eq!(
+                metrics.cores[0].breakdown.get(CycleCategory::Transition),
+                cost.ecall + cost.ocall + cost.n_ecall + cost.n_ocall,
+                "{}",
+                cost.name
+            );
+        }
     }
 
     #[test]

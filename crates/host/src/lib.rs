@@ -52,4 +52,4 @@ pub use recovery::{
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use server::{HostConfig, HostReport, HostServer, TenantReport};
 pub use service::{RequestFactory, ServiceKind};
-pub use tenant::{pack_reply, reply_digest, Completion, Request, TenantSpec, Traffic};
+pub use tenant::{pack_reply, push_hex, reply_digest, Completion, Request, TenantSpec, Traffic};

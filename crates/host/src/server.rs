@@ -56,15 +56,13 @@ use ne_sgx::error::SgxError;
 use ne_sgx::fault::{ChaosStats, FaultPlan};
 use ne_sgx::trace::Event;
 use ne_sgx::EnclaveId;
+use ne_tls::echo::NET_SYSCALL_CYCLES;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cycles the gate charges per request for header parse + routing.
 pub const GATE_DISPATCH_CYCLES: u64 = 1_200;
-/// Cycles one reply transmission costs (syscall + TCP/IP stack + NIC
-/// handoff), charged to whichever core runs the untrusted `net_reply`.
-pub const NET_REPLY_CYCLES: u64 = 45_000;
 /// A request older than this (cycles since arrival, checked between
 /// attempts) is shed instead of retried.
 pub const REQUEST_DEADLINE: u64 = 400_000_000;
@@ -250,8 +248,10 @@ impl HostServer {
     /// Loader failures other than the anticipated EPC exhaustion.
     pub fn build(cfg: HostConfig) -> HostResult<HostServer> {
         let mut app = NestedApp::new(cfg.hw.clone());
+        // One reply transmission costs what the Fig. 7 server's send does,
+        // charged to whichever core runs the untrusted `net_reply`.
         let net_reply: UntrustedFn = Arc::new(|cx, _args| {
-            cx.charge(NET_REPLY_CYCLES);
+            cx.charge(NET_SYSCALL_CYCLES);
             Ok(Vec::new())
         });
         app.register_untrusted("net_reply", net_reply);

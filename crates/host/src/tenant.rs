@@ -146,6 +146,16 @@ pub fn reply_digest<'a>(replies: impl IntoIterator<Item = (usize, u64, &'a [u8])
     hasher.finalize()
 }
 
+/// Appends a [`reply_digest`] as 64 lowercase hex digits, the form every
+/// `ne-tenants/v1` and `ne-obs/v1` export prints it in.
+pub fn push_hex(out: &mut String, digest: &[u8; 32]) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    for &b in digest {
+        out.push(char::from(NIBBLES[usize::from(b >> 4)]));
+        out.push(char::from(NIBBLES[usize::from(b & 0xf)]));
+    }
+}
+
 /// A tenant's traffic counters. Reports, migration snapshots and `ne-obs`
 /// windows carry the same five counters, so they all embed this one type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -16,7 +16,7 @@
 
 use std::fmt::Write;
 
-use ne_host::RecoveryEventKind;
+use ne_host::{push_hex, RecoveryEventKind};
 use ne_sgx::metrics::json_escape;
 use ne_sgx::profile::{Histogram, BUCKETS};
 use ne_sgx::trace::Stats;
@@ -30,14 +30,6 @@ use crate::window::{Timeline, Window};
 
 /// Schema tag of the timeline export.
 pub const OBS_SCHEMA: &str = "ne-obs/v1";
-
-fn push_hex(out: &mut String, digest: &[u8; 32]) {
-    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
-    for &b in digest {
-        out.push(char::from(NIBBLES[usize::from(b >> 4)]));
-        out.push(char::from(NIBBLES[usize::from(b & 0xf)]));
-    }
-}
 
 fn push_stats(out: &mut String, s: &Stats) {
     out.push('{');

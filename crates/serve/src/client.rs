@@ -17,7 +17,7 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ne_host::{reply_digest, RequestFactory, ServiceKind};
+use ne_host::{push_hex, reply_digest, RequestFactory, ServiceKind};
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
@@ -439,14 +439,15 @@ impl ClientReport {
                     .flat_map(|p| p.replies.iter())
                     .map(|(s, seq, reply)| (*s, *seq, reply.as_slice())),
             );
-            let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             out.push_str(&format!(
                 "tenant {t} sent {sent} replies {replies} rejected {rejected} \
-                 shed {} bad {bad} latency_p50 {} p99 {} replies sha256:{hex}\n",
+                 shed {} bad {bad} latency_p50 {} p99 {} replies sha256:",
                 sent.saturating_sub(replies + rejected),
                 percentile(&latencies, 50.0),
                 percentile(&latencies, 99.0),
             ));
+            push_hex(&mut out, &digest);
+            out.push('\n');
             for p in pairs.iter().filter(|p| p.error.is_some()) {
                 out.push_str(&format!(
                     "pair {}.{}: error {}\n",

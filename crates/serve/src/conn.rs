@@ -5,6 +5,15 @@
 //! `ne-tls` record — the wire bytes are ciphertext; framing, sequence
 //! numbers, and tampering are authenticated by the record layer before
 //! the frame decoder ever sees a byte.
+//!
+//! [`FrameReceiver::recv`] reads bytes from a peer, so this module may
+//! not index, unwrap or panic: a bad read is a [`ConnError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -123,7 +132,10 @@ impl FrameReceiver {
                     if n == 0 {
                         return Err(ConnError::Closed);
                     }
-                    self.decoder.feed(&chunk[..n]).map_err(ConnError::Frame)?;
+                    let read = chunk
+                        .get(..n)
+                        .ok_or(ConnError::Io(std::io::ErrorKind::InvalidData))?;
+                    self.decoder.feed(read).map_err(ConnError::Frame)?;
                 }
                 Some(layer) => {
                     let mut header = [0u8; 5];
@@ -134,8 +146,11 @@ impl FrameReceiver {
                             "oversized record of {len} bytes"
                         )));
                     }
-                    let mut wire = vec![0u8; 5 + len];
-                    wire[..5].copy_from_slice(&header);
+                    let mut wire = Vec::with_capacity(5 + len);
+                    wire.extend_from_slice(&header);
+                    wire.resize(5 + len, 0);
+                    // INVARIANT: `wire` is the 5 header bytes plus `len` more.
+                    #[allow(clippy::indexing_slicing)]
                     read_exact(&mut self.stream, &mut wire[5..])?;
                     let (ty, plaintext) = layer.open(&wire).map_err(ConnError::Record)?;
                     if ty != ContentType::Data {

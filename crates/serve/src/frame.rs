@@ -24,6 +24,16 @@
 //! boundaries can no longer be trusted, so rather than resynchronize
 //! wrongly (the classic desync bug) the stream is declared dead and the
 //! connection torn down. A fresh connection restarts clean.
+//!
+//! The decoder reads bytes from a peer, so this module may not index,
+//! unwrap or panic: every access is checked and a bad frame is a
+//! [`FrameError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::fmt;
 
@@ -142,7 +152,8 @@ impl Frame {
         out.extend_from_slice(&self.service.to_le_bytes());
         out.extend_from_slice(&self.req_id.to_le_bytes());
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let sum = checksum(&out[..24], &self.payload);
+        // `out` holds exactly the 24 checksum-free header bytes here.
+        let sum = checksum(&out, &self.payload);
         out.extend_from_slice(&sum.to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
@@ -301,50 +312,62 @@ impl Decoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
+        match parse(&self.buf) {
+            Ok(Some((frame, total))) => {
+                self.buf.drain(..total);
+                Ok(Some(frame))
+            }
+            Ok(None) => Ok(None),
+            Err(e) => Err(self.poison(e)),
         }
-        let magic = le_u16(&self.buf[..2]);
-        if magic != MAGIC {
-            return Err(self.poison(FrameError::BadMagic(magic)));
-        }
-        if self.buf[2] != VERSION {
-            return Err(self.poison(FrameError::BadVersion(self.buf[2])));
-        }
-        let len = le_u32(&self.buf[20..24]);
-        if len as usize > MAX_PAYLOAD {
-            return Err(self.poison(FrameError::Oversized(len)));
-        }
-        let total = HEADER_LEN + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let claimed = le_u32(&self.buf[24..28]);
-        let computed = checksum(&self.buf[..24], &self.buf[28..total]);
-        if claimed != computed {
-            return Err(self.poison(FrameError::BadChecksum { claimed, computed }));
-        }
-        // The kind byte is authenticated by the checksum, so an unknown
-        // kind here is a peer speaking a newer protocol, not corruption
-        // — still fatal, still typed.
-        let Some(kind) = FrameKind::from_byte(self.buf[3]) else {
-            return Err(self.poison(FrameError::BadKind(self.buf[3])));
-        };
-        let frame = Frame {
-            kind,
-            tenant: le_u32(&self.buf[4..8]),
-            service: le_u32(&self.buf[8..12]),
-            req_id: le_u64(&self.buf[12..20]),
-            payload: self.buf[28..total].to_vec(),
-        };
-        self.buf.drain(..total);
-        Ok(Some(frame))
     }
 
     fn poison(&mut self, e: FrameError) -> FrameError {
         self.poisoned = Some(e.clone());
         e
     }
+}
+
+/// Decodes the frame at the front of `buf` and the bytes it spans, or
+/// `None` while the buffer holds only part of one.
+fn parse(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let magic = le_u16(&header[..2]);
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    if header[2] != VERSION {
+        return Err(FrameError::BadVersion(header[2]));
+    }
+    let len = le_u32(&header[20..24]);
+    if len as usize > MAX_PAYLOAD {
+        return Err(FrameError::Oversized(len));
+    }
+    let total = HEADER_LEN + len as usize;
+    let Some(payload) = buf.get(HEADER_LEN..total) else {
+        return Ok(None);
+    };
+    let claimed = le_u32(&header[24..]);
+    let computed = checksum(&header[..24], payload);
+    if claimed != computed {
+        return Err(FrameError::BadChecksum { claimed, computed });
+    }
+    // The kind byte is authenticated by the checksum, so an unknown kind
+    // here is a peer speaking a newer protocol, not corruption — still
+    // fatal, still typed.
+    let Some(kind) = FrameKind::from_byte(header[3]) else {
+        return Err(FrameError::BadKind(header[3]));
+    };
+    let frame = Frame {
+        kind,
+        tenant: le_u32(&header[4..8]),
+        service: le_u32(&header[8..12]),
+        req_id: le_u64(&header[12..20]),
+        payload: payload.to_vec(),
+    };
+    Ok(Some((frame, total)))
 }
 
 impl Default for Decoder {
@@ -354,6 +377,12 @@ impl Default for Decoder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 

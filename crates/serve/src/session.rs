@@ -13,6 +13,15 @@
 //! cycles** (it happens in the untrusted front door, outside the
 //! modeled enclaves), which is what keeps TLS-on-the-wire byte-identical
 //! to the in-process oracle in every export.
+//!
+//! The Hello decoders read a peer's bytes, so this module may not index,
+//! unwrap or panic: a malformed Hello is an error, never an abort.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use ne_cluster::splitmix64;
 use ne_host::service::tenant_key;
@@ -63,26 +72,22 @@ pub fn encode_client_hello(hello: &ClientHello) -> Vec<u8> {
 ///
 /// A human-readable reason on malformed bytes.
 pub fn decode_client_hello(bytes: &[u8]) -> Result<ClientHello, String> {
-    if bytes.len() < 3 {
+    let [v0, v1, n, rest @ ..] = bytes else {
         return Err("short ClientHello".to_string());
-    }
-    let version = u16::from_le_bytes([bytes[0], bytes[1]]);
-    let n = bytes[2] as usize;
-    if bytes.len() != 3 + n + 16 {
-        return Err("malformed ClientHello".to_string());
-    }
-    let mut suites = Vec::with_capacity(n);
-    for &b in &bytes[3..3 + n] {
+    };
+    let malformed = || "malformed ClientHello".to_string();
+    let (suite_bytes, random) = rest.split_at_checked(*n as usize).ok_or_else(malformed)?;
+    let random: [u8; 16] = random.try_into().map_err(|_| malformed())?;
+    let mut suites = Vec::with_capacity(suite_bytes.len());
+    for &b in suite_bytes {
         suites.push(match b {
             0 => CipherSuite::NullMd5,
             1 => CipherSuite::Aes128Gcm,
             other => return Err(format!("unknown cipher suite {other}")),
         });
     }
-    let mut random = [0u8; 16];
-    random.copy_from_slice(&bytes[3 + n..]);
     Ok(ClientHello {
-        version,
+        version: u16::from_le_bytes([*v0, *v1]),
         suites,
         random,
     })
@@ -102,12 +107,10 @@ pub fn encode_server_hello(random: [u8; 16], suite: CipherSuite) -> Vec<u8> {
 ///
 /// A human-readable reason on malformed bytes.
 pub fn decode_server_hello(bytes: &[u8]) -> Result<[u8; 16], String> {
-    if bytes.len() != 17 {
-        return Err("malformed ServerHello".to_string());
+    match bytes.split_first_chunk::<16>() {
+        Some((random, [_suite])) => Ok(*random),
+        _ => Err("malformed ServerHello".to_string()),
     }
-    let mut random = [0u8; 16];
-    random.copy_from_slice(&bytes[..16]);
-    Ok(random)
 }
 
 /// Runs the client side of the transport handshake on `conn` and
@@ -196,6 +199,7 @@ pub fn server_handshake(conn: &mut FramedConn, offer: &Frame, seed: u64) -> Resu
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

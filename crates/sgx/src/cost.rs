@@ -129,6 +129,12 @@ impl CostProfile {
         }
     }
 
+    /// Software AES-GCM over `len` bytes, one direction: the per-call
+    /// setup plus the per-byte rate (Fig. 11's `GCM`).
+    pub fn gcm(&self, len: usize) -> u64 {
+        self.gcm_setup + self.gcm_per_byte * len as u64
+    }
+
     /// Converts a cycle count to microseconds at this profile's clock.
     pub fn cycles_to_us(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_ghz * 1_000.0)

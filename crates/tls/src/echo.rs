@@ -99,10 +99,6 @@ impl EchoRun {
 /// assumption).
 pub const SESSION_KEY: [u8; 16] = [0x42; 16];
 
-fn gcm_cost(cfg: &HwConfig, len: usize) -> u64 {
-    cfg.cost.gcm_setup + cfg.cost.gcm_per_byte * len as u64
-}
-
 /// Builds the echo application in the requested configuration.
 ///
 /// # Errors
@@ -158,7 +154,7 @@ pub fn build_echo_app(cfg: &EchoConfig) -> Result<NestedApp, SgxError> {
         let tx = tx.clone();
         let echo: TrustedFn = Arc::new(move |cx, wire| {
             let framed = cx.n_ocall("ssl_open_frame", wire)?;
-            cx.charge(gcm_cost(cx.machine.config(), framed.len()));
+            cx.charge(cx.machine.config().cost.gcm(framed.len()));
             let (_, payload) = rx
                 .lock()
                 .expect("poisoned")
@@ -168,7 +164,7 @@ pub fn build_echo_app(cfg: &EchoConfig) -> Result<NestedApp, SgxError> {
                 .lock()
                 .expect("poisoned")
                 .seal(ContentType::Data, &payload);
-            cx.charge(gcm_cost(cx.machine.config(), payload.len()));
+            cx.charge(cx.machine.config().cost.gcm(payload.len()));
             let framed_reply = cx.n_ocall("ssl_seal_frame", &reply)?;
             cx.ocall("net_send", &framed_reply)
         });
@@ -185,7 +181,7 @@ pub fn build_echo_app(cfg: &EchoConfig) -> Result<NestedApp, SgxError> {
         let tx = tx.clone();
         let echo: TrustedFn = Arc::new(move |cx, wire| {
             cx.charge(2 * FRAMING_CYCLES);
-            cx.charge(gcm_cost(cx.machine.config(), wire.len()));
+            cx.charge(cx.machine.config().cost.gcm(wire.len()));
             let (_, payload) = rx
                 .lock()
                 .expect("poisoned")
@@ -195,7 +191,7 @@ pub fn build_echo_app(cfg: &EchoConfig) -> Result<NestedApp, SgxError> {
                 .lock()
                 .expect("poisoned")
                 .seal(ContentType::Data, &payload);
-            cx.charge(gcm_cost(cx.machine.config(), payload.len()));
+            cx.charge(cx.machine.config().cost.gcm(payload.len()));
             cx.ocall("net_send", &reply)
         });
         app.load(img, [("echo_record".to_string(), echo)])?;
