@@ -86,8 +86,6 @@ fn main() {
          § VIII observation that deeper nesting 'only increases the\n\
          validation time' with no new hardware."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

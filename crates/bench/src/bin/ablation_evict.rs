@@ -112,8 +112,6 @@ fn main() {
          enclave's tree (outer + inners); flush-all also kicks the\n\
          unrelated core on every eviction, spending more IPIs and cycles."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

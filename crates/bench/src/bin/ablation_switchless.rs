@@ -102,8 +102,6 @@ fn main() {
          untrusted memory and a dedicated worker core — consistent with\n\
          HotCalls/SDK-switchless measurements the paper cites."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

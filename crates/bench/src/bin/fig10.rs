@@ -68,8 +68,6 @@ fn main() {
          separate baseline, and 'as more sharing is allowed, the benefits of\n\
          reduced memory footprints increase'."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

@@ -70,8 +70,6 @@ fn main() {
          footprint fits the 8 MiB LLC, where the MEE is never invoked; GCM\n\
          narrows the gap at large chunks as its setup cost amortizes."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

@@ -87,8 +87,6 @@ fn main() {
     let m = nested_snapshot.expect("1KB point always runs");
     println!("\nPer-enclave cycle breakdown (nested run, 1KB chunks):");
     breakdown_table(&m).print();
-    if want_trace() {
-        write_trace(nested_trace.as_ref());
-    }
+    write_trace(nested_trace.as_ref());
     report.finish();
 }

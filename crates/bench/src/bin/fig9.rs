@@ -86,8 +86,6 @@ fn main() {
          transitions between the inner and outer enclaves do not add\n\
          significant overheads in the LibSVM computations\"."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

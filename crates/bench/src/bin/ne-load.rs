@@ -474,9 +474,7 @@ fn main() {
         }
         exports = Some((export, timeline));
     }
-    if want_trace() {
-        write_shard_traces(bundles.as_deref().unwrap_or(&[]));
-    }
+    write_shard_traces(bundles.as_deref().unwrap_or(&[]));
     // The exports describe the *last* run, whose mode the scenario holds.
     let (export, timeline) = exports.expect("every --mode runs at least one scenario");
     write_exports(

@@ -55,8 +55,6 @@ fn main() {
          hardware cost, and nested transitions are slightly cheaper than\n\
          emulated classic transitions (no kernel round trip)."
     );
-    if want_trace() {
-        write_trace(ne.trace.as_ref());
-    }
+    write_trace(ne.trace.as_ref());
     report.finish();
 }

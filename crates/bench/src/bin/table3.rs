@@ -3,9 +3,7 @@
 //! marker-counted porting glue.
 
 use ne_bench::loc::table3_rows;
-use ne_bench::report::{
-    banner, reject_unknown_flags, want_trace, write_trace, MetricsReport, Table,
-};
+use ne_bench::report::{banner, reject_unknown_flags, write_trace, MetricsReport, Table};
 
 fn main() {
     reject_unknown_flags(&["--metrics-out", "--trace-out"]);
@@ -35,10 +33,8 @@ fn main() {
          enclave touches only initialization and call-site glue (tens of\n\
          lines), never the library implementation itself."
     );
-    if want_trace() {
-        // No machine runs in this table; say so instead of silently
-        // producing nothing.
-        write_trace(None);
-    }
+    // No machine runs in this table; say so instead of silently
+    // producing nothing.
+    write_trace(None);
     report.finish();
 }

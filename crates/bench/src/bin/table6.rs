@@ -56,8 +56,6 @@ fn main() {
          inner enclave's parse+encrypt and the extra n_ocall are a small\n\
          fraction of the per-query engine work."
     );
-    if want_trace() {
-        write_trace(traced.as_ref());
-    }
+    write_trace(traced.as_ref());
     report.finish();
 }

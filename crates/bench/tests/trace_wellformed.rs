@@ -115,9 +115,9 @@ fn wrapped_ring_still_exports_well_formed_json() {
     let mut cfg = HwConfig::small();
     cfg.trace_events = true;
     let mut m = Machine::new(cfg);
-    let outer = m.span_begin(0, SpanKind::Ecall, "outer");
+    let outer = m.span_begin(0, SpanKind::Ecall, format_args!("outer"));
     for i in 0..6 {
-        let s = m.span_begin(0, SpanKind::Ocall, &format!("o{i}"));
+        let s = m.span_begin(0, SpanKind::Ocall, format_args!("o{i}"));
         m.charge(0, 10);
         m.span_end(0, s);
     }
@@ -147,7 +147,7 @@ fn hostile_span_labels_stay_inside_their_strings() {
     let mut cfg = HwConfig::small();
     cfg.trace_events = true;
     let mut m = Machine::new(cfg);
-    let span = m.span_begin(0, SpanKind::Ecall, HOSTILE);
+    let span = m.span_begin(0, SpanKind::Ecall, format_args!("{HOSTILE}"));
     m.charge(0, 10);
     m.span_end(0, span);
     let chrome_json = SpanTree::reconstruct(m.trace()).to_chrome_json(m.config().cost.clock_ghz);

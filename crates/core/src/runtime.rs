@@ -42,6 +42,24 @@ struct EnclaveRt {
     image: EnclaveImage,
 }
 
+impl EnclaveRt {
+    /// Bump-allocates `len` bytes in this enclave's heap.
+    fn alloc(&self, len: usize) -> Result<VirtAddr> {
+        let aligned = (len as u64 + 63) & !63; // line-align allocations
+        let cursor = self.heap_cursor.get();
+        if cursor + aligned > self.heap_limit.get() {
+            return Err(SgxError::GeneralProtection(format!(
+                "heap of '{}' exhausted ({} of {} bytes used)",
+                self.image.name,
+                cursor,
+                self.heap_limit.get()
+            )));
+        }
+        self.heap_cursor.set(cursor + aligned);
+        Ok(self.layout.heap_base.add(cursor))
+    }
+}
+
 /// Immutable (after setup) function/enclave registry.
 #[derive(Default)]
 struct Registry {
@@ -57,11 +75,12 @@ impl Registry {
             .ok_or_else(|| SgxError::GeneralProtection(format!("unknown enclave '{name}'")))
     }
 
-    fn name_of(&self, eid: EnclaveId) -> Result<&str> {
-        self.names_by_eid
+    fn by_eid(&self, eid: EnclaveId) -> Result<&EnclaveRt> {
+        let name = self
+            .names_by_eid
             .get(&eid.0)
-            .map(String::as_str)
-            .ok_or_else(|| SgxError::GeneralProtection(format!("{eid} not registered")))
+            .ok_or_else(|| SgxError::GeneralProtection(format!("{eid} not registered")))?;
+        self.enclave(name)
     }
 }
 
@@ -231,32 +250,22 @@ impl NestedApp {
         outer: &str,
         policy: AssocPolicy,
     ) -> Result<()> {
-        let (inner_eid, inner_expect_outer) = {
-            let rt = self.registry.enclave(inner)?;
-            (rt.layout.eid, rt.image.expected_outer.clone())
+        let (inner, outer) = (self.registry.enclave(inner)?, self.registry.enclave(outer)?);
+        let (inner_eid, outer_eid) = (inner.layout.eid, outer.layout.eid);
+        let live = |eid: EnclaveId| self.machine.enclaves().get(eid).expect("loaded").mrenclave;
+        let inner_expects = match &inner.image.expected_outer {
+            Some(expect) => expect.clone(),
+            None => ExpectedIdentity::enclave(live(outer_eid)),
         };
-        let (outer_eid, outer_expect_inners) = {
-            let rt = self.registry.enclave(outer)?;
-            (rt.layout.eid, rt.image.expected_inners.clone())
-        };
-        let live = |m: &Machine, eid: EnclaveId| {
-            ExpectedIdentity::enclave(m.enclaves().get(eid).expect("loaded").mrenclave)
-        };
-        let inner_expects = inner_expect_outer.unwrap_or_else(|| live(&self.machine, outer_eid));
         // The outer's file may list several allowed inners; use the first
         // that matches, or fail with the first expectation (clear error).
-        let inner_live = self
-            .machine
-            .enclaves()
-            .get(inner_eid)
-            .expect("loaded")
-            .mrenclave;
-        let outer_expects = outer_expect_inners
+        let (allowed, inner_live) = (&outer.image.expected_inners, Some(live(inner_eid)));
+        let outer_expects = allowed
             .iter()
-            .find(|e| e.mrenclave.as_ref() == Some(&inner_live))
+            .find(|e| e.mrenclave == inner_live)
+            .or(allowed.first())
             .cloned()
-            .or_else(|| outer_expect_inners.first().cloned())
-            .unwrap_or_else(|| live(&self.machine, inner_eid));
+            .unwrap_or_else(|| ExpectedIdentity::enclave(live(inner_eid)));
         nasso(
             &mut self.machine,
             inner_eid,
@@ -280,26 +289,23 @@ impl NestedApp {
         func: &str,
         args: &[u8],
     ) -> Result<Vec<u8>> {
-        let (eid, tcs, entry, f) = {
-            let rt = self.registry.enclave(enclave)?;
-            if !rt.edl.ecalls.contains(func) {
-                return Err(SgxError::GeneralProtection(format!(
-                    "'{func}' is not a declared ecall of '{enclave}'"
-                )));
-            }
-            let f = rt.funcs.get(func).ok_or_else(|| {
-                SgxError::GeneralProtection(format!("'{enclave}' has no body for '{func}'"))
-            })?;
-            (rt.layout.eid, rt.layout.base, rt.layout.entry, f.clone())
-        };
-        let span = self
-            .machine
-            .span_begin(core, SpanKind::Ecall, &format!("{enclave}::{func}"));
-        if let Err(e) = self.machine.eenter(core, eid, tcs) {
+        let rt = self.registry.enclave(enclave)?;
+        if !rt.edl.ecalls.contains(func) {
+            return Err(SgxError::GeneralProtection(format!(
+                "'{func}' is not a declared ecall of '{enclave}'"
+            )));
+        }
+        let f = rt.funcs.get(func).ok_or_else(|| {
+            SgxError::GeneralProtection(format!("'{enclave}' has no body for '{func}'"))
+        })?;
+        let span =
+            self.machine
+                .span_begin(core, SpanKind::Ecall, format_args!("{enclave}::{func}"));
+        if let Err(e) = self.machine.eenter(core, rt.layout.eid, rt.layout.base) {
             self.machine.span_end(core, span);
             return Err(e);
         }
-        if let Err(e) = self.machine.fetch(core, entry) {
+        if let Err(e) = self.machine.fetch(core, rt.layout.entry) {
             // Unwind the completed entry so the core and TCS stay usable:
             // without the EEXIT a failed fetch (evicted or tampered code
             // page) would leave the core stuck in enclave mode.
@@ -307,13 +313,7 @@ impl NestedApp {
             self.machine.span_end(core, span);
             return Err(e);
         }
-        let mut cx = EnclaveCtx {
-            machine: &mut self.machine,
-            registry: &self.registry,
-            core,
-            eid,
-            name: enclave.to_string(),
-        };
+        let mut cx = EnclaveCtx::new(&mut self.machine, &self.registry, core, rt);
         let result = f(&mut cx, args);
         self.machine.eexit(core)?;
         close_round_trip(&mut self.machine, core, span, |c| c.ecall);
@@ -329,19 +329,11 @@ impl NestedApp {
     ///
     /// Panics if `name` is not a loaded enclave.
     pub fn enclave_ctx(&mut self, core: usize, name: &str) -> EnclaveCtx<'_> {
-        let eid = self
+        let rt = self
             .registry
             .enclave(name)
-            .expect("enclave_ctx: unknown enclave")
-            .layout
-            .eid;
-        EnclaveCtx {
-            machine: &mut self.machine,
-            registry: &self.registry,
-            core,
-            eid,
-            name: name.to_string(),
-        }
+            .expect("enclave_ctx: unknown enclave");
+        EnclaveCtx::new(&mut self.machine, &self.registry, core, rt)
     }
 
     /// Runs an untrusted closure with machine access (host-side driver
@@ -363,10 +355,27 @@ pub struct EnclaveCtx<'a> {
     core: usize,
     /// The executing enclave.
     pub eid: EnclaveId,
-    name: String,
+    /// The executing enclave's runtime record.
+    rt: &'a EnclaveRt,
 }
 
 impl<'a> EnclaveCtx<'a> {
+    /// A context for code of `rt`'s enclave running on `core`.
+    fn new(
+        machine: &'a mut Machine,
+        registry: &'a Registry,
+        core: usize,
+        rt: &'a EnclaveRt,
+    ) -> EnclaveCtx<'a> {
+        EnclaveCtx {
+            machine,
+            registry,
+            core,
+            eid: rt.layout.eid,
+            rt,
+        }
+    }
+
     /// The executing core.
     pub fn core(&self) -> usize {
         self.core
@@ -374,7 +383,7 @@ impl<'a> EnclaveCtx<'a> {
 
     /// The executing enclave's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.rt.image.name
     }
 
     /// Reads enclave (or, for inners, outer-enclave) memory.
@@ -406,7 +415,7 @@ impl<'a> EnclaveCtx<'a> {
     ///
     /// Fails when the heap is exhausted.
     pub fn alloc(&mut self, len: usize) -> Result<VirtAddr> {
-        alloc_in(self.registry, &self.name, len)
+        self.rt.alloc(len)
     }
 
     /// Bump-allocates in another enclave's heap. Only meaningful where the
@@ -417,7 +426,7 @@ impl<'a> EnclaveCtx<'a> {
     ///
     /// Fails for unknown enclaves or exhausted heaps.
     pub fn alloc_in(&mut self, enclave: &str, len: usize) -> Result<VirtAddr> {
-        alloc_in(self.registry, enclave, len)
+        self.registry.enclave(enclave)?.alloc(len)
     }
 
     /// Heap base of another enclave (for sharing layouts).
@@ -438,27 +447,23 @@ impl<'a> EnclaveCtx<'a> {
     /// Fails when the image reserved no (or not enough) growth room, or on
     /// EPC exhaustion.
     pub fn expand_heap(&mut self, pages: u64) -> Result<()> {
-        let rt = self.registry.enclave(&self.name)?;
+        let rt = self.rt;
         let limit = rt.heap_limit.get();
         let max = rt.layout.heap_len + rt.image.reserve_pages * PAGE_SIZE as u64;
         let grow = pages * PAGE_SIZE as u64;
         if limit + grow > max {
             return Err(SgxError::GeneralProtection(format!(
                 "'{}' reserved only {} dynamic pages",
-                self.name, rt.image.reserve_pages
+                rt.image.name, rt.image.reserve_pages
             )));
         }
         let grow_base = rt.layout.heap_base.add(limit);
-        let eid = rt.layout.eid;
         for i in 0..pages {
             let va = grow_base.add(i * PAGE_SIZE as u64);
-            self.machine.eaug(eid, va)?;
+            self.machine.eaug(rt.layout.eid, va)?;
             self.machine.eaccept(self.core, va)?;
         }
-        self.registry
-            .enclave(&self.name)?
-            .heap_limit
-            .set(limit + grow);
+        rt.heap_limit.set(limit + grow);
         Ok(())
     }
 
@@ -510,30 +515,35 @@ impl<'a> EnclaveCtx<'a> {
     /// Interface violations and transition faults propagate, as does the
     /// untrusted function's own error.
     pub fn ocall(&mut self, func: &str, args: &[u8]) -> Result<Vec<u8>> {
-        let rt = self.registry.enclave(&self.name)?;
-        if !rt.edl.ocalls.contains(func) {
-            return Err(SgxError::GeneralProtection(format!(
-                "'{func}' is not a declared ocall of '{}'",
-                self.name
-            )));
-        }
-        let (eid, tcs) = (rt.layout.eid, rt.layout.base);
-        let f = self
-            .registry
-            .untrusted
-            .get(func)
-            .ok_or_else(|| SgxError::GeneralProtection(format!("no untrusted body for '{func}'")))?
-            .clone();
-        let span = self.machine.span_begin(self.core, SpanKind::Ocall, func);
+        let f = self.untrusted_body(func)?;
+        let span = self
+            .machine
+            .span_begin(self.core, SpanKind::Ocall, format_args!("{func}"));
         self.machine.eexit(self.core)?;
         let mut ucx = UntrustedCtx {
             machine: self.machine,
             core: self.core,
         };
         let result = f(&mut ucx, args);
-        self.machine.eenter(self.core, eid, tcs)?;
+        self.machine
+            .eenter(self.core, self.rt.layout.eid, self.rt.layout.base)?;
         close_round_trip(self.machine, self.core, span, |c| c.ocall);
         result
+    }
+
+    /// The untrusted body of `func`, which must be a declared ocall of
+    /// this enclave.
+    fn untrusted_body(&self, func: &str) -> Result<&'a UntrustedFn> {
+        if !self.rt.edl.ocalls.contains(func) {
+            return Err(SgxError::GeneralProtection(format!(
+                "'{func}' is not a declared ocall of '{}'",
+                self.name()
+            )));
+        }
+        self.registry
+            .untrusted
+            .get(func)
+            .ok_or_else(|| SgxError::GeneralProtection(format!("no untrusted body for '{func}'")))
     }
 
     /// Runs a registered untrusted function on another (untrusted-mode)
@@ -546,26 +556,12 @@ impl<'a> EnclaveCtx<'a> {
     /// Interface violations; the worker must be a valid core in untrusted
     /// mode.
     pub fn run_untrusted_on(&mut self, core: usize, func: &str, args: &[u8]) -> Result<Vec<u8>> {
-        {
-            let rt = self.registry.enclave(&self.name)?;
-            if !rt.edl.ocalls.contains(func) {
-                return Err(SgxError::GeneralProtection(format!(
-                    "'{func}' is not a declared ocall of '{}'",
-                    self.name
-                )));
-            }
-        }
+        let f = self.untrusted_body(func)?;
         if self.machine.current_enclave(core).is_some() {
             return Err(SgxError::GeneralProtection(
                 "switchless worker core is in enclave mode".into(),
             ));
         }
-        let f = self
-            .registry
-            .untrusted
-            .get(func)
-            .ok_or_else(|| SgxError::GeneralProtection(format!("no untrusted body for '{func}'")))?
-            .clone();
         let mut ucx = UntrustedCtx {
             machine: self.machine,
             core,
@@ -581,34 +577,25 @@ impl<'a> EnclaveCtx<'a> {
     /// Hardware rejects calls into enclaves that are not inners of the
     /// caller; the EDL must declare the function.
     pub fn n_ecall(&mut self, inner: &str, func: &str, args: &[u8]) -> Result<Vec<u8>> {
-        let (inner_eid, inner_tcs, f) = {
-            let rt = self.registry.enclave(inner)?;
-            if !rt.edl.n_ecalls.contains(func) {
-                return Err(SgxError::GeneralProtection(format!(
-                    "'{func}' is not a declared n_ecall of '{inner}'"
-                )));
-            }
-            let f = rt.funcs.get(func).ok_or_else(|| {
-                SgxError::GeneralProtection(format!("'{inner}' has no body for '{func}'"))
-            })?;
-            (rt.layout.eid, rt.layout.base, f.clone())
-        };
+        let rt = self.registry.enclave(inner)?;
+        if !rt.edl.n_ecalls.contains(func) {
+            return Err(SgxError::GeneralProtection(format!(
+                "'{func}' is not a declared n_ecall of '{inner}'"
+            )));
+        }
+        let f = rt.funcs.get(func).ok_or_else(|| {
+            SgxError::GeneralProtection(format!("'{inner}' has no body for '{func}'"))
+        })?;
         let span =
             self.machine
-                .span_begin(self.core, SpanKind::NEcall, &format!("{inner}::{func}"));
-        if let Err(e) = neenter(self.machine, self.core, inner_eid, inner_tcs) {
+                .span_begin(self.core, SpanKind::NEcall, format_args!("{inner}::{func}"));
+        if let Err(e) = neenter(self.machine, self.core, rt.layout.eid, rt.layout.base) {
             // Close the span so a refused entry (busy TCS, poisoned inner)
             // cannot leak an open frame into the latency accounting.
             self.machine.span_end(self.core, span);
             return Err(e);
         }
-        let mut cx = EnclaveCtx {
-            machine: self.machine,
-            registry: self.registry,
-            core: self.core,
-            eid: inner_eid,
-            name: inner.to_string(),
-        };
+        let mut cx = EnclaveCtx::new(self.machine, self.registry, self.core, rt);
         let result = f(&mut cx, args);
         neexit(self.machine, self.core)?;
         close_round_trip(self.machine, self.core, span, |c| c.n_ecall);
@@ -646,18 +633,16 @@ impl<'a> EnclaveCtx<'a> {
         args: &[u8],
         target: Option<EnclaveId>,
     ) -> Result<Vec<u8>> {
-        {
-            let rt = self.registry.enclave(&self.name)?;
-            if !rt.edl.n_ocalls.contains(func) {
-                return Err(SgxError::GeneralProtection(format!(
-                    "'{func}' is not a declared n_ocall of '{}'",
-                    self.name
-                )));
-            }
+        let inner = self.rt;
+        if !inner.edl.n_ocalls.contains(func) {
+            return Err(SgxError::GeneralProtection(format!(
+                "'{func}' is not a declared n_ocall of '{}'",
+                inner.image.name
+            )));
         }
-        let inner_eid = self.eid;
-        let inner_tcs = self.registry.enclave(&self.name)?.layout.base;
-        let span = self.machine.span_begin(self.core, SpanKind::NOcall, func);
+        let span = self
+            .machine
+            .span_begin(self.core, SpanKind::NOcall, format_args!("{func}"));
         match target {
             Some(outer) => crate::transitions::neexit_to(self.machine, self.core, outer)?,
             None => neexit(self.machine, self.core)?,
@@ -667,27 +652,16 @@ impl<'a> EnclaveCtx<'a> {
             .machine
             .current_enclave(self.core)
             .expect("NEEXIT lands in the outer enclave");
-        let outer_name = self.registry.name_of(outer_eid)?.to_string();
-        let f = {
-            let rt = self.registry.enclave(&outer_name)?;
-            rt.funcs
-                .get(func)
-                .ok_or_else(|| {
-                    SgxError::GeneralProtection(format!(
-                        "outer '{outer_name}' has no body for '{func}'"
-                    ))
-                })?
-                .clone()
-        };
-        let mut cx = EnclaveCtx {
-            machine: self.machine,
-            registry: self.registry,
-            core: self.core,
-            eid: outer_eid,
-            name: outer_name,
-        };
+        let outer = self.registry.by_eid(outer_eid)?;
+        let f = outer.funcs.get(func).ok_or_else(|| {
+            SgxError::GeneralProtection(format!(
+                "outer '{}' has no body for '{func}'",
+                outer.image.name
+            ))
+        })?;
+        let mut cx = EnclaveCtx::new(self.machine, self.registry, self.core, outer);
         let result = f(&mut cx, args);
-        neenter(self.machine, self.core, inner_eid, inner_tcs)?;
+        neenter(self.machine, self.core, inner.layout.eid, inner.layout.base)?;
         close_round_trip(self.machine, self.core, span, |c| c.n_ocall);
         result
     }
@@ -748,21 +722,6 @@ fn close_round_trip(
     let extra = table2(cost).saturating_sub(2 * cost.tlb_flush);
     machine.charge_cat(core, CycleCategory::Transition, extra);
     machine.span_end(core, span);
-}
-
-fn alloc_in(registry: &Registry, enclave: &str, len: usize) -> Result<VirtAddr> {
-    let rt = registry.enclave(enclave)?;
-    let aligned = (len as u64 + 63) & !63; // line-align allocations
-    let cursor = rt.heap_cursor.get();
-    if cursor + aligned > rt.heap_limit.get() {
-        return Err(SgxError::GeneralProtection(format!(
-            "heap of '{enclave}' exhausted ({} of {} bytes used)",
-            cursor,
-            rt.heap_limit.get()
-        )));
-    }
-    rt.heap_cursor.set(cursor + aligned);
-    Ok(rt.layout.heap_base.add(cursor))
 }
 
 #[cfg(test)]
@@ -899,13 +858,7 @@ mod tests {
         app.machine
             .eenter(0, app.eid("app").unwrap(), app.layout("app").unwrap().base)
             .unwrap();
-        let mut cx = EnclaveCtx {
-            machine: &mut app.machine,
-            registry: &app.registry,
-            core: 0,
-            eid: app.registry.enclave("app").unwrap().layout.eid,
-            name: "app".to_string(),
-        };
+        let mut cx = app.enclave_ctx(0, "app");
         let a = cx.alloc(100).unwrap();
         let b = cx.alloc(100).unwrap();
         assert!(b.0 >= a.0 + 100);
@@ -916,9 +869,9 @@ mod tests {
     #[test]
     fn heap_exhaustion_reported() {
         let mut app = demo_app();
-        let err = alloc_in(&app.registry, "app", 3 * PAGE_SIZE).unwrap_err();
+        let mut cx = app.enclave_ctx(0, "app");
+        let err = cx.alloc(3 * PAGE_SIZE).unwrap_err();
         assert!(matches!(err, SgxError::GeneralProtection(_)));
-        let _ = &mut app;
     }
 
     #[test]
@@ -1041,6 +994,66 @@ mod tests {
             .unwrap();
         let err = app.ecall(0, "bridge2", "ask", b"").unwrap_err();
         assert!(matches!(err, SgxError::GeneralProtection(_)));
+    }
+
+    #[test]
+    fn every_body_sees_its_own_enclave() {
+        use crate::nasso::AssocPolicy;
+        // Checks from inside a body that its context names the enclave the
+        // core is executing and allocates in that enclave's heap.
+        fn own(cx: &mut EnclaveCtx<'_>, expect: &str) -> Result<Vec<u8>> {
+            assert_eq!(cx.name(), expect);
+            assert_eq!(
+                Some(cx.eid),
+                cx.machine.current_enclave(cx.core()),
+                "{expect}"
+            );
+            let offset = cx.alloc(64)?.0.wrapping_sub(cx.heap_base_of(expect)?.0);
+            assert!(
+                offset < PAGE_SIZE as u64,
+                "{expect}: alloc outside its heap"
+            );
+            Ok(expect.into())
+        }
+        let image = |name: &str, edl| EnclaveImage::new(name, b"o").heap_pages(1).edl(edl);
+        let mut app = NestedApp::new(HwConfig::small());
+        app.register_untrusted("net", Arc::new(|_cx, _| Ok(vec![])));
+        let serve = tf(|cx, _| {
+            own(cx, "gate")?;
+            cx.n_ecall("app", "process", b"")?;
+            cx.ocall("net", b"")?;
+            own(cx, "gate")
+        });
+        let lib = tf(|cx, _| own(cx, "gate"));
+        let gate = image("gate", Edl::new().ecall("serve").ocall("net"));
+        app.load(gate, [("serve".into(), serve), ("lib".into(), lib)])
+            .unwrap();
+        let process = tf(|cx, _| {
+            own(cx, "app")?;
+            cx.n_ocall("lib", b"")?;
+            own(cx, "app")
+        });
+        let inner = image("app", Edl::new().n_ecall("process").n_ocall("lib"));
+        app.load(inner, [("process".into(), process)]).unwrap();
+        app.associate("app", "gate").unwrap();
+        let ask = tf(|cx, _| {
+            own(cx, "bridge")?;
+            let mut out = cx.n_ocall_to("north", "whoami", b"")?;
+            out.extend(cx.n_ocall_to("south", "whoami", b"")?);
+            own(cx, "bridge")?;
+            Ok(out)
+        });
+        let bridge = image("bridge", Edl::new().ecall("ask").n_ocall("whoami"));
+        app.load(bridge, [("ask".into(), ask)]).unwrap();
+        for outer in ["north", "south"] {
+            let whoami = tf(move |cx, _| own(cx, outer));
+            app.load(image(outer, Edl::new()), [("whoami".into(), whoami)])
+                .unwrap();
+            app.associate_with_policy("bridge", outer, AssocPolicy::Lattice)
+                .unwrap();
+        }
+        assert_eq!(app.ecall(0, "gate", "serve", b"").unwrap(), b"gate");
+        assert_eq!(app.ecall(0, "bridge", "ask", b"").unwrap(), b"northsouth");
     }
 
     #[test]

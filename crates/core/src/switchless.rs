@@ -100,9 +100,11 @@ impl SwitchlessQueue {
             ));
         }
         let caller_core = cx.core();
-        let span = cx
-            .machine
-            .span_begin(caller_core, SpanKind::SwitchlessOcall, func);
+        let span = cx.machine.span_begin(
+            caller_core,
+            SpanKind::SwitchlessOcall,
+            format_args!("{func}"),
+        );
         cx.machine.note(Event::SwitchlessOcall);
         // Marshal the request into untrusted memory (the enclave writes
         // untrusted pages directly; costs accrue through the memory model).

@@ -268,8 +268,7 @@ impl Sampler {
             l += 1;
             keep
         });
-        rows.sort_by_key(|r| r.tenant);
-        crate::window::coalesce_rows(&mut rows);
+        crate::window::coalesce_rows(&mut rows, false);
         w.tenants = rows;
 
         // Machine-side chaos injections, attributed via the server's

@@ -129,16 +129,19 @@ impl TenantWindow {
     }
 }
 
-/// Coalesces adjacent rows with the same global tenant id (input must
-/// be sorted by tenant). A live migration can briefly leave one server
-/// with two local slots for the same global tenant — the retired
-/// source slot and the adopted destination slot — and their rows for
-/// the migration window merge exactly like a shard merge.
-pub(crate) fn coalesce_rows(rows: &mut Vec<TenantWindow>) {
+/// Sorts rows by global tenant id and folds each tenant's later rows
+/// into its first (the sort is stable, so input order decides which is
+/// first); `newer_gauges` picks the breaker gauge's roll or merge
+/// semantics. A live migration can briefly leave one server with two
+/// local slots for the same global tenant — the retired source slot and
+/// the adopted destination slot — and their rows for the migration
+/// window merge exactly like a shard merge.
+pub(crate) fn coalesce_rows(rows: &mut Vec<TenantWindow>, newer_gauges: bool) {
+    rows.sort_by_key(|r| r.tenant);
     let mut out: Vec<TenantWindow> = Vec::with_capacity(rows.len());
     for row in rows.drain(..) {
         match out.last_mut() {
-            Some(last) if last.tenant == row.tenant => last.accumulate(&row, false),
+            Some(last) if last.tenant == row.tenant => last.accumulate(&row, newer_gauges),
             _ => out.push(row),
         }
     }
@@ -220,43 +223,10 @@ impl Window {
             self.resident += other.resident;
         }
         self.degraded += other.degraded;
-        // Union of tenant rows by global id (both sides sorted).
-        let mut merged: Vec<TenantWindow> = Vec::with_capacity(self.tenants.len());
-        let (mut a, mut b) = (self.tenants.iter(), other.tenants.iter());
-        let (mut na, mut nb) = (a.next(), b.next());
-        loop {
-            match (na, nb) {
-                (Some(x), Some(y)) if x.tenant == y.tenant => {
-                    let mut row = x.clone();
-                    row.accumulate(y, newer_gauges);
-                    merged.push(row);
-                    na = a.next();
-                    nb = b.next();
-                }
-                (Some(x), Some(y)) if x.tenant < y.tenant => {
-                    merged.push(x.clone());
-                    na = a.next();
-                    nb = Some(y);
-                }
-                (Some(x), Some(y)) => {
-                    merged.push(y.clone());
-                    na = Some(x);
-                    nb = b.next();
-                }
-                (Some(x), None) => {
-                    merged.push(x.clone());
-                    na = a.next();
-                    nb = None;
-                }
-                (None, Some(y)) => {
-                    merged.push(y.clone());
-                    na = None;
-                    nb = b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.tenants = merged;
+        // Union of tenant rows by global id. Each side holds unique rows,
+        // so a tenant's row from `self` absorbs at most one from `other`.
+        self.tenants.extend_from_slice(&other.tenants);
+        coalesce_rows(&mut self.tenants, newer_gauges);
         self.injections.extend_from_slice(&other.injections);
         self.recoveries.extend_from_slice(&other.recoveries);
         sort_events(&mut self.injections, &mut self.recoveries);

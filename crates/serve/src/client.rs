@@ -13,6 +13,15 @@
 //! Per-tenant reply digests use the exact
 //! `ne-tenants/v1` packing, so they can be grepped straight against the
 //! server's export.
+//!
+//! Reply payloads come from a peer, so this module may not index,
+//! unwrap or panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -178,6 +187,8 @@ fn pair_factory(cfg: &ClientConfig, tenant: usize, service: usize) -> RequestFac
     // The same (kind, global tenant, seed) the server's standard specs
     // produce — this is what makes the wire stream byte-identical to the
     // in-process factories.
+    // INVARIANT: a remainder modulo the length is a valid index.
+    #[allow(clippy::indexing_slicing)]
     let kind = ServiceKind::ALL[service % ServiceKind::ALL.len()];
     RequestFactory::new(kind, tenant, cfg.seed)
 }
@@ -391,11 +402,12 @@ fn open_session(
 
 /// Nearest-rank percentile of an already sorted slice.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted
+        .get(rank.saturating_sub(1))
+        .or(sorted.last())
+        .copied()
+        .unwrap_or(0)
 }
 
 impl ClientReport {

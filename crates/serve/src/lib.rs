@@ -73,6 +73,12 @@ const HELLO_LEN: usize = 21;
 /// streams are seeded from them, so a mismatch would silently
 /// desynchronize payloads. Chaos and the timeline window are the
 /// server's alone.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 pub fn hello_payload(scenario: &Scenario) -> Vec<u8> {
     let mut out = Vec::with_capacity(HELLO_LEN);
     out.extend_from_slice(&scenario.seed.to_le_bytes());
@@ -89,12 +95,18 @@ pub fn hello_payload(scenario: &Scenario) -> Vec<u8> {
 ///
 /// The refusal the server sends back in its Abort: a malformed payload,
 /// an unknown mode byte, or a scenario mismatch.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 pub(crate) fn check_hello(payload: &[u8], scenario: &Scenario) -> Result<(), String> {
     if payload.len() != HELLO_LEN {
         return Err("malformed Hello payload".to_string());
     }
-    if payload[8] > 1 {
-        return Err(format!("unknown mode {}", payload[8]));
+    if let Some(mode @ 2..) = payload.get(8).copied() {
+        return Err(format!("unknown mode {mode}"));
     }
     if payload != hello_payload(scenario) {
         return Err("scenario mismatch".to_string());
@@ -124,6 +136,12 @@ pub struct WireCompletion {
     pub reply: Vec<u8>,
 }
 
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 impl WireCompletion {
     /// Packs a [`ne_host::Completion`] into a Reply payload.
     pub fn from_completion(c: &ne_host::Completion) -> WireCompletion {
@@ -158,21 +176,54 @@ impl WireCompletion {
     ///
     /// A human-readable reason on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Result<WireCompletion, String> {
-        if bytes.len() < 48 {
+        let Some((head, reply)) = bytes.split_first_chunk::<48>() else {
             return Err("short Reply payload".to_string());
-        }
-        let reply_len = frame::le_u32(&bytes[44..48]) as usize;
-        if bytes.len() != 48 + reply_len {
+        };
+        if reply.len() != frame::le_u32(&head[44..]) as usize {
             return Err("malformed Reply payload".to_string());
         }
         Ok(WireCompletion {
-            seq: frame::le_u64(&bytes[..8]),
-            arrival: frame::le_u64(&bytes[8..16]),
-            start: frame::le_u64(&bytes[16..24]),
-            end: frame::le_u64(&bytes[24..32]),
-            latency: frame::le_u64(&bytes[32..40]),
-            core: frame::le_u32(&bytes[40..44]),
-            reply: bytes[48..].to_vec(),
+            seq: frame::le_u64(&head[..8]),
+            arrival: frame::le_u64(&head[8..16]),
+            start: frame::le_u64(&head[16..24]),
+            end: frame::le_u64(&head[24..32]),
+            latency: frame::le_u64(&head[32..40]),
+            core: frame::le_u32(&head[40..44]),
+            reply: reply.to_vec(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reply_decode_refuses_every_wrong_length() {
+        let mut bytes = vec![7; 44];
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(b"pong");
+        let decoded = WireCompletion::decode(&bytes);
+        assert_eq!(decoded.map(|c| c.encode()).as_ref(), Ok(&bytes));
+        for cut in 0..bytes.len() {
+            assert!(
+                WireCompletion::decode(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        bytes.push(0);
+        assert!(WireCompletion::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn hello_mode_byte_past_open_is_refused() {
+        let scenario = Scenario::new(3, 2, 8, 7);
+        let mut hello = hello_payload(&scenario);
+        assert_eq!(check_hello(&hello, &scenario), Ok(()));
+        hello[8] = 2;
+        assert_eq!(
+            check_hello(&hello, &scenario),
+            Err("unknown mode 2".to_string())
+        );
     }
 }

@@ -24,6 +24,7 @@ use crate::trace::{Event, SpanKind, Stats, Trace};
 use crate::validate::{CoreView, Outcome, SgxValidator, TlbValidator, ValidationCtx};
 use ne_crypto::Digest32;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 /// Execution mode of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -481,7 +482,9 @@ impl Machine {
     /// nests under any span already open on the core, so ecall→ocall
     /// chains are reconstructable from the trace. The duration histogram
     /// key ([`HierLevel`]) is the caller's hierarchy level at open time.
-    pub fn span_begin(&mut self, core: usize, kind: SpanKind, label: &str) -> u64 {
+    /// The label is rendered only when the trace ring is on; an untraced
+    /// call formats nothing.
+    pub fn span_begin(&mut self, core: usize, kind: SpanKind, label: fmt::Arguments<'_>) -> u64 {
         self.next_span_id += 1;
         let id = self.next_span_id;
         let level = self.hier_level(self.current_enclave(core));
@@ -493,15 +496,14 @@ impl Machine {
             level,
             begin_cycles: cycles,
         });
-        // The label is copied only when the ring will keep it.
-        let label = if self.trace.is_enabled() { label } else { "" }.to_string();
+        let label = self.trace.is_enabled().then(|| fmt::format(label));
         self.note(Event::SpanBegin {
             core,
             id,
             parent,
             kind,
             level,
-            label,
+            label: label.unwrap_or_default(),
             cycles,
         });
         id

@@ -336,9 +336,9 @@ mod tests {
     #[test]
     fn reconstructs_nesting_and_durations() {
         let mut m = traced_machine();
-        let outer = m.span_begin(0, SpanKind::Ecall, "outer");
+        let outer = m.span_begin(0, SpanKind::Ecall, format_args!("outer"));
         m.charge(0, 100);
-        let inner = m.span_begin(0, SpanKind::Ocall, "inner");
+        let inner = m.span_begin(0, SpanKind::Ocall, format_args!("inner"));
         m.charge(0, 40);
         m.span_end(0, inner);
         m.charge(0, 10);
@@ -359,8 +359,8 @@ mod tests {
     #[test]
     fn implicitly_closed_children_inherit_parent_end() {
         let mut m = traced_machine();
-        let outer = m.span_begin(0, SpanKind::Ecall, "outer");
-        let _leaked = m.span_begin(0, SpanKind::Ocall, "leaked");
+        let outer = m.span_begin(0, SpanKind::Ecall, format_args!("outer"));
+        let _leaked = m.span_begin(0, SpanKind::Ocall, format_args!("leaked"));
         m.charge(0, 70);
         m.span_end(0, outer); // closes "leaked" implicitly: no SpanEnd for it
         let tree = SpanTree::reconstruct(m.trace());
@@ -376,9 +376,9 @@ mod tests {
         // evicted while their ends still arrive — the reconstructor must
         // count, not panic.
         let mut m = traced_machine();
-        let outer = m.span_begin(0, SpanKind::Ecall, "outer");
+        let outer = m.span_begin(0, SpanKind::Ecall, format_args!("outer"));
         for i in 0..6 {
-            let s = m.span_begin(0, SpanKind::Ocall, &format!("o{i}"));
+            let s = m.span_begin(0, SpanKind::Ocall, format_args!("o{i}"));
             m.charge(0, 10);
             m.span_end(0, s);
         }
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn unfinished_spans_become_instants_not_dangling_begins() {
         let mut m = traced_machine();
-        let _open = m.span_begin(0, SpanKind::Ecall, "still-open");
+        let _open = m.span_begin(0, SpanKind::Ecall, format_args!("still-open"));
         m.charge(0, 5);
         let tree = SpanTree::reconstruct(m.trace());
         assert_eq!(tree.unfinished, 1);
@@ -414,9 +414,9 @@ mod tests {
     #[test]
     fn folded_output_accounts_self_cycles() {
         let mut m = traced_machine();
-        let outer = m.span_begin(0, SpanKind::Ecall, "handler");
+        let outer = m.span_begin(0, SpanKind::Ecall, format_args!("handler"));
         m.charge(0, 100);
-        let inner = m.span_begin(0, SpanKind::Ocall, "sink");
+        let inner = m.span_begin(0, SpanKind::Ocall, format_args!("sink"));
         m.charge(0, 30);
         m.span_end(0, inner);
         m.span_end(0, outer);
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn bundle_capture_smoke() {
         let mut m = traced_machine();
-        let s = m.span_begin(1, SpanKind::SwitchlessOcall, "q");
+        let s = m.span_begin(1, SpanKind::SwitchlessOcall, format_args!("q"));
         m.charge(1, 620);
         m.span_end(1, s);
         let b = TraceBundle::capture(&m);
